@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.loops import build_loop_forest
 from repro.interp.events import Observer
 from repro.ir.function import Module
-from repro.ir.instructions import Instr
 
 __all__ = [
     "DepEdge",
@@ -77,45 +76,14 @@ class SiteRegistry:
                     self.site_of[id(instr)] = (func.name, block.name, idx)
                     self.loops_of[id(instr)] = chain
 
-    def innermost_site_in_loop(
-        self, chain: Tuple[int, ...], label: str
-    ) -> Optional[Site]:
-        """Deepest element of an attribution chain lying inside ``label``.
-
-        Memoized: the same static chains recur once per iteration, so
-        the scan runs once per distinct ``(chain, label)`` pair.
-        """
-        key = (chain, label)
-        try:
-            return self._innermost_cache[key]
-        except KeyError:
-            pass
-        except AttributeError:
-            self._innermost_cache = {}
-        site = None
-        for instr_id in reversed(chain):
-            if label in self.loops_of.get(instr_id, ()):
-                site = self.site_of[instr_id]
-                break
-        self._innermost_cache[key] = site
-        return site
-
-
-@dataclass
-class _Access:
-    chain: Tuple[int, ...]
-    loops: Tuple[LoopSnap, ...]
-
-
-@dataclass
-class _PrivState:
-    """Per-(loop,location) privatization tracking."""
-
-    invocation: int = -1
-    iteration: int = -1
-    first_is_write: bool = True
-    always_written_first: bool = True
-    iterations_touched: int = 0
+    def sites_by_loop(self, chain: Tuple[int, ...]) -> Dict[str, Site]:
+        """Loop label -> deepest element of an attribution chain lying
+        inside that loop (labels no element lies in are absent)."""
+        sites: Dict[str, Site] = {}
+        for instr_id in chain:
+            for label in self.loops_of.get(instr_id, ()):
+                sites[label] = self.site_of[instr_id]
+        return sites
 
 
 @dataclass
@@ -140,7 +108,14 @@ class LoopDeps:
 
 
 class DynamicDepProfiler(Observer):
-    """Observer building :class:`LoopDeps` for every loop executed."""
+    """Observer building :class:`LoopDeps` for every loop executed.
+
+    The handlers run once per memory access of the profiled execution,
+    so their state is kept in plain tuples and lists: an access is
+    ``(sites, loops)`` — the attribution chain's loop label -> site map
+    and the loop-stack snapshot — and a :class:`DepEdge` is built only
+    the first time its tuple key is seen.
+    """
 
     wants_memory = True
     wants_loops = True
@@ -151,9 +126,10 @@ class DynamicDepProfiler(Observer):
     def __init__(self, module: Module, registry: Optional[SiteRegistry] = None):
         self.registry = registry or SiteRegistry(module)
         self.loop_deps: Dict[str, LoopDeps] = {}
-        self._last_write: Dict[Tuple, _Access] = {}
-        self._reads: Dict[Tuple, List[_Access]] = {}
-        self._priv: Dict[Tuple[str, Tuple], _PrivState] = {}
+        #: loc -> [last write access or None, reads since that write,
+        #: loop snapshot of the latest access, privatization states
+        #: (see _update_priv), keys of the edges recorded on loc].
+        self._locs: Dict[Tuple, list] = {}
         #: Labels of loops that were entered at least once.
         self.executed: set = set()
         #: Highest trip count observed per loop label (across invocations).
@@ -161,17 +137,22 @@ class DynamicDepProfiler(Observer):
         self.interp = None  # set by attach()
         #: Incremental mirror of the interpreter's loop stack, rebuilt on
         #: loop events (rare) so per-access snapshots (hot) reuse it.
-        self._lstack: List[Tuple[str, int, int]] = []
-        self._loops_snap: Tuple[Tuple[str, int, int], ...] = ()
+        self._lstack: List[LoopSnap] = []
+        self._loops_snap: Tuple[LoopSnap, ...] = ()
         #: Call-chain prefix cached against interp.call_stack_version.
         self._chain_base: Tuple[int, ...] = ()
         self._chain_version = -1
+        #: id(instr) (empty call chain) or the full chain -> site map.
+        self._site_maps: Dict[object, Dict[str, Site]] = {}
+        #: Whether a label repeats on the current loop stack.
+        self._snap_dups = False
 
     def on_loop_enter(self, label: str, invocation: int) -> None:
         self.executed.add(label)
         self.max_trips.setdefault(label, 0)
         self._lstack.append((label, invocation, 0))
         self._loops_snap = tuple(self._lstack)
+        self._snap_dups = self._has_dups()
 
     def on_loop_iteration(self, label: str, invocation: int, iteration: int) -> None:
         if iteration > self.max_trips.get(label, 0):
@@ -183,80 +164,174 @@ class DynamicDepProfiler(Observer):
         if self._lstack:
             self._lstack.pop()
         self._loops_snap = tuple(self._lstack)
+        self._snap_dups = self._has_dups()
+
+    def _has_dups(self) -> bool:
+        """Whether a loop label repeats on the current loop stack."""
+        labels = {entry[0] for entry in self._lstack}
+        return len(labels) != len(self._lstack)
 
     # -- event handlers ---------------------------------------------------------
 
-    def _snapshot(self, instr: Instr) -> _Access:
-        interp = self.interp
-        version = interp.call_stack_version
-        if version != self._chain_version:
-            self._chain_base = tuple([id(c) for c in interp.call_stack])
-            self._chain_version = version
-        return _Access(
-            chain=self._chain_base + (id(instr),), loops=self._loops_snap
-        )
+    def _site_map(self, chain: Tuple[int, ...], key) -> Dict[str, Site]:
+        sites = self._site_maps[key] = self.registry.sites_by_loop(chain)
+        return sites
 
     def on_read(self, loc, instr) -> None:
-        access = self._snapshot(instr)
-        write = self._last_write.get(loc)
-        if write is not None:
-            self._emit_edges("raw", loc, write, access)
-        reads = self._reads.setdefault(loc, [])
+        # The access is (loop label -> attributed site, loop snapshot);
+        # site maps are keyed by id(instr) outside calls, else by chain.
+        interp = self.interp
+        if interp.call_stack_version != self._chain_version:
+            self._chain_base = tuple([id(c) for c in interp.call_stack])
+            self._chain_version = interp.call_stack_version
+        base = self._chain_base
+        key = base + (id(instr),) if base else id(instr)
+        sites = self._site_maps.get(key)
+        if sites is None:
+            sites = self._site_map(base + (id(instr),), key)
+        snap = self._loops_snap
+        access = (sites, snap)
+        entry = self._locs.get(loc)
+        if entry is None:
+            self._locs[loc] = [None, [access], snap, {}, set()]
+            if snap:
+                self._update_priv(self._locs[loc][3], snap, False)
+            return
+        write = entry[0]
+        if write is not None and snap:
+            self._emit_edges("raw", entry, loc, write, access)
+        reads = entry[1]
         if len(reads) < self._MAX_READS:
             reads.append(access)
         else:
             reads[-1] = access
-        self._update_priv(loc, access, is_write=False)
+        # Same snapshot object as the location's latest access: every
+        # per-loop state of the location is already current.
+        if entry[2] is not snap:
+            entry[2] = snap
+            self._update_priv(entry[3], snap, False)
 
     def on_write(self, loc, instr) -> None:
-        access = self._snapshot(instr)
-        prev_write = self._last_write.get(loc)
-        if prev_write is not None:
-            self._emit_edges("waw", loc, prev_write, access)
-        for read in self._reads.get(loc, ()):  # anti dependences
-            self._emit_edges("war", loc, read, access)
-        self._reads[loc] = []
-        self._last_write[loc] = access
-        self._update_priv(loc, access, is_write=True)
+        interp = self.interp
+        if interp.call_stack_version != self._chain_version:
+            self._chain_base = tuple([id(c) for c in interp.call_stack])
+            self._chain_version = interp.call_stack_version
+        base = self._chain_base
+        key = base + (id(instr),) if base else id(instr)
+        sites = self._site_maps.get(key)
+        if sites is None:
+            sites = self._site_map(base + (id(instr),), key)
+        snap = self._loops_snap
+        access = (sites, snap)
+        entry = self._locs.get(loc)
+        if entry is None:
+            self._locs[loc] = [access, [], snap, {}, set()]
+            if snap:
+                self._update_priv(self._locs[loc][3], snap, True)
+            return
+        reads = entry[1]
+        if snap:
+            prev_write = entry[0]
+            if prev_write is not None:
+                self._emit_edges("waw", entry, loc, prev_write, access)
+            prev = None
+            for read in reads:  # anti dependences
+                # A repeat of the previous read yields the same edges.
+                if prev is None or read[0] is not prev[0] \
+                        or read[1] is not prev[1]:
+                    self._emit_edges("war", entry, loc, read, access)
+                prev = read
+        reads.clear()
+        entry[0] = access
+        if entry[2] is not snap:
+            entry[2] = snap
+            self._update_priv(entry[3], snap, True)
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _emit_edges(self, kind: str, loc, first: _Access, second: _Access) -> None:
-        """Record an edge for every loop containing both accesses."""
-        second_ctx = {snap[0]: snap for snap in second.loops}
-        for label, invocation, iteration in first.loops:
+    def _emit_edges(self, kind: str, entry, loc, first, second) -> None:
+        """Record an edge for every loop containing both accesses.
+
+        ``second`` is always the access being handled, so its loops are
+        the current loop stack.  ``entry[4]`` holds the location's
+        recorded ``(label, kind, writer, reader, same_iteration)`` keys.
+        """
+        first_sites, first_loops = first
+        second_sites = second[0]
+        keys = entry[4]
+        if first_loops is second[1]:
+            # Same loop-stack snapshot: same invocation and iteration of
+            # every active loop.
+            for label, _invocation, _iteration in first_loops:
+                w_site = first_sites.get(label)
+                r_site = second_sites.get(label)
+                if w_site is not None and r_site is not None:
+                    key = (label, kind, w_site, r_site, True)
+                    if key not in keys:
+                        keys.add(key)
+                        self._add_edge(key, loc)
+            return
+        if self._snap_dups:
+            self._emit_edges_by_label(kind, entry, loc, first, second)
+            return
+        # Without repeated labels on the current stack, a loop instance
+        # (label, invocation) active at both accesses sits at the same
+        # depth in both snapshots, with the same instances below it: the
+        # shared instances are exactly the common prefix.
+        for mine, other in zip(first_loops, second[1]):
+            label = mine[0]
+            if other[0] != label or other[1] != mine[1]:
+                break
+            w_site = first_sites.get(label)
+            r_site = second_sites.get(label)
+            if w_site is None or r_site is None:
+                continue
+            key = (label, kind, w_site, r_site, other[2] == mine[2])
+            if key not in keys:
+                keys.add(key)
+                self._add_edge(key, loc)
+
+    def _emit_edges_by_label(self, kind: str, entry, loc, first, second) -> None:
+        """:meth:`_emit_edges` when a label repeats on the current stack
+        (a loop re-entered through recursion): each label of ``first``
+        pairs with that label's innermost entry on the current stack."""
+        first_sites, first_loops = first
+        second_sites = second[0]
+        keys = entry[4]
+        second_ctx = {s[0]: s for s in second[1]}
+        for label, invocation, iteration in first_loops:
             other = second_ctx.get(label)
             if other is None or other[1] != invocation:
                 continue  # different invocation (or loop not active)
-            w_site = self.registry.innermost_site_in_loop(first.chain, label)
-            r_site = self.registry.innermost_site_in_loop(second.chain, label)
+            w_site = first_sites.get(label)
+            r_site = second_sites.get(label)
             if w_site is None or r_site is None:
                 continue
-            deps = self.loop_deps.setdefault(label, LoopDeps(label))
-            deps.edges.add(
-                DepEdge(
-                    kind=kind,
-                    writer=w_site,
-                    reader=r_site,
-                    same_iteration=(other[2] == iteration),
-                    loc=loc,
-                )
-            )
+            key = (label, kind, w_site, r_site, other[2] == iteration)
+            if key not in keys:
+                keys.add(key)
+                self._add_edge(key, loc)
 
-    def _update_priv(self, loc, access: _Access, is_write: bool) -> None:
-        for label, invocation, iteration in access.loops:
-            key = (label, loc)
-            state = self._priv.get(key)
+    def _add_edge(self, key: Tuple, loc) -> None:
+        label, kind, w_site, r_site, same_iteration = key
+        deps = self.loop_deps.get(label)
+        if deps is None:
+            deps = self.loop_deps[label] = LoopDeps(label)
+        deps.edges.add(DepEdge(kind, w_site, r_site, same_iteration, loc))
+
+    @staticmethod
+    def _update_priv(states: Dict[str, list], snap, is_write: bool) -> None:
+        """Privatization tracking of one location: ``states`` maps a loop
+        label to [invocation, iteration, always written first]."""
+        for label, invocation, iteration in snap:
+            state = states.get(label)
             if state is None:
-                state = _PrivState()
-                self._priv[key] = state
-            if state.invocation != invocation or state.iteration != iteration:
-                state.invocation = invocation
-                state.iteration = iteration
-                state.iterations_touched += 1
-                state.first_is_write = is_write
+                states[label] = [invocation, iteration, is_write]
+            elif state[0] != invocation or state[1] != iteration:
+                state[0] = invocation
+                state[1] = iteration
                 if not is_write:
-                    state.always_written_first = False
+                    state[2] = False
 
     # -- results ---------------------------------------------------------------
 
@@ -265,10 +340,11 @@ class DynamicDepProfiler(Observer):
 
     def is_privatizable(self, label: str, loc) -> bool:
         """Every iteration of ``label`` touching ``loc`` wrote it first."""
-        state = self._priv.get((label, loc))
+        entry = self._locs.get(loc)
+        state = entry[3].get(label) if entry is not None else None
         if state is None:
             return True
-        return state.always_written_first
+        return state[2]
 
     def memory_flow_edges(self) -> Dict[str, Set[Tuple[Site, Site]]]:
         """Same-invocation flow edges per loop, for iterator recognition."""

@@ -451,7 +451,11 @@ class AnalysisSession:
         pristine, _ = self._prepare(
             program if source_text is None else source_text
         )
-        ctx = build_context(pristine, entry=self.config.entry)
+        ctx = build_context(
+            pristine,
+            entry=self.config.entry,
+            exec_backend=self.config.resolved_exec_backend(),
+        )
         detectors = [
             DependenceProfilingDetector(),
             DiscoPopDetector(),

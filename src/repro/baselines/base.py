@@ -18,7 +18,7 @@ from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.analysis.loops import Loop, LoopForest, build_loop_forest
 from repro.analysis.purity import EffectAnalysis
 from repro.analysis.reductions import LoopIdioms, classify_loop
-from repro.interp.interpreter import Interpreter
+from repro.interp.compiler import create_executor
 from repro.ir.function import Function, Module
 
 
@@ -68,8 +68,14 @@ def build_context(
     args: Optional[Sequence[object]] = None,
     run_profile: bool = True,
     max_steps: Optional[int] = None,
+    exec_backend: Optional[str] = None,
 ) -> DetectionContext:
-    """Run the static analyses (and one profiled execution) for detection."""
+    """Run the static analyses (and one profiled execution) for detection.
+
+    The profiled execution takes ``exec_backend`` (see
+    :func:`repro.interp.compiler.create_executor`): codegen runs it on
+    its profiled lowering, the other backends on the interpreter.
+    """
     forests: Dict[str, LoopForest] = {}
     idioms: Dict[str, LoopIdioms] = {}
     loop_functions: Dict[str, str] = {}
@@ -87,11 +93,16 @@ def build_context(
     costs: Dict[str, Dict[str, float]] = {}
     if run_profile:
         profile = DynamicDepProfiler(module)
-        interp = Interpreter(module, observers=[profile], max_steps=max_steps)
         start = time.perf_counter()
+        executor = create_executor(
+            module,
+            observers=[profile],
+            max_steps=max_steps,
+            exec_backend=exec_backend,
+        )
         with obs.current().span("baseline.profile", entry=entry):
-            interp.run(entry, list(args or []))
-        profiled_steps = interp.steps
+            executor.run(entry, list(args or []))
+        profiled_steps = executor.steps
         costs["profile"] = {
             "executions": 1,
             "instructions": profiled_steps,

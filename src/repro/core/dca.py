@@ -192,12 +192,13 @@ class DcaAnalyzer:
         #: the ``REPRO_SCHEDULE_BACKEND`` / ``REPRO_SCHEDULE_JOBS``
         #: environment fallbacks).
         self._engine = engine or create_engine(backend, jobs, clock=clock)
-        #: Execution backend for observer-free runs (golden run, schedule
-        #: replays): ``interp`` or ``compiled`` (closure compilation; see
-        #: :mod:`repro.interp.compiler` and the ``REPRO_EXEC_BACKEND``
-        #: environment fallback).  Observer-bearing executions — the
-        #: dynamic-dependence profiling run, and everything when the
-        #: observability context is enabled — always use the interpreter.
+        #: Execution backend for every run of the analysis — profile,
+        #: golden and schedule replays: ``interp``, ``compiled`` or
+        #: ``codegen`` (see :mod:`repro.interp.compiler` and the
+        #: ``REPRO_EXEC_BACKEND`` environment fallback).  The profiling
+        #: run takes codegen's profiled lowering under ``codegen`` and the
+        #: interpreter under ``interp``/``compiled``; everything runs on
+        #: the interpreter when the observability context is enabled.
         self.exec_backend = resolve_exec_backend(exec_backend)
         #: Testing hook: ``{(loop label, schedule name): fault style}``
         #: fires the named fault inside that schedule's execution.
@@ -310,12 +311,16 @@ class DcaAnalyzer:
     def _profile_memory_flow(self, report: DcaReport) -> None:
         """One profiled run of the pristine program (iterator recognition)."""
         profiler = DynamicDepProfiler(self.module)
-        interp = Interpreter(
-            self.module, observers=[profiler], max_steps=self.max_steps
+        executor = create_executor(
+            self.module,
+            observers=[profiler],
+            max_steps=self.max_steps,
+            exec_backend=self.exec_backend,
+            obs_enabled=self._obs.enabled,
         )
-        interp.run(self.entry, self.args)
+        executor.run(self.entry, self.args)
         report.executions += 1
-        report.interp_instructions += interp.steps
+        report.interp_instructions += executor.steps
         #: label -> same-invocation flow edges, kept per loop: an edge
         #: discovered in an enclosing loop's scope must not leak into an
         #: inner loop's slice.

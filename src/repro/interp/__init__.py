@@ -4,6 +4,7 @@ closure-compiled and Python-source-codegen execution backends."""
 from repro.interp.codegen import (
     CodegenExecutor,
     CodegenProgram,
+    ProfiledCodegenExecutor,
     codegen_stats,
     compile_module_codegen,
     module_digest,
@@ -42,6 +43,7 @@ __all__ = [
     "LoopCtx",
     "MiniCRuntimeError",
     "Observer",
+    "ProfiledCodegenExecutor",
     "Profiler",
     "RuntimeHooks",
     "StructObj",

@@ -34,9 +34,19 @@ the running interpreter's bytecode magic and a payload checksum; any
 mismatch or corruption silently falls back to a fresh compile (never to
 wrong results).
 
-Like the closure backend it supports no observers and no profiler;
-:func:`repro.interp.compiler.create_executor` routes those runs (and
-obs-enabled runs) to the tree-walking interpreter.  The
+A second, *profiled* lowering of the same module serves observer
+runs that want loop and memory events only (the dependence-profiling
+run): every global/field/element access reports the interpreter's
+location tuple and the pristine ``Instr`` (from the per-module site
+table ``_I``) after its null/bounds checks and before the access,
+``Call`` maintains the executor's ``call_stack``, and loop
+enter/iteration/exit events are computed statically per CFG edge from
+the natural-loop forest, exactly as the interpreter's
+``_loop_transition`` derives them from the (previous, current) block
+pair.  The profiled variant has its own memo key and artifact file;
+the plain lowering is unchanged by it.  Call observers, the cost
+profiler and obs-enabled runs still go to the tree-walking interpreter
+(:func:`repro.interp.compiler.create_executor` routes them).  The
 :class:`~repro.core.runtime.DcaRuntime` ``fast_intrinsics`` contract is
 honored: when the runtime opts in, the five ``rt_*`` intrinsics call the
 handler methods directly with the label baked as a constant.
@@ -54,6 +64,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
+from repro.analysis.loops import build_loop_forest
 from repro.cache import resolve_cache_dir
 from repro.interp.compiler import (
     _RT_GET,
@@ -64,6 +75,7 @@ from repro.interp.compiler import (
     CompileError,
     _fdiv,
 )
+from repro.interp.events import LoopCtx
 from repro.interp.interpreter import (
     _DEFAULT_MAX_STEPS,
     _trunc_div,
@@ -107,6 +119,7 @@ __all__ = [
     "CODEGEN_CACHE_ENV",
     "CodegenExecutor",
     "CodegenProgram",
+    "ProfiledCodegenExecutor",
     "codegen_source",
     "codegen_stats",
     "compile_module_codegen",
@@ -124,6 +137,10 @@ CODEGEN_CACHE_ENV = "REPRO_CODEGEN_CACHE_DIR"
 #: artifacts then miss on the header check and are recompiled.
 _ARTIFACT_VERSION = 1
 _ARTIFACT_MAGIC = b"RPCG"
+#: Profiled-variant artifacts: a different magic, so neither variant
+#: ever loads the other's code, and the module digest in the header, so
+#: an artifact of another module never runs against this site table.
+_PROFILED_MAGIC = b"RPCP"
 
 _ref_eq = Interpreter._ref_eq
 
@@ -215,6 +232,31 @@ def _alloc_tables(module: Module):
     return sd, et, sd_idx, et_idx
 
 
+#: Instructions whose execution the profiled lowering reports to
+#: observers: the six memory accesses, and ``Call`` (call-stack entries).
+_SITE_TYPES = (
+    GetField, SetField, GetIndex, SetIndex, LoadGlobal, StoreGlobal, Call,
+)
+
+
+def _site_table(module: Module):
+    """Deterministic walk collecting the profiled variant's event sites.
+
+    Generated code passes observers the pristine instruction object as
+    ``_I[k]``; like :func:`_alloc_tables`, the walk runs at emission and
+    again at load, so disk artifacts rebind to this module's objects.
+    """
+    sites: List[object] = []
+    site_idx: Dict[int, int] = {}
+    for func in module.functions.values():
+        for bname in func.block_order:
+            for ins in func.blocks[bname].instrs:
+                if type(ins) in _SITE_TYPES:
+                    site_idx[id(ins)] = len(sites)
+                    sites.append(ins)
+    return sites, site_idx
+
+
 def _lit(v: object) -> str:
     if v is None:
         return "None"
@@ -242,7 +284,8 @@ class _FuncEmitter:
     """Lowers one IR function to Python source lines."""
 
     def __init__(self, index: int, func, module: Module, gen_names: Dict[str, str],
-                 sd_idx: Dict[int, int], et_idx: Dict[int, int]):
+                 sd_idx: Dict[int, int], et_idx: Dict[int, int],
+                 site_idx: Optional[Dict[int, int]] = None):
         self.index = index
         self.func = func
         self.module = module
@@ -258,6 +301,21 @@ class _FuncEmitter:
         self.uses_print = False
         self.has_intrinsics = False
         self.fast_methods: set = set()
+        #: Profiled lowering: event-site indices into ``_I`` (None for the
+        #: plain lowering).
+        self.site_idx = site_idx
+        self.profiled = site_idx is not None
+        self.uses_mem = False
+        self.uses_calls = False
+        if self.profiled:
+            forest = build_loop_forest(func)
+            self.chains = {
+                name: tuple(l.label for l in forest.loop_chain(name))
+                for name in func.block_order
+            }
+            self.headers = {
+                loop.header: loop.label for loop in forest.loops.values()
+            }
 
     # -- small helpers ------------------------------------------------------
 
@@ -299,6 +357,11 @@ class _FuncEmitter:
                     m = self._fast_method(ins)
                     if m is not None:
                         self.fast_methods.add(m)
+                if t in _SITE_TYPES:
+                    if t is Call:
+                        self.uses_calls = True
+                    else:
+                        self.uses_mem = True
 
     @staticmethod
     def _fast_method(ins: Intrinsic) -> Optional[str]:
@@ -447,6 +510,8 @@ class _FuncEmitter:
                 w(1, "if _rt_fast:")
                 for m in sorted(self.fast_methods):
                     w(2, f"_rt{m} = _rt.{m}")
+        if self.profiled:
+            self._emit_event_prologue()
         w(1, "_max = _state.max_steps")
         w(1, "_steps = _state.steps")
         w(1, "try:")
@@ -470,6 +535,42 @@ class _FuncEmitter:
         self.lines.insert(0, f"_REGS_{self.index} = {regmap!r}")
         return self.lines
 
+    def _emit_event_prologue(self) -> None:
+        """Bind the executor's event entry points as locals, and enter
+        the entry block's loops (the interpreter's transition from no
+        previous block)."""
+        w = self.w
+        if self.uses_mem:
+            w(1, "_rd = _state._on_read")
+            w(1, "_wr = _state._on_write")
+        if self.uses_calls:
+            w(1, "_cs = _state.call_stack")
+        if any(self.chains.values()):
+            w(1, "_le = _state._loop_enter")
+            w(1, "_li = _state._loop_iter")
+            w(1, "_lx = _state._loop_exit")
+        self._transition(1, None, self.func.entry)
+
+    def _transition(self, ind: int, prev: Optional[str], cur: str) -> None:
+        """Loop events of the CFG edge ``prev -> cur``, mirroring
+        :meth:`Interpreter._loop_transition`, which depends on nothing
+        but that block pair."""
+        prev_chain = self.chains.get(prev, ()) if prev else ()
+        cur_chain = self.chains[cur]
+        if prev_chain == cur_chain:
+            if cur_chain and prev is not None \
+                    and self.headers.get(cur) == cur_chain[-1]:
+                self.w(ind, "_li()")
+            return
+        common = 0
+        limit = min(len(prev_chain), len(cur_chain))
+        while common < limit and prev_chain[common] == cur_chain[common]:
+            common += 1
+        if len(prev_chain) > common:
+            self.w(ind, f"_lx({len(prev_chain) - common})")
+        for label in cur_chain[common:]:
+            self.w(ind, f"_le({label!r})")
+
     def _emit_block(self, ind: int, bname: str) -> None:
         instrs = self.func.blocks[bname].instrs
         w = self.w
@@ -478,22 +579,24 @@ class _FuncEmitter:
         w(ind + 1, "raise _MiniC('step limit exceeded')")
         for ins in instrs[:-1]:
             self._emit_instr(ind, ins)
-        self._emit_terminator(ind, instrs[-1])
+        self._emit_terminator(ind, bname, instrs[-1])
 
-    def _goto(self, ind: int, target: str) -> None:
+    def _goto(self, ind: int, source: str, target: str) -> None:
         """Transfer control to ``target``: inline its code when it has a
         single predecessor, otherwise re-enter the dispatch loop."""
+        if self.profiled:
+            self._transition(ind, source, target)
         if target in self.inline:
             self._emit_block(ind, target)
         else:
             self.w(ind, f"_b = {self.head_index[target]}")
             self.w(ind, "continue")
 
-    def _emit_terminator(self, ind: int, term) -> None:
+    def _emit_terminator(self, ind: int, bname: str, term) -> None:
         t = type(term)
         w = self.w
         if t is Jump:
-            self._goto(ind, term.target)
+            self._goto(ind, bname, term.target)
             return
         if t is Branch:
             cond = term.cond
@@ -509,7 +612,7 @@ class _FuncEmitter:
                     w(ind, f"_truthy({_lit(cond.value)})")
                     w(ind, "raise _MiniC('unreachable')")
                 else:
-                    self._goto(ind, taken)
+                    self._goto(ind, bname, taken)
                 return
             c = self.reg(cond)
             # The bare `is True` / `is not False` identity tests keep the
@@ -518,23 +621,23 @@ class _FuncEmitter:
             # and _truthy still raises on invalid condition types, both in
             # interpreter order.
             w(ind, f"if {c} is True or ({c} is not False and _truthy({c})):")
-            self._goto(ind + 1, term.true_target)
+            self._goto(ind + 1, bname, term.true_target)
             w(ind, "else:")
-            self._goto(ind + 1, term.false_target)
+            self._goto(ind + 1, bname, term.false_target)
             return
         if t is Ret:
             value = term.value
             if value is None:
-                w(ind, "_state.retval = None")
-                w(ind, "return None")
+                v = "None"
             elif type(value) is Const:
                 v = _lit(value.value)
-                w(ind, f"_state.retval = {v}")
-                w(ind, f"return {v}")
             else:
-                r = self.reg(value)
-                w(ind, f"_state.retval = {r}")
-                w(ind, f"return {r}")
+                v = self.reg(value)
+            w(ind, f"_state.retval = {v}")
+            # The returned value is read before the frame's loops unwind.
+            if self.profiled and self.chains[bname]:
+                w(ind, f"_lx({len(self.chains[bname])})")
+            w(ind, f"return {v}")
             return
         # Mirror the interpreter: a malformed last instruction faults at
         # run time without executing it.
@@ -560,8 +663,10 @@ class _FuncEmitter:
         elif t is SetField:
             self._emit_setfield(ind, ins)
         elif t is LoadGlobal:
+            self._event(ind, "_rd", f"('g', {ins.name!r})", ins)
             w(ind, f"{self.reg(ins.dest)} = _g[{ins.name!r}]")
         elif t is StoreGlobal:
+            self._event(ind, "_wr", f"('g', {ins.name!r})", ins)
             w(ind, f"_g[{ins.name!r}] = {self.ex(ins.src)}")
         elif t is ArrayLen:
             a = self.ex(ins.arr)
@@ -615,6 +720,11 @@ class _FuncEmitter:
         else:
             raise CompileError(f"unknown unary operator {ins.op}")
 
+    def _event(self, ind: int, fn: str, loc: str, ins) -> None:
+        """Profiled lowering: report an access of ``loc`` by ``ins``."""
+        if self.profiled:
+            self.w(ind, f"{fn}({loc}, _I[{self.site_idx[id(ins)]}])")
+
     def _emit_getfield(self, ind: int, ins: GetField) -> None:
         msg = f"null dereference reading .{ins.field} (line {ins.line})"
         if type(ins.obj) is Const:
@@ -624,6 +734,7 @@ class _FuncEmitter:
         o = self.reg(ins.obj)
         self.w(ind, f"if {o} is None:")
         self.w(ind + 1, f"raise _MiniC({msg!r})")
+        self._event(ind, "_rd", f"('f', {o}.oid, {ins.field!r})", ins)
         self.w(ind, f"{self.reg(ins.dest)} = {o}.fields[{ins.field!r}]")
 
     def _emit_setfield(self, ind: int, ins: SetField) -> None:
@@ -634,6 +745,7 @@ class _FuncEmitter:
         o = self.reg(ins.obj)
         self.w(ind, f"if {o} is None:")
         self.w(ind + 1, f"raise _MiniC({msg!r})")
+        self._event(ind, "_wr", f"('f', {o}.oid, {ins.field!r})", ins)
         # Value is read after the null check (assignment RHS first), like
         # the interpreter.
         self.w(ind, f"{o}.fields[{ins.field!r}] = {self.ex(ins.value)}")
@@ -655,6 +767,7 @@ class _FuncEmitter:
         self.w(ind + 1, f"raise _MiniC({nullmsg!r})")
         self.w(ind, f"_t0 = {a}.data")
         self.w(ind, f"if 0 <= {i} < len(_t0):")
+        self._event(ind + 1, "_rd", f"('a', {a}.oid, {i})", ins)
         self.w(ind + 1, f"{self.reg(ins.dest)} = _t0[{i}]")
         self.w(ind, "else:")
         self.w(
@@ -677,6 +790,7 @@ class _FuncEmitter:
         self.w(ind + 1, f"raise _MiniC({nullmsg!r})")
         self.w(ind, f"_t0 = {a}.data")
         self.w(ind, f"if 0 <= {i} < len(_t0):")
+        self._event(ind + 1, "_wr", f"('a', {a}.oid, {i})", ins)
         # Value is read after the bounds check (assignment RHS before the
         # subscript store), like the interpreter.
         self.w(ind + 1, f"_t0[{i}] = {self.ex(ins.value)}")
@@ -702,9 +816,19 @@ class _FuncEmitter:
             self.w(ind, f"raise _MiniC({msg!r})")
             return
         call = f"{self.gen_names[ins.func]}({', '.join(['_state'] + args)})"
-        self.w(ind, "_state.steps = _steps")
         if ins.dest is not None:
-            self.w(ind, f"{self.reg(ins.dest)} = {call}")
+            call = f"{self.reg(ins.dest)} = {call}"
+        self.w(ind, "_state.steps = _steps")
+        if self.profiled:
+            # Interpreter._exec_call: the call is on the attribution
+            # stack while the callee runs, popped even when it faults.
+            self.w(ind, f"_cs.append(_I[{self.site_idx[id(ins)]}])")
+            self.w(ind, "_state.call_stack_version += 1")
+            self.w(ind, "try:")
+            self.w(ind + 1, call)
+            self.w(ind, "finally:")
+            self.w(ind + 1, "_cs.pop()")
+            self.w(ind + 1, "_state.call_stack_version += 1")
         else:
             self.w(ind, call)
         self.w(ind, "_steps = _state.steps")
@@ -771,20 +895,24 @@ class _FuncEmitter:
             self.w(ind, call)
 
 
-def codegen_source(module: Module) -> str:
-    """Lower ``module`` to the Python source text the backend compiles.
+def codegen_source(module: Module, profiled: bool = False) -> str:
+    """Lower ``module`` to the Python source text the backend compiles
+    (``profiled`` selects the observer-event variant).
 
     Exposed for tests and debugging; :func:`compile_module_codegen` is
     the cached entry point.
     """
     _sd, _et, sd_idx, et_idx = _alloc_tables(module)
+    site_idx = _site_table(module)[1] if profiled else None
     gen_names = {
         name: f"_fn_{i}_{_san(name)}"
         for i, name in enumerate(module.functions)
     }
     lines: List[str] = ["# generated by repro.interp.codegen", ""]
     for i, (name, func) in enumerate(module.functions.items()):
-        emitter = _FuncEmitter(i, func, module, gen_names, sd_idx, et_idx)
+        emitter = _FuncEmitter(
+            i, func, module, gen_names, sd_idx, et_idx, site_idx
+        )
         lines.extend(emitter.emit())
     return "\n".join(lines) + "\n"
 
@@ -802,7 +930,7 @@ def _cmod_fused(a, b):
     return a - q * b
 
 
-def _build_namespace(module: Module) -> Dict[str, object]:
+def _build_namespace(module: Module, profiled: bool) -> Dict[str, object]:
     """Runtime bindings the generated code resolves as globals."""
     sd, et, _sd_idx, _et_idx = _alloc_tables(module)
     ns: Dict[str, object] = {
@@ -823,6 +951,8 @@ def _build_namespace(module: Module) -> Dict[str, object]:
     for name, builtin in BUILTINS.items():
         if builtin.impl is not None:
             ns[f"_bi_{_san(name)}"] = builtin.impl
+    if profiled:
+        ns["_I"] = _site_table(module)[0]
     return ns
 
 
@@ -850,29 +980,36 @@ def resolve_codegen_cache_dir(cache_dir: Optional[str] = None) -> Optional[str]:
     return os.path.join(base, "codegen")
 
 
-def _artifact_path(cache_dir: str, digest: str) -> str:
-    return os.path.join(cache_dir, f"{digest}.rpcg")
+def _artifact_path(cache_dir: str, digest: str, profiled: bool = False) -> str:
+    suffix = ".prof.rpcg" if profiled else ".rpcg"
+    return os.path.join(cache_dir, digest + suffix)
 
 
-def _artifact_header(payload: bytes) -> bytes:
+def _artifact_prefix(digest: str, profiled: bool) -> bytes:
+    """Everything in the header before the payload checksum."""
     magic = importlib.util.MAGIC_NUMBER
-    return (
-        _ARTIFACT_MAGIC
+    prefix = (
+        (_PROFILED_MAGIC if profiled else _ARTIFACT_MAGIC)
         + bytes([_ARTIFACT_VERSION, len(magic)])
         + magic
-        + hashlib.sha256(payload).digest()
     )
+    if profiled:
+        prefix += bytes.fromhex(digest)
+    return prefix
 
 
-def _load_artifact(cache_dir: str, digest: str):
+def _artifact_header(payload: bytes, digest: str, profiled: bool = False) -> bytes:
+    return _artifact_prefix(digest, profiled) + hashlib.sha256(payload).digest()
+
+
+def _load_artifact(cache_dir: str, digest: str, profiled: bool = False):
     """Load a persisted code object, or None on any miss/corruption."""
     try:
-        with open(_artifact_path(cache_dir, digest), "rb") as fh:
+        with open(_artifact_path(cache_dir, digest, profiled), "rb") as fh:
             blob = fh.read()
     except OSError:
         return None
-    magic = importlib.util.MAGIC_NUMBER
-    header = _artifact_header(b"")[: 6 + len(magic)]
+    header = _artifact_prefix(digest, profiled)
     if len(blob) < len(header) + 32 or not blob.startswith(header):
         return None
     checksum = blob[len(header) : len(header) + 32]
@@ -888,7 +1025,7 @@ def _load_artifact(cache_dir: str, digest: str):
     return code
 
 
-def _store_artifact(cache_dir: str, digest: str, code) -> None:
+def _store_artifact(cache_dir: str, digest: str, code, profiled: bool = False) -> None:
     """Best-effort atomic write; storage failures never fail the run."""
     try:
         payload = marshal.dumps(code)
@@ -896,8 +1033,8 @@ def _store_artifact(cache_dir: str, digest: str, code) -> None:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(_artifact_header(payload) + payload)
-            os.replace(tmp, _artifact_path(cache_dir, digest))
+                fh.write(_artifact_header(payload, digest, profiled) + payload)
+            os.replace(tmp, _artifact_path(cache_dir, digest, profiled))
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -927,31 +1064,38 @@ class CodegenFunction:
 class CodegenProgram:
     """A codegen-compiled :class:`~repro.ir.function.Module`."""
 
-    __slots__ = ("module", "functions")
+    __slots__ = ("module", "functions", "profiled")
 
-    def __init__(self, module: Module):
+    def __init__(self, module: Module, profiled: bool = False):
         self.module = module
         self.functions: Dict[str, CodegenFunction] = {}
+        #: Whether this is the observer-event lowering.
+        self.profiled = profiled
 
 
 #: Same shape and policy as the closure backend's module cache: bounded
-#: LRU keyed by ``id(module)`` with an identity guard against id reuse.
-_MODULE_CACHE: "OrderedDict[int, Tuple[Module, CodegenProgram]]" = OrderedDict()
+#: LRU keyed by ``(id(module), profiled)`` with an identity guard
+#: against id reuse.
+_MODULE_CACHE: "OrderedDict[Tuple[int, bool], Tuple[Module, CodegenProgram]]" = (
+    OrderedDict()
+)
 _MODULE_CACHE_MAX = 64
 
 
 def compile_module_codegen(
-    module: Module, cache_dir: Optional[str] = None
+    module: Module, cache_dir: Optional[str] = None, profiled: bool = False
 ) -> CodegenProgram:
     """Lower ``module`` to Python bytecode, once; results are cached.
 
-    In-process results are memoized per module object; across processes
-    the compiled code object is persisted under the module digest (see
+    ``profiled`` selects the observer-event lowering run by
+    :class:`ProfiledCodegenExecutor`.  In-process results are memoized
+    per module object and variant; across processes the compiled code
+    object is persisted under the module digest (see
     :func:`resolve_codegen_cache_dir`; pass ``cache_dir=""`` to disable
     persistence).  Raises :class:`CompileError` when the module cannot
     be lowered — callers fall back to the interpreter.
     """
-    key = id(module)
+    key = (id(module), profiled)
     entry = _MODULE_CACHE.get(key)
     if entry is not None and entry[0] is module:
         _MODULE_CACHE.move_to_end(key)
@@ -959,7 +1103,7 @@ def compile_module_codegen(
         return entry[1]
 
     try:
-        program = _compile_uncached(module, cache_dir)
+        program = _compile_uncached(module, cache_dir, profiled)
     except CompileError:
         _count("errors", "codegen.compile.errors")
         raise
@@ -973,30 +1117,32 @@ def compile_module_codegen(
     return program
 
 
-def _compile_uncached(module: Module, cache_dir: Optional[str]) -> CodegenProgram:
+def _compile_uncached(
+    module: Module, cache_dir: Optional[str], profiled: bool
+) -> CodegenProgram:
     directory = resolve_codegen_cache_dir(cache_dir)
     code = None
     digest = None
     if directory is not None:
         digest = module_digest(module)
-        code = _load_artifact(directory, digest)
+        code = _load_artifact(directory, digest, profiled)
         if code is not None:
             _count("disk_hits", "codegen.disk_cache.hits")
         else:
             _count("disk_misses", "codegen.disk_cache.misses")
     if code is None:
-        source = codegen_source(module)
+        source = codegen_source(module, profiled)
         try:
             code = compile(source, "<repro-codegen>", "exec")
         except SyntaxError as exc:  # pragma: no cover - emitter bug guard
             raise CompileError(f"generated source failed to compile: {exc}")
         _count("compiles", "codegen.compile.compiles")
         if directory is not None:
-            _store_artifact(directory, digest, code)
+            _store_artifact(directory, digest, code, profiled)
 
-    ns = _build_namespace(module)
+    ns = _build_namespace(module, profiled)
     exec(code, ns)
-    program = CodegenProgram(module)
+    program = CodegenProgram(module, profiled)
     for i, (name, func) in enumerate(module.functions.items()):
         pyfunc = ns.get(f"_fn_{i}_{_san(name)}")
         if not callable(pyfunc):
@@ -1064,3 +1210,81 @@ class CodegenExecutor:
         if not self.output:
             return ""
         return "\n".join(self.output) + "\n"
+
+
+class ProfiledCodegenExecutor(CodegenExecutor):
+    """One observed execution of the profiled codegen lowering.
+
+    Publishes the interpreter's loop and memory events to observers
+    that want nothing else (no call events) and exposes the dynamic
+    state they may read: ``loop_stack``, ``call_stack`` and
+    ``call_stack_version``.  Loop invocation counters are per run, as
+    in the interpreter.
+    """
+
+    __slots__ = (
+        "observers",
+        "loop_stack",
+        "call_stack",
+        "call_stack_version",
+        "_invocations",
+        "_loop_obs",
+        "_on_read",
+        "_on_write",
+    )
+
+    def __init__(
+        self,
+        program,
+        runtime: Optional[RuntimeHooks] = None,
+        observers=(),
+        max_steps: Optional[int] = None,
+    ):
+        if isinstance(program, Module):
+            program = compile_module_codegen(program, profiled=True)
+        if not program.profiled:
+            raise ValueError("ProfiledCodegenExecutor needs a profiled program")
+        super().__init__(program, runtime=runtime, max_steps=max_steps)
+        self.observers = list(observers)
+        self.loop_stack: List[LoopCtx] = []
+        self.call_stack: List[object] = []
+        self.call_stack_version = 0
+        self._invocations: Dict[str, int] = {}
+        for o in self.observers:
+            o.attach(self)
+        self._loop_obs = [o for o in self.observers if o.wants_loops]
+        mem_obs = [o for o in self.observers if o.wants_memory]
+        self._on_read = _fan_out([o.on_read for o in mem_obs])
+        self._on_write = _fan_out([o.on_write for o in mem_obs])
+
+    def _loop_enter(self, label: str) -> None:
+        invocation = self._invocations.get(label, 0)
+        self._invocations[label] = invocation + 1
+        self.loop_stack.append(LoopCtx(label, invocation, 0))
+        for o in self._loop_obs:
+            o.on_loop_enter(label, invocation)
+
+    def _loop_iter(self) -> None:
+        ctx = self.loop_stack[-1]
+        ctx.iteration += 1
+        for o in self._loop_obs:
+            o.on_loop_iteration(ctx.label, ctx.invocation, ctx.iteration)
+
+    def _loop_exit(self, count: int) -> None:
+        for _ in range(count):
+            ctx = self.loop_stack.pop()
+            for o in self._loop_obs:
+                o.on_loop_exit(ctx.label, ctx.invocation)
+
+
+def _fan_out(handlers: List[Callable]) -> Callable:
+    """One callable invoking every handler; the sole handler itself when
+    there is just one (the dependence profiler's hot path)."""
+    if len(handlers) == 1:
+        return handlers[0]
+
+    def dispatch(loc, instr) -> None:
+        for handler in handlers:
+            handler(loc, instr)
+
+    return dispatch

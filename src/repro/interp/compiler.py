@@ -1079,16 +1079,19 @@ def create_executor(
     """Build an executor for ``module`` honouring the fallback rules.
 
     The compiled and codegen backends are used only when they can be
-    *exactly* faithful: no memory/loop observers, no profiler, and the
-    observability context disabled (the interpreter tallies per-run
-    instruction and intrinsic metrics that compiled execution does not
-    reproduce).  Everything else — including a module the compiler
-    rejects — gets the tree-walking interpreter.
+    *exactly* faithful: no profiler, and the observability context
+    disabled (the interpreter tallies per-run instruction and intrinsic
+    metrics that compiled execution does not reproduce).  Observers are
+    honoured by codegen's profiled lowering as long as none wants call
+    events; the closure backend takes none.  Everything else — including
+    a module the compiler rejects — gets the tree-walking interpreter.
     """
     backend = resolve_exec_backend(exec_backend)
     ctx = obs.current()
     if backend != "interp":
-        if observers:
+        if observers and (
+            backend != "codegen" or any(o.wants_calls for o in observers)
+        ):
             ctx.count("exec.fallback.observers")
         elif profiler is not None:
             ctx.count("exec.fallback.profiler")
@@ -1101,20 +1104,28 @@ def create_executor(
                 # Imported lazily: codegen imports this module's helpers.
                 from repro.interp.codegen import (
                     CodegenExecutor,
+                    ProfiledCodegenExecutor,
                     compile_module_codegen,
                 )
 
                 try:
-                    executor = CodegenExecutor(
-                        compile_module_codegen(module),
-                        runtime=runtime,
-                        max_steps=max_steps,
+                    program = compile_module_codegen(
+                        module, profiled=bool(observers)
                     )
                 except CompileError:
                     ctx.count("exec.fallback.compile-error")
                 else:
                     ctx.count("exec.backend.codegen")
-                    return executor
+                    if observers:
+                        return ProfiledCodegenExecutor(
+                            program,
+                            runtime=runtime,
+                            observers=observers,
+                            max_steps=max_steps,
+                        )
+                    return CodegenExecutor(
+                        program, runtime=runtime, max_steps=max_steps
+                    )
             else:
                 try:
                     executor = CompiledExecutor(

@@ -21,6 +21,11 @@ program:
    schedule executions must cover exactly (1 + testing schedules) per
    eligible loop (see DcaReport.schedules_skipped).
 
+:func:`profile_parity_check` holds the dependence-profiling run to the
+same bar across execution backends: the profiler's complete state after
+an interpreted run and after a run of codegen's profiled lowering must
+be equal.
+
 :func:`cache_differential_check` extends the same bar to the persistent
 cache: a cold run populating a fresh cache and a warm run served from it
 must both serialize byte-identically to an uncached run, with the warm
@@ -45,6 +50,7 @@ from repro.analysis.commutativity import (
     PROVEN_COMMUTATIVE,
     StaticCommutativityAnalysis,
 )
+from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.analysis.specs import default_registry, registry_from_env
 from repro.cache import AnalysisCache
 from repro.core.dca import DcaAnalyzer
@@ -60,6 +66,11 @@ from repro.core.report import (
 )
 from repro.core.schedules import ScheduleConfig
 from repro.driver import compile_program
+from repro.interp import (
+    MiniCRuntimeError,
+    ProfiledCodegenExecutor,
+    create_executor,
+)
 
 from fuzzgen import generate_program
 
@@ -67,6 +78,8 @@ __all__ = [
     "accounting_violation",
     "cache_differential_check",
     "differential_check",
+    "profile_parity_check",
+    "profile_state",
     "specs_soundness_check",
     "tier_map",
     "tiering_differential_check",
@@ -195,6 +208,80 @@ def differential_check(
             problems.append(f"{name} {violation}")
 
     return problems
+
+
+def profile_state(
+    source: str,
+    exec_backend: str,
+    max_steps: Optional[int] = None,
+    entry: str = "main",
+):
+    """Run the dependence profiler over ``source`` on ``exec_backend``.
+
+    Returns ``(executor, state)``: ``state`` is everything the profiler
+    exposes — per-loop edges, max trips, executed loops, privatization
+    facts for every touched location, memory-flow edges — plus the run
+    outcome (fault message included) and its step count.
+    """
+    module = compile_program(source)
+    profiler = DynamicDepProfiler(module)
+    executor = create_executor(
+        module,
+        observers=[profiler],
+        max_steps=max_steps,
+        exec_backend=exec_backend,
+    )
+    try:
+        executor.run(entry, [])
+        outcome = "ok"
+    except MiniCRuntimeError as exc:
+        outcome = f"fault: {exc}"
+    state = {
+        "outcome": outcome,
+        "steps": executor.steps,
+        "edges": {
+            label: deps.edges for label, deps in profiler.loop_deps.items()
+        },
+        "max_trips": profiler.max_trips,
+        "executed": profiler.executed,
+        "privatizable": {
+            (label, loc): profiler.is_privatizable(label, loc)
+            for loc in profiler._locs
+            for label in profiler.executed
+        },
+        "memory_flow": profiler.memory_flow_edges(),
+    }
+    return executor, state
+
+
+def profile_parity_check(
+    source: Optional[str] = None,
+    seed: Optional[int] = None,
+    max_steps: Optional[int] = None,
+) -> List[str]:
+    """Interpreter vs codegen dependence profile for one program."""
+    if source is None:
+        source = generate_program(seed)
+    _interp, expected = profile_state(source, "interp", max_steps)
+    executor, got = profile_state(source, "codegen", max_steps)
+    problems: List[str] = []
+    if not isinstance(executor, ProfiledCodegenExecutor):
+        problems.append(
+            f"codegen profile ran on {type(executor).__name__}, "
+            "not the profiled lowering"
+        )
+    for key in expected:
+        if got[key] != expected[key]:
+            problems.append(
+                f"profile {key} differs: interp {_brief(expected[key])} "
+                f"vs codegen {_brief(got[key])}"
+            )
+    return problems
+
+
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 300 else text[:300] + "..."
 
 
 def specs_soundness_check(

@@ -1,8 +1,10 @@
 """Differential fuzz smoke: fixed seeds through the full harness.
 
 Every seed's program runs through serial DCA, process DCA, and the
-static prover; any verdict or report divergence fails the test with the
-generated source attached for reproduction.  CI runs this as the
+static prover, and its dependence profile runs on the interpreter and
+on codegen's profiled lowering; any verdict, report or profile
+divergence fails the test with the generated source attached for
+reproduction.  CI runs this as the
 ``fuzz-smoke`` job; raise the seed count locally with
 ``REPRO_FUZZ_SEEDS=500 pytest tests/fuzz/test_differential.py``.
 """
@@ -14,6 +16,7 @@ import pytest
 from diffharness import (
     cache_differential_check,
     differential_check,
+    profile_parity_check,
     specs_soundness_check,
     tier_map,
     tiering_differential_check,
@@ -30,6 +33,17 @@ def test_differential_seed(seed):
     problems = differential_check(seed=seed)
     assert not problems, (
         f"seed {seed} diverged:\n"
+        + "\n".join(problems)
+        + "\n--- program ---\n"
+        + generate_program(seed)
+    )
+
+
+@pytest.mark.parametrize("seed", range(SEED_COUNT))
+def test_profile_parity_seed(seed):
+    problems = profile_parity_check(seed=seed)
+    assert not problems, (
+        f"seed {seed} profile divergence:\n"
         + "\n".join(problems)
         + "\n--- program ---\n"
         + generate_program(seed)

@@ -4,7 +4,9 @@ Same contract as the closure backend (tests/test_compiler.py) — exact
 observable equivalence: results, printed output, step accounting, and
 byte-identical fault messages — plus the codegen-only surface: the
 on-disk artifact cache (warm loads, tamper detection) and pickling of
-codegen tasks into process workers.
+codegen tasks into process workers.  The profiled lowering's own
+artifacts get the same tamper checks, and neither variant may load the
+other's.
 """
 
 import glob
@@ -13,6 +15,7 @@ import os
 
 import pytest
 
+from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.core.dca import DcaAnalyzer
 from repro.driver import compile_program, run_program
 from repro.interp import (
@@ -20,6 +23,7 @@ from repro.interp import (
     CompileError,
     Interpreter,
     MiniCRuntimeError,
+    ProfiledCodegenExecutor,
     compile_module_codegen,
     create_executor,
     module_digest,
@@ -206,10 +210,21 @@ def test_create_executor_codegen_and_fallback():
     codegen = create_executor(module, exec_backend="codegen")
     assert isinstance(codegen, CodegenExecutor)
     assert codegen.run("main", []) == 42
-    # Observers, profilers, and enabled obs need the interpreter's event
-    # stream: codegen falls back exactly like the closure backend.
+    # Loop/memory observers run on the profiled lowering; call
+    # observers, profilers, and enabled obs need the interpreter's event
+    # stream, so codegen falls back for them.
     assert isinstance(
         create_executor(module, observers=[Observer()], exec_backend="codegen"),
+        ProfiledCodegenExecutor,
+    )
+
+    class CallObserver(Observer):
+        wants_calls = True
+
+    assert isinstance(
+        create_executor(
+            module, observers=[CallObserver()], exec_backend="codegen"
+        ),
         Interpreter,
     )
     assert isinstance(
@@ -281,15 +296,11 @@ def test_disk_cache_env_resolution(tmp_path, monkeypatch):
     assert resolve_codegen_cache_dir(None) is None
 
 
-@pytest.mark.parametrize(
-    "tamper",
-    ["flip-payload", "truncate", "garbage", "wrong-magic"],
-)
-def test_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
-    cache_dir = str(tmp_path)
-    compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
-    digest = module_digest(_fresh(SRC))
-    path = _artifact_path(cache_dir, digest)
+TAMPERS = ["flip-payload", "truncate", "garbage", "wrong-magic"]
+
+
+def _tamper(path, tamper):
+    """Corrupt the artifact at ``path``; returns its original bytes."""
     blob = open(path, "rb").read()
     if tamper == "flip-payload":
         corrupted = blob[:-3] + bytes([blob[-3] ^ 0xFF]) + blob[-2:]
@@ -301,6 +312,16 @@ def test_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
         corrupted = b"XXXX" + blob[4:]
     with open(path, "wb") as fh:
         fh.write(corrupted)
+    return blob
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
+    cache_dir = str(tmp_path)
+    compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
+    digest = module_digest(_fresh(SRC))
+    path = _artifact_path(cache_dir, digest)
+    blob = _tamper(path, tamper)
 
     before = dict(codegen_stats())
     program = compile_module_codegen(_fresh(SRC), cache_dir=cache_dir)
@@ -314,6 +335,121 @@ def test_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
     assert executor.output_text() == "72\n"
     # The rewrite repaired the artifact for the next cold process.
     assert open(path, "rb").read() == blob
+
+
+#: Memory accesses in nested loops: a profile with edges to get wrong.
+PROF_SRC = """
+int total;
+func int main() {
+    int[] a = new int[6];
+    for (int i = 0; i < 6; i = i + 1) { a[i] = i; }
+    for (int r = 0; r < 3; r = r + 1) {
+        for (int i = 1; i < 6; i = i + 1) { a[i] = a[i - 1] + a[i]; }
+        total = total + a[5];
+    }
+    return total;
+}
+"""
+
+#: Another module with the same function names as PROF_SRC.
+FOREIGN_SRC = """
+int g;
+func int main() {
+    for (int i = 0; i < 4; i = i + 1) { g = g + i; }
+    return g;
+}
+"""
+
+
+def _profile(module, program=None):
+    """(result, steps, edges, max_trips) of one profiled run."""
+    profiler = DynamicDepProfiler(module)
+    if program is None:
+        executor = Interpreter(module, observers=[profiler])
+    else:
+        executor = ProfiledCodegenExecutor(program, observers=[profiler])
+    result = executor.run("main", [])
+    edges = {label: d.edges for label, d in profiler.loop_deps.items()}
+    return result, executor.steps, edges, profiler.max_trips
+
+
+def _assert_profiled_recompile(cache_dir, src=PROF_SRC):
+    """A fresh profiled compile of ``src`` misses the disk, recompiles,
+    and profiles exactly like the interpreter."""
+    before = dict(codegen_stats())
+    module = _fresh(src)
+    program = compile_module_codegen(module, cache_dir=cache_dir, profiled=True)
+    after = dict(codegen_stats())
+    assert after["compiles"] - before["compiles"] == 1
+    assert after["disk_misses"] - before["disk_misses"] == 1
+    assert _profile(module, program) == _profile(module)
+
+
+def test_profiled_disk_cache_cold_then_warm(tmp_path):
+    cache_dir = str(tmp_path)
+    _assert_profiled_recompile(cache_dir)
+    digest = module_digest(_fresh(PROF_SRC))
+    assert os.path.exists(_artifact_path(cache_dir, digest, profiled=True))
+    before = dict(codegen_stats())
+    module = _fresh(PROF_SRC)
+    program = compile_module_codegen(module, cache_dir=cache_dir, profiled=True)
+    after = dict(codegen_stats())
+    assert after["compiles"] == before["compiles"]
+    assert after["disk_hits"] - before["disk_hits"] == 1
+    assert _profile(module, program) == _profile(module)
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_profiled_disk_cache_tamper_recompiles_never_wrong(tmp_path, tamper):
+    cache_dir = str(tmp_path)
+    compile_module_codegen(_fresh(PROF_SRC), cache_dir=cache_dir, profiled=True)
+    path = _artifact_path(cache_dir, module_digest(_fresh(PROF_SRC)), True)
+    blob = _tamper(path, tamper)
+    _assert_profiled_recompile(cache_dir)
+    assert open(path, "rb").read() == blob
+
+
+def test_profiled_foreign_artifact_recompiles(tmp_path):
+    # A valid profiled artifact of another module, with the same function
+    # names, planted under this module's digest: its site table indices
+    # would attribute accesses to the wrong instructions.
+    cache_dir = str(tmp_path)
+    compile_module_codegen(
+        _fresh(FOREIGN_SRC), cache_dir=cache_dir, profiled=True
+    )
+    foreign = _artifact_path(
+        cache_dir, module_digest(_fresh(FOREIGN_SRC)), profiled=True
+    )
+    path = _artifact_path(cache_dir, module_digest(_fresh(PROF_SRC)), True)
+    with open(foreign, "rb") as src, open(path, "wb") as dst:
+        dst.write(src.read())
+    _assert_profiled_recompile(cache_dir)
+
+
+def test_plain_and_profiled_artifacts_never_load_each_other(tmp_path):
+    cache_dir = str(tmp_path)
+    digest = module_digest(_fresh(PROF_SRC))
+    plain_path = _artifact_path(cache_dir, digest)
+    profiled_path = _artifact_path(cache_dir, digest, profiled=True)
+    assert plain_path != profiled_path
+
+    # Plain code under the profiled name would publish no events.
+    compile_module_codegen(_fresh(PROF_SRC), cache_dir=cache_dir)
+    os.replace(plain_path, profiled_path)
+    _assert_profiled_recompile(cache_dir)
+
+    # Profiled code under the plain name must not serve plain runs.
+    os.replace(profiled_path, plain_path)
+    before = dict(codegen_stats())
+    module = _fresh(PROF_SRC)
+    program = compile_module_codegen(module, cache_dir=cache_dir)
+    after = dict(codegen_stats())
+    assert after["compiles"] - before["compiles"] == 1
+    assert after["disk_misses"] - before["disk_misses"] == 1
+    assert not program.profiled
+    assert CodegenExecutor(program).run("main", []) == Interpreter(
+        module
+    ).run("main", [])
 
 
 def test_codegen_source_is_deterministic():
