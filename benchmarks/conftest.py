@@ -62,6 +62,22 @@ def detectors():
     }
 
 
+def analyze_suite(**analyzer_kwargs) -> Dict[str, object]:
+    """DCA reports for every benchmark, from fresh module objects.
+
+    Each benchmark runs under its own ``rtol`` and liveout policy unless
+    ``analyzer_kwargs`` overrides them; every other keyword goes to
+    :class:`~repro.core.DcaAnalyzer` as is.
+    """
+    reports = {}
+    for bench in ALL_BENCHMARKS:
+        kwargs = {"rtol": bench.rtol, "liveout_policy": bench.liveout_policy}
+        kwargs.update(analyzer_kwargs)
+        analyzer = DcaAnalyzer(bench.compile(fresh=True), **kwargs)
+        reports[bench.name] = analyzer.analyze()
+    return reports
+
+
 def npb_names():
     return [b.name for b in NPB_BENCHMARKS]
 

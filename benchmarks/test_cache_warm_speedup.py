@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import time
 
-from conftest import format_table
+from conftest import analyze_suite, format_table
 
-from repro.benchsuite import ALL_BENCHMARKS
 from repro.cache import AnalysisCache
-from repro.core import DcaAnalyzer
 
 MIN_SKIP_FRACTION = 0.90
 MIN_SPEEDUP = 1.3
@@ -31,26 +29,11 @@ def _zero():
     return 0.0
 
 
-def _analyze_suite(cache=None, clock=None, static_filter=True):
-    reports = {}
-    for bench in ALL_BENCHMARKS:
-        analyzer = DcaAnalyzer(
-            bench.compile(fresh=True),
-            rtol=bench.rtol,
-            liveout_policy=bench.liveout_policy,
-            static_filter=static_filter,
-            clock=clock,
-            cache=cache,
-        )
-        reports[bench.name] = analyzer.analyze()
-    return reports
-
-
 def test_cache_zero_drift(tmp_path, capsys):
-    uncached = _analyze_suite(clock=_zero)
+    uncached = analyze_suite(clock=_zero)
     with AnalysisCache(str(tmp_path)) as cache:
-        cold = _analyze_suite(cache=cache, clock=_zero)
-        warm = _analyze_suite(cache=cache, clock=_zero)
+        cold = analyze_suite(cache=cache, clock=_zero)
+        warm = analyze_suite(cache=cache, clock=_zero)
 
     rows = []
     drifted = []
@@ -94,11 +77,11 @@ def test_cache_zero_drift(tmp_path, capsys):
 def test_cache_warm_wall_speedup(tmp_path, capsys):
     with AnalysisCache(str(tmp_path)) as cache:
         start = time.perf_counter()
-        _analyze_suite(cache=cache, static_filter=False)
+        analyze_suite(cache=cache, static_filter=False)
         cold_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        _analyze_suite(cache=cache, static_filter=False)
+        analyze_suite(cache=cache, static_filter=False)
         warm_s = time.perf_counter() - start
 
     speedup = cold_s / warm_s if warm_s else float("inf")

@@ -19,10 +19,8 @@ import time
 
 import pytest
 
-from conftest import format_table
+from conftest import analyze_suite, format_table
 
-from repro.benchsuite import ALL_BENCHMARKS
-from repro.core import DcaAnalyzer
 
 JOBS = 4
 MIN_SPEEDUP = 1.8
@@ -32,24 +30,9 @@ def _zero():
     return 0.0
 
 
-def _analyze_suite(backend=None, jobs=None, clock=None):
-    reports = {}
-    for bench in ALL_BENCHMARKS:
-        analyzer = DcaAnalyzer(
-            bench.compile(fresh=True),
-            rtol=bench.rtol,
-            liveout_policy=bench.liveout_policy,
-            clock=clock,
-            backend=backend,
-            jobs=jobs,
-        )
-        reports[bench.name] = analyzer.analyze()
-    return reports
-
-
 def test_process_backend_zero_drift(capsys):
-    serial = _analyze_suite(clock=_zero)
-    process = _analyze_suite(backend="process", jobs=JOBS, clock=_zero)
+    serial = analyze_suite(clock=_zero)
+    process = analyze_suite(backend="process", jobs=JOBS, clock=_zero)
     rows = []
     for name, report in serial.items():
         other = process[name]
@@ -68,14 +51,14 @@ def test_process_backend_zero_drift(capsys):
 )
 def test_process_backend_wall_speedup(capsys):
     # Warm both paths (pool spawn, pyc) before timing.
-    _analyze_suite(backend="process", jobs=JOBS)
+    analyze_suite(backend="process", jobs=JOBS)
 
     start = time.perf_counter()
-    _analyze_suite()
+    analyze_suite()
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    _analyze_suite(backend="process", jobs=JOBS)
+    analyze_suite(backend="process", jobs=JOBS)
     process_s = time.perf_counter() - start
 
     speedup = serial_s / process_s if process_s else float("inf")

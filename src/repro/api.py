@@ -5,9 +5,9 @@ frozen :class:`AnalysisConfig` value object captures every knob the
 pipeline accepts (schedules, seeds, tolerance, live-out policy, static
 filter, schedule/exec backends, jobs, observability, cache policy), and
 one :class:`AnalysisSession` facade drives the four entry points —
-``analyze``, ``detect``, ``profile``, ``batch`` — over it.  The CLI and
-``repro.driver`` are thin adapters on top of this module; scattered
-kwargs and ad-hoc ``REPRO_*`` reads are considered legacy.
+``analyze``, ``detect``, ``profile``, ``batch`` — over it.  The CLI is
+a thin adapter on top of this module; scattered kwargs and ad-hoc
+``REPRO_*`` reads are considered legacy.
 
 **Precedence.**  Explicit config always beats the environment; the
 environment beats defaults.  Concretely (unit-tested in
@@ -62,45 +62,7 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisSession",
     "DetectOutcome",
-    "legacy_report_dict",
 ]
-
-
-def legacy_report_dict(data: Dict[str, object]) -> Dict[str, object]:
-    """Flatten a schema-2 report dict back to the schema-1 shape.
-
-    Deprecated compatibility shim for ``--json`` consumers that still
-    expect the flat per-loop ``verdict`` string: strips
-    ``report_schema_version``/``tier_counts`` and replaces each loop's
-    structured verdict object with its ``value``.  Schema-1 input passes
-    through unchanged (minus the warning).  Migrate to the structured
-    ``verdict`` object — this shim is scheduled for removal one release
-    after tiering ships.
-    """
-    import warnings
-
-    warnings.warn(
-        "legacy_report_dict() is a one-release compatibility shim; "
-        "read the structured per-loop 'verdict' object instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    out = {
-        key: value
-        for key, value in data.items()
-        if key not in ("report_schema_version", "tier_counts")
-    }
-    loops = out.get("loops")
-    if isinstance(loops, dict):
-        flat_loops = {}
-        for label, loop in loops.items():
-            loop = dict(loop)
-            verdict = loop.get("verdict")
-            if isinstance(verdict, dict):
-                loop["verdict"] = verdict.get("value")
-            flat_loops[label] = loop
-        out["loops"] = flat_loops
-    return out
 
 
 @dataclass(frozen=True)

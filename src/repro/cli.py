@@ -18,9 +18,8 @@ strict|eventual``, ``--cores N`` (adds a simulated speedup to analyze),
 the static pre-screen and run every loop dynamically), ``--backend
 serial|process`` / ``--jobs N`` (fan schedule executions out to worker
 processes; ``--jobs N`` alone implies the process backend),
-``--exec-backend interp|compiled|codegen`` (closure-compile or
-Python-source-compile observer-free executions instead of tree-walking
-them; env ``REPRO_EXEC_BACKEND``).
+``--exec-backend interp|codegen`` (Python-source-compile observer-free
+executions instead of tree-walking them; env ``REPRO_EXEC_BACKEND``).
 
 Flags always beat the matching ``REPRO_*`` environment variables (see
 ``repro.api`` for the full precedence order).
@@ -704,8 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exec-backend", choices=EXEC_BACKENDS,
                        default=None, dest="exec_backend",
                        help="execution backend for observer-free runs: "
-                            "tree-walking interpreter, closure-compiled, "
-                            "or Python-source codegen "
+                            "tree-walking interpreter or Python-source "
+                            "codegen "
                             "(default: interp, or REPRO_EXEC_BACKEND)")
 
     def engine_flags(p: argparse.ArgumentParser) -> None:

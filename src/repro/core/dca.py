@@ -193,12 +193,11 @@ class DcaAnalyzer:
         #: environment fallbacks).
         self._engine = engine or create_engine(backend, jobs, clock=clock)
         #: Execution backend for every run of the analysis — profile,
-        #: golden and schedule replays: ``interp``, ``compiled`` or
-        #: ``codegen`` (see :mod:`repro.interp.compiler` and the
-        #: ``REPRO_EXEC_BACKEND`` environment fallback).  The profiling
-        #: run takes codegen's profiled lowering under ``codegen`` and the
-        #: interpreter under ``interp``/``compiled``; everything runs on
-        #: the interpreter when the observability context is enabled.
+        #: golden and schedule replays: ``interp`` or ``codegen`` (see
+        #: :mod:`repro.interp.compiler` and the ``REPRO_EXEC_BACKEND``
+        #: environment fallback).  The profiling run takes codegen's
+        #: profiled lowering under ``codegen``; everything runs on the
+        #: interpreter when the observability context is enabled.
         self.exec_backend = resolve_exec_backend(exec_backend)
         #: Testing hook: ``{(loop label, schedule name): fault style}``
         #: fires the named fault inside that schedule's execution.

@@ -342,8 +342,8 @@ class DcaReport:
     backend: str = "serial"
     jobs: int = 1
     #: Which execution backend ran the observer-free executions
-    #: (``interp`` or ``compiled``).  Same contract: never serialized —
-    #: compiled and interpreted reports must stay byte-identical.
+    #: (``interp`` or ``codegen``).  Same contract: never serialized —
+    #: codegen and interpreted reports must stay byte-identical.
     exec_backend: str = "interp"
     #: Persistent-cache accounting for this run.  Same contract: never
     #: serialized, so warm reports match cold reports byte-for-byte.

@@ -1,23 +1,17 @@
-"""Instrumentable IR interpreter, heap model, events, profiler, and the
-closure-compiled and Python-source-codegen execution backends."""
+"""Instrumentable IR interpreter, heap model, events, profiler, the
+Python-source-codegen execution backend, and backend selection."""
 
 from repro.interp.codegen import (
     CodegenExecutor,
     CodegenProgram,
+    CompileError,
     ProfiledCodegenExecutor,
     codegen_stats,
     compile_module_codegen,
     module_digest,
     resolve_codegen_cache_dir,
 )
-from repro.interp.compiler import (
-    CompiledExecutor,
-    CompiledProgram,
-    CompileError,
-    compile_module,
-    create_executor,
-    resolve_exec_backend,
-)
+from repro.interp.compiler import create_executor, resolve_exec_backend
 from repro.interp.events import Location, LoopCtx, Observer
 from repro.interp.interpreter import Interpreter, RuntimeHooks
 from repro.interp.profiler import Profiler
@@ -35,8 +29,6 @@ __all__ = [
     "CodegenExecutor",
     "CodegenProgram",
     "CompileError",
-    "CompiledExecutor",
-    "CompiledProgram",
     "Heap",
     "Interpreter",
     "Location",
@@ -48,7 +40,6 @@ __all__ = [
     "RuntimeHooks",
     "StructObj",
     "codegen_stats",
-    "compile_module",
     "compile_module_codegen",
     "create_executor",
     "format_value",

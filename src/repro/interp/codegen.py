@@ -1,11 +1,12 @@
 """Python-source codegen execution backend.
 
-The closure backend (:mod:`repro.interp.compiler`) removed per-step
-dispatch but still pays one Python call per instruction closure and one
-list index per register access.  This backend goes one tier lower: every
-IR :class:`~repro.ir.function.Function` is lowered to **Python source
-text** and handed to CPython's own compiler, so replay executes plain
-bytecode:
+The tree-walking interpreter pays, for every executed instruction, a
+``type()``-keyed dispatch, a ``Const``-vs-``Reg`` check per operand and
+a dict lookup per register.  DCA's cost model is "one golden run plus
+one run per testing schedule" (paper §IV-B), so the same instrumented
+module executes many times.  This backend lowers every IR
+:class:`~repro.ir.function.Function` once to **Python source text** and
+hands it to CPython's own compiler, so replay executes plain bytecode:
 
 * registers become function locals (``LOAD_FAST``/``STORE_FAST``; no
   frame list, no slot indirection).  A read of a never-written register
@@ -66,15 +67,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import repro.obs as obs
 from repro.analysis.loops import build_loop_forest
 from repro.cache import resolve_cache_dir
-from repro.interp.compiler import (
-    _RT_GET,
-    _RT_NEXT,
-    _RT_PERMUTE,
-    _RT_RECORD,
-    _RT_VERIFY,
-    CompileError,
-    _fdiv,
-)
 from repro.interp.events import LoopCtx
 from repro.interp.interpreter import (
     _DEFAULT_MAX_STEPS,
@@ -119,6 +111,7 @@ __all__ = [
     "CODEGEN_CACHE_ENV",
     "CodegenExecutor",
     "CodegenProgram",
+    "CompileError",
     "ProfiledCodegenExecutor",
     "codegen_source",
     "codegen_stats",
@@ -142,7 +135,31 @@ _ARTIFACT_MAGIC = b"RPCG"
 #: an artifact of another module never runs against this site table.
 _PROFILED_MAGIC = b"RPCP"
 
+
+class CompileError(Exception):
+    """Raised when a module cannot be lowered.
+
+    Callers treat this as "use the interpreter instead" — compilation is
+    an optimization, never a semantic requirement.
+    """
+
+
+# The five DCA intrinsic names, mirrored from repro.core.instrument
+# (string literals here to keep interp free of a core dependency).
+_RT_RECORD = "rt_iterator_record"
+_RT_PERMUTE = "rt_iterator_permute"
+_RT_NEXT = "rt_iterator_next"
+_RT_GET = "rt_iterator_get"
+_RT_VERIFY = "rt_verify"
+
 _ref_eq = Interpreter._ref_eq
+
+
+def _fdiv(a: object, b: object) -> object:
+    if b == 0:
+        raise MiniCRuntimeError("float division by zero")
+    return a / b
+
 
 #: Plain-int compile/disk counters, readable even when the obs context
 #: is disabled (the codegen backend only runs with obs disabled, so the
@@ -1073,9 +1090,10 @@ class CodegenProgram:
         self.profiled = profiled
 
 
-#: Same shape and policy as the closure backend's module cache: bounded
-#: LRU keyed by ``(id(module), profiled)`` with an identity guard
-#: against id reuse.
+#: Bounded LRU of compiled programs keyed by ``(id(module), profiled)``
+#: (Module is an unhashable dataclass).  Entries hold the module
+#: strongly, and the ``entry[0] is module`` check guards against
+#: ``id()`` reuse after eviction.
 _MODULE_CACHE: "OrderedDict[Tuple[int, bool], Tuple[Module, CodegenProgram]]" = (
     OrderedDict()
 )
@@ -1157,10 +1175,10 @@ class CodegenExecutor:
     """One execution of a codegen-compiled program.
 
     Surface-compatible with
-    :class:`~repro.interp.compiler.CompiledExecutor`: ``run``, ``steps``,
-    ``globals``, ``heap``, ``output``/``output_text``, ``retval`` and
-    ``module`` — everything the DCA runtime and the schedule engine
-    touch.
+    :class:`~repro.interp.interpreter.Interpreter` for runtime-only
+    runs: ``run``, ``steps``, ``globals``, ``heap``,
+    ``output``/``output_text``, ``retval`` and ``module`` — everything
+    the DCA runtime and the schedule engine touch.
     """
 
     __slots__ = (

@@ -88,10 +88,10 @@ def _c_mod(a: int, b: int) -> int:
 class RuntimeHooks:
     """Interface for objects receiving ``Intrinsic`` instructions."""
 
-    #: Opt-in contract for the compiled backend: when True, the runtime
+    #: Opt-in contract for the codegen backend: when True, the runtime
     #: guarantees that ``handle_intrinsic`` for the five ``rt_*`` DCA
     #: intrinsics is a pure dispatch to ``_get``/``_next``/``_record``/
-    #: ``_permute``/``_verify``, so compiled code may call those methods
+    #: ``_permute``/``_verify``, so generated code may call those methods
     #: directly and skip the per-call name dispatch.  Hooks that wrap or
     #: intercept ``handle_intrinsic`` must leave this False.
     fast_intrinsics = False

@@ -7,10 +7,10 @@ program:
 
 1. **Backend equality** — the full JSON report (verdicts, provenance,
    reasons, counters, digests) must be byte-identical between the
-   serial and the process schedule backends AND across all three
-   execution backends: interpreter, closure-compiled, and Python-source
-   codegen (each on both schedule backends).  All runs use a zero clock
-   so timing fields cannot differ.
+   serial and the process schedule backends AND across both execution
+   backends: interpreter and Python-source codegen (each on both
+   schedule backends).  All runs use a zero clock so timing fields
+   cannot differ.
 2. **Static agreement** — where the static prover *proves* a verdict,
    the dynamic oracle must not contradict it (same contract as
    ``tests/test_static_commutativity.py``): a commutativity proof is
@@ -139,29 +139,28 @@ def differential_check(
         backend="process",
         jobs=jobs,
     ).analyze()
-    # Exec-backend axis: the closure-compiled and codegen backends must
-    # reproduce the interpreter's report byte-for-byte, on both schedule
-    # backends.
-    exec_variants = []
-    for exec_backend in ("compiled", "codegen"):
-        exec_variants.append((
-            f"{exec_backend}-serial",
+    # Exec-backend axis: the codegen backend must reproduce the
+    # interpreter's report byte-for-byte, on both schedule backends.
+    exec_variants = [
+        (
+            "codegen-serial",
             DcaAnalyzer(
                 compile_program(source), static_filter=False, clock=_zero,
-                backend="serial", exec_backend=exec_backend,
+                backend="serial", exec_backend="codegen",
             ).analyze(),
-        ))
-        exec_variants.append((
-            f"{exec_backend}-process",
+        ),
+        (
+            "codegen-process",
             DcaAnalyzer(
                 compile_program(source),
                 static_filter=False,
                 clock=_zero,
                 backend="process",
                 jobs=jobs,
-                exec_backend=exec_backend,
+                exec_backend="codegen",
             ).analyze(),
-        ))
+        ),
+    ]
 
     j_serial = serial.to_json()
     for name, other in [("process", process)] + exec_variants:
@@ -427,8 +426,8 @@ def tiering_differential_check(
     The tiering stage recomputes tiers from the dependence profile on
     every run, so the same report-identity bar as
     :func:`differential_check` applies to the schema-2 serialization:
-    serial vs process schedule backends, each under the interpreter,
-    closure-compiled, and codegen execution backends.  Also checks that
+    serial vs process schedule backends, each under the interpreter and
+    codegen execution backends.  Also checks that
     turning tiering ON never changes a verdict — tiers annotate the
     report, they must not perturb the oracle.
     """
@@ -450,8 +449,6 @@ def tiering_differential_check(
     j_tiered = tiered.to_json()
     variants = [
         ("process-interp", ("process", "interp")),
-        ("serial-compiled", ("serial", "compiled")),
-        ("process-compiled", ("process", "compiled")),
         ("serial-codegen", ("serial", "codegen")),
         ("process-codegen", ("process", "codegen")),
     ]

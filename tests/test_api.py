@@ -11,7 +11,6 @@ Covers the three contracts the facade introduces:
   the legacy ``repro.driver`` entry points survive as deprecation shims.
 """
 
-import warnings
 
 import pytest
 
@@ -102,7 +101,7 @@ def test_fingerprint_changes_with_verdict_relevant_knobs(changes):
     "changes",
     [
         {"backend": "process", "jobs": 4},
-        {"exec_backend": "compiled"},
+        {"exec_backend": "codegen"},
         {"obs": True},
         {"cache_dir": "/tmp/some-cache", "cache_mode": "refresh"},
         {"entry": "other", "args": (1,)},
@@ -176,15 +175,15 @@ def test_explicit_exec_backend_beats_env(monkeypatch):
 
 def test_config_resolution_uses_precedence(monkeypatch):
     monkeypatch.setenv("REPRO_SCHEDULE_BACKEND", "serial")
-    monkeypatch.setenv("REPRO_EXEC_BACKEND", "compiled")
+    monkeypatch.setenv("REPRO_EXEC_BACKEND", "codegen")
     config = AnalysisConfig(jobs=2, exec_backend="interp")
     assert config.resolved_backend() == ("process", 2)
     assert config.resolved_exec_backend() == "interp"
-    monkeypatch.setenv("REPRO_EXEC_BACKEND", "codegen")
     assert AnalysisConfig().resolved_exec_backend() == "codegen"
+    monkeypatch.setenv("REPRO_EXEC_BACKEND", "interp")
     assert AnalysisConfig(
-        exec_backend="compiled"
-    ).resolved_exec_backend() == "compiled"
+        exec_backend="codegen"
+    ).resolved_exec_backend() == "codegen"
 
 
 def test_cache_mode_off_ignores_env_dir(monkeypatch, tmp_path):
@@ -198,7 +197,7 @@ def test_cli_backend_flag_beats_env(monkeypatch, capsys):
     from repro.cli import main
 
     monkeypatch.setenv("REPRO_SCHEDULE_BACKEND", "process")
-    monkeypatch.setenv("REPRO_EXEC_BACKEND", "compiled")
+    monkeypatch.setenv("REPRO_EXEC_BACKEND", "codegen")
     assert main(
         ["analyze", "examples/array_map.mc", "--backend", "serial",
          "--exec-backend", "interp", "--no-cache"]
@@ -245,23 +244,3 @@ def test_session_accepts_module():
         module = session.compile(PROGRAM)
         report = session.analyze(module)
     assert len(report.results) == 2
-
-
-def test_driver_shims_warn_and_work():
-    from repro.driver import analyze_program, profile_program
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = analyze_program(PROGRAM)
-    assert any(w.category is DeprecationWarning for w in caught)
-    assert len(report.results) == 2
-
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report, ctx = profile_program(PROGRAM)
-        assert any(w.category is DeprecationWarning for w in caught)
-        assert ctx.enabled
-        assert len(report.results) == 2
-    finally:
-        obs.disable()

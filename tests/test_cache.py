@@ -205,10 +205,10 @@ def test_config_change_invalidates(cache):
 
 
 def test_entries_shared_across_exec_backends(cache):
-    # exec_backend is outside the fingerprint: compiled runs must be
+    # exec_backend is outside the fingerprint: codegen runs must be
     # served by interp-written entries (the byte-identity contract).
     _analyze(cache, exec_backend="interp")
-    warm = _analyze(cache, exec_backend="compiled")
+    warm = _analyze(cache, exec_backend="codegen")
     assert (warm.cache.hits, warm.cache.misses) == (2, 0)
 
 

@@ -1,12 +1,12 @@
 """Python-source codegen execution backend: parity with the interpreter.
 
-Same contract as the closure backend (tests/test_compiler.py) — exact
-observable equivalence: results, printed output, step accounting, and
-byte-identical fault messages — plus the codegen-only surface: the
-on-disk artifact cache (warm loads, tamper detection) and pickling of
-codegen tasks into process workers.  The profiled lowering's own
-artifacts get the same tamper checks, and neither variant may load the
-other's.
+The backend's contract is *exact* observable equivalence with the
+tree-walking interpreter — same results, printed output, step
+accounting, and byte-identical fault messages — plus its own surface:
+backend selection and fallback, the per-module memo, the on-disk
+artifact cache (warm loads, tamper detection) and pickling of codegen
+tasks into process workers.  The profiled lowering's own artifacts get
+the same tamper checks, and neither variant may load the other's.
 """
 
 import glob
@@ -16,7 +16,10 @@ import os
 import pytest
 
 from repro.analysis.dynamic_deps import DynamicDepProfiler
+from repro.api import AnalysisConfig
+from repro.cli import main as cli_main
 from repro.core.dca import DcaAnalyzer
+from repro.core.runtime import DcaRuntime
 from repro.driver import compile_program, run_program
 from repro.interp import (
     CodegenExecutor,
@@ -30,6 +33,8 @@ from repro.interp import (
     resolve_exec_backend,
 )
 from repro.interp.codegen import (
+    _MODULE_CACHE,
+    _MODULE_CACHE_MAX,
     CODEGEN_CACHE_ENV,
     _artifact_path,
     codegen_source,
@@ -38,9 +43,8 @@ from repro.interp.codegen import (
 )
 from repro.interp.compiler import EXEC_BACKEND_ENV, EXEC_BACKENDS
 from repro.interp.events import Observer
+from repro.interp.interpreter import RuntimeHooks
 from repro.interp.profiler import Profiler
-
-from test_compiler import FAULT_PROGRAMS
 
 CORPUS = sorted(
     glob.glob(
@@ -73,6 +77,21 @@ def assert_parity(source, entry="main", args=None, max_steps=None):
 
 # -- result / output / step / fault parity -----------------------------------
 
+FAULT_PROGRAMS = [
+    ("null deref read", "struct P { int x; }\nfunc int main() { P* p = null; return p.x; }"),
+    ("null deref write", "struct P { int x; }\nfunc void main() { P* p = null; p.x = 1; }"),
+    ("null array read", "func int main() { int[] a = null; return a[0]; }"),
+    ("null array write", "func void main() { int[] a = null; a[0] = 1; }"),
+    ("oob read", "func int main() { int[] a = new int[3]; return a[3]; }"),
+    ("oob write", "func void main() { int[] a = new int[3]; a[0 - 1] = 9; }"),
+    ("int div by zero", "func int main() { int z = 0; return 1 / z; }"),
+    ("int mod by zero", "func int main() { int z = 0; return 1 % z; }"),
+    ("float div by zero", "func float main() { float z = 0.0; return 1.0 / z; }"),
+    ("len of null", "func int main() { int[] a = null; return len(a); }"),
+    ("negative array length", "func void main() { int n = 0 - 2; int[] a = new int[n]; }"),
+    ("builtin domain error", "func float main() { float x = 0.0 - 1.0; return sqrt(x); }"),
+]
+
 
 def test_arithmetic_parity():
     kind, result, out, steps = assert_parity(
@@ -88,8 +107,29 @@ def test_arithmetic_parity():
     assert kind == "ok" and result == 285
 
 
-def test_call_chain_step_parity():
-    src = """
+def test_heap_program_parity():
+    kind, result, out, _steps = assert_parity(
+        """
+        struct Node { int value; Node* next; }
+        func int main() {
+            Node* head = null;
+            for (int i = 0; i < 8; i = i + 1) {
+                Node* n = new Node; n.value = i; n.next = head; head = n;
+            }
+            int total = 0;
+            while (head != null) { total = total + head.value; head = head.next; }
+            int[] a = new int[5];
+            for (int i = 0; i < len(a); i = i + 1) { a[i] = total + i; }
+            print(total, a[0], a[4]);
+            return total;
+        }
+        """
+    )
+    assert (kind, result, out) == ("ok", 28, "28 28 32\n")
+
+
+CALL_CHAIN_PROGRAMS = [
+    """
     func int leaf(int x) { return x * 3 + 1; }
     func int mid(int x) { return leaf(x) + leaf(x - 1); }
     func int main() {
@@ -97,12 +137,25 @@ def test_call_chain_step_parity():
         for (int i = 0; i < 20; i = i + 1) { acc = acc + mid(i); }
         return acc;
     }
+    """,
     """
-    module = compile_program(src)
-    interp = Interpreter(module)
-    codegen = CodegenExecutor(module)
-    assert interp.run("main", []) == codegen.run("main", [])
-    assert interp.steps == codegen.steps
+    func int work(int n) {
+        int acc = 0;
+        for (int i = 0; i < n; i = i + 1) { acc = acc + i; }
+        return acc;
+    }
+    func int main() { return work(50) + work(7); }
+    """,
+]
+
+
+def test_call_chain_step_parity():
+    for src in CALL_CHAIN_PROGRAMS:
+        module = compile_program(src)
+        interp = Interpreter(module)
+        codegen = CodegenExecutor(module)
+        assert interp.run("main", []) == codegen.run("main", [])
+        assert interp.steps == codegen.steps
 
 
 @pytest.mark.parametrize(
@@ -173,6 +226,11 @@ def test_step_limit_exhausts_mid_nested_loop():
     """
     for budget in (11, 50, 333):
         assert_parity(src, max_steps=budget)
+    # A loop that never ends dies on the budget, not on a timeout.
+    kind, message, _o, _steps = assert_parity(
+        "func void main() { while (true) { } }", max_steps=500
+    )
+    assert (kind, message) == ("fault", "step limit exceeded")
 
 
 def test_missing_entry_and_arity_messages():
@@ -188,25 +246,119 @@ def test_missing_entry_and_arity_messages():
     ).run("add", [2, 3])
 
 
+def _observe_module():
+    """An instrumented module: intrinsics appear only in those."""
+    from repro.analysis.purity import EffectAnalysis
+    from repro.core.instrument import build_observe_module, compute_verify_spec
+
+    module = compile_program(
+        """
+        func int main() {
+            int acc = 0;
+            for (int i = 0; i < 4; i = i + 1) { acc = acc + i; }
+            return acc;
+        }
+        """
+    )
+    func = module.functions["main"]
+    label = next(iter(func.loops))
+    effects = EffectAnalysis(module)
+    specs = {label: compute_verify_spec(module, func, label, effects)}
+    return build_observe_module(module, specs)
+
+
+def test_intrinsic_without_runtime_message_parity():
+    observe = _observe_module()
+    msgs = []
+    for make in (
+        lambda: Interpreter(observe),
+        lambda: CodegenExecutor(observe),
+    ):
+        with pytest.raises(MiniCRuntimeError) as exc:
+            make().run("main", [])
+        msgs.append(str(exc.value))
+    assert msgs[0] == msgs[1]
+    assert "executed without a runtime" in msgs[0]
+
+
+def test_fast_intrinsics_flag_contract():
+    # DcaRuntime opts into direct intrinsic dispatch; the base hook and
+    # any custom runtime default to the handle_intrinsic path.
+    assert DcaRuntime.fast_intrinsics is True
+    assert RuntimeHooks.fast_intrinsics is False
+
+    # Generated code calls the handler methods only for an opted-in
+    # runtime; a wrapping hook still sees every intrinsic by name.
+    class Recording(DcaRuntime):
+        fast_intrinsics = False
+
+        def __init__(self):
+            super().__init__(specs={}, capture_snapshots=False)
+            self.seen = []
+
+        def handle_intrinsic(self, interp, name, args):
+            self.seen.append(name)
+            return super().handle_intrinsic(interp, name, args)
+
+    observe = _observe_module()
+    for make in (Interpreter, CodegenExecutor):
+        runtime = Recording()
+        assert make(observe, runtime=runtime).run("main", []) == 6
+        assert runtime.seen and set(runtime.seen) <= {
+            "rt_iterator_record", "rt_iterator_permute", "rt_iterator_next",
+            "rt_iterator_get", "rt_verify",
+        }
+    fast = DcaRuntime(specs={}, capture_snapshots=False)
+    assert CodegenExecutor(observe, runtime=fast).run("main", []) == 6
+
+
 # -- backend selection seam --------------------------------------------------
 
 
 def test_codegen_in_exec_backends():
-    assert "codegen" in EXEC_BACKENDS
+    assert EXEC_BACKENDS == ("interp", "codegen")
 
 
 def test_resolve_exec_backend_codegen(monkeypatch):
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
+    assert resolve_exec_backend(None) == "interp"
     assert resolve_exec_backend("codegen") == "codegen"
     monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
     assert resolve_exec_backend(None) == "codegen"
     # Explicit flag beats the env var for every backend.
     for explicit in EXEC_BACKENDS:
         assert resolve_exec_backend(explicit) == explicit
+    with pytest.raises(ValueError):
+        resolve_exec_backend("jit")
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
+    with pytest.raises(ValueError):
+        resolve_exec_backend(None)
+
+
+def test_compiled_backend_is_unknown(monkeypatch, capsys):
+    # No alias or shim for the removed closure-compiled backend: every
+    # surface rejects its name like any unknown backend.
+    removed = "compiled"
+    monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
+    with pytest.raises(ValueError, match=r"unknown exec backend 'compiled'; "
+                       r"expected one of \('interp', 'codegen'\)"):
+        resolve_exec_backend(removed)
+    with pytest.raises(ValueError, match="unknown exec backend 'compiled'"):
+        AnalysisConfig(exec_backend=removed)
+    monkeypatch.setenv(EXEC_BACKEND_ENV, removed)
+    with pytest.raises(ValueError, match="unknown exec backend 'compiled'"):
+        resolve_exec_backend(None)
+    monkeypatch.delenv(EXEC_BACKEND_ENV)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["analyze", "examples/array_map.mc",
+                  "--exec-backend", removed, "--no-cache"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compiled'" in capsys.readouterr().err
 
 
 def test_create_executor_codegen_and_fallback():
     module = compile_program("func int main() { return 41 + 1; }")
+    assert isinstance(create_executor(module, exec_backend="interp"), Interpreter)
     codegen = create_executor(module, exec_backend="codegen")
     assert isinstance(codegen, CodegenExecutor)
     assert codegen.run("main", []) == 42
@@ -239,7 +391,31 @@ def test_create_executor_codegen_and_fallback():
 
 def test_run_program_codegen_backend():
     src = 'func void main() { print("hi", 1 + 1); }'
+    assert run_program(src, exec_backend="interp") == (None, "hi 2\n")
     assert run_program(src, exec_backend="codegen") == (None, "hi 2\n")
+
+
+def test_compile_module_codegen_is_cached_per_module():
+    module = compile_program("func int main() { return 7; }")
+    program = compile_module_codegen(module, cache_dir="")
+    assert compile_module_codegen(module, cache_dir="") is program
+    # The plain and profiled lowerings are memoized side by side.
+    profiled = compile_module_codegen(module, cache_dir="", profiled=True)
+    assert profiled is not program and profiled.profiled
+    key = (id(module), False)
+    assert key in _MODULE_CACHE
+    # The LRU is bounded: flooding it with fresh modules evicts ours.
+    keep = []
+    for i in range(_MODULE_CACHE_MAX + 1):
+        other = compile_program(f"func int main() {{ return {i}; }}")
+        keep.append(other)
+        compile_module_codegen(other, cache_dir="")
+    assert key not in _MODULE_CACHE
+    assert len(_MODULE_CACHE) <= _MODULE_CACHE_MAX
+    # Recompilation after eviction still works and re-caches.
+    again = compile_module_codegen(module, cache_dir="")
+    assert CodegenExecutor(again).run("main", []) == 7
+    assert key in _MODULE_CACHE
 
 
 # -- disk artifact cache -----------------------------------------------------
@@ -494,7 +670,9 @@ def test_codegen_analyzer_report_matches_interp():
         exec_backend="codegen",
     ).analyze()
     assert ri.to_json() == rc.to_json()
-    assert rc.exec_backend == "codegen"
+    # The backend choice is run metadata, never serialized.
+    assert "exec_backend" not in ri.to_json()
+    assert ri.exec_backend == "interp" and rc.exec_backend == "codegen"
 
 
 def test_codegen_pickles_into_process_workers():

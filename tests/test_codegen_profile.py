@@ -30,7 +30,7 @@ from repro.interp import (
 from repro.interp.events import Observer
 from repro.ir.instructions import Reg, StoreGlobal
 
-from test_compiler import FAULT_PROGRAMS
+from test_codegen import FAULT_PROGRAMS
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "fuzz"))
 from diffharness import profile_parity_check  # noqa: E402

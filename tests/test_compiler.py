@@ -1,44 +1,50 @@
-"""Closure-compiled execution backend: parity with the interpreter.
+"""Backend selection (``repro.interp.compiler``): every backend is exact.
 
-The compiled backend's contract is *exact* observable equivalence with
-the tree-walking interpreter — same results, same printed output, same
-step accounting, and byte-identical fault messages.  These tests drive
-both backends over the same programs and compare everything.
+Whichever backend :func:`create_executor` hands out — chosen explicitly
+or through ``REPRO_EXEC_BACKEND`` — must be observably identical to the
+tree-walking interpreter: same results, printed output, step accounting
+and byte-identical fault messages.  These tests go through the selection
+seam for every name in ``EXEC_BACKENDS`` and compare everything;
+``tests/test_codegen.py`` drives the codegen executor directly.
 """
 
 import pytest
 
 from repro.core.dca import DcaAnalyzer
-from repro.core.runtime import DcaRuntime
 from repro.driver import compile_program, run_program
 from repro.interp import (
-    CompileError,
-    CompiledExecutor,
+    CodegenExecutor,
     Interpreter,
     MiniCRuntimeError,
-    compile_module,
+    ProfiledCodegenExecutor,
     create_executor,
     resolve_exec_backend,
 )
-from repro.interp.compiler import (
-    EXEC_BACKEND_ENV,
-    _MODULE_CACHE,
-    _MODULE_CACHE_MAX,
-)
+from repro.interp.compiler import EXEC_BACKEND_ENV, EXEC_BACKENDS
 from repro.interp.events import Observer
 from repro.interp.profiler import Profiler
+
+from test_codegen import FAULT_PROGRAMS
+
+#: The executor class each backend name must select when nothing forces
+#: a fallback.
+EXPECTED_EXECUTOR = {"interp": Interpreter, "codegen": CodegenExecutor}
 
 
 def _zero():
     return 0.0
 
 
-def _run_both(source, entry="main", args=None, max_steps=None):
-    """Run one program under both backends; return (interp, compiled)."""
-    module = compile_program(source)
-    interp = Interpreter(module, max_steps=max_steps)
-    compiled = CompiledExecutor(module, max_steps=max_steps)
-    return module, interp, compiled, entry, list(args or [])
+def _executors(module, max_steps=None):
+    """One executor per backend, each built through the selection seam."""
+    executors = {}
+    for backend in EXEC_BACKENDS:
+        executor = create_executor(
+            module, max_steps=max_steps, exec_backend=backend, obs_enabled=False
+        )
+        assert type(executor) is EXPECTED_EXECUTOR[backend]
+        executors[backend] = executor
+    return executors
 
 
 def _outcome(executor, entry, args):
@@ -50,13 +56,17 @@ def _outcome(executor, entry, args):
 
 
 def assert_parity(source, entry="main", args=None, max_steps=None):
-    module, interp, compiled, entry, args = _run_both(
-        source, entry, args, max_steps
-    )
-    oi = _outcome(interp, entry, list(args))
-    oc = _outcome(compiled, entry, list(args))
-    assert oi == oc, f"backend divergence:\ninterp   {oi}\ncompiled {oc}"
-    return oi
+    executors = _executors(compile_program(source), max_steps)
+    outcomes = {
+        backend: _outcome(executor, entry, list(args or []))
+        for backend, executor in executors.items()
+    }
+    reference = outcomes["interp"]
+    for backend, outcome in outcomes.items():
+        assert outcome == reference, (
+            f"backend divergence:\ninterp {reference}\n{backend} {outcome}"
+        )
+    return reference
 
 
 # -- result / output / step parity -------------------------------------------
@@ -73,27 +83,8 @@ def test_arithmetic_parity():
         }
         """
     )
-    assert kind == "ok" and result == 285
-
-
-def test_heap_program_parity():
-    assert_parity(
-        """
-        struct Node { int value; Node* next; }
-        func int main() {
-            Node* head = null;
-            for (int i = 0; i < 8; i = i + 1) {
-                Node* n = new Node; n.value = i; n.next = head; head = n;
-            }
-            int total = 0;
-            while (head != null) { total = total + head.value; head = head.next; }
-            int[] a = new int[5];
-            for (int i = 0; i < len(a); i = i + 1) { a[i] = total + i; }
-            print(total, a[0], a[4]);
-            return total;
-        }
-        """
-    )
+    assert (kind, result) == ("ok", 285)
+    assert out == "285 3 -3 1 -1 0.25\n"
 
 
 def test_step_counts_identical():
@@ -105,27 +96,12 @@ def test_step_counts_identical():
     }
     func int main() { return work(50) + work(7); }
     """
-    module, interp, compiled, entry, args = _run_both(src)
-    assert interp.run(entry, args) == compiled.run(entry, args)
-    assert interp.steps == compiled.steps
+    kind, result, _out, steps = assert_parity(src)
+    assert (kind, result) == ("ok", 1225 + 21)
+    assert steps > 0
 
 
 # -- fault parity ------------------------------------------------------------
-
-FAULT_PROGRAMS = [
-    ("null deref read", "struct P { int x; }\nfunc int main() { P* p = null; return p.x; }"),
-    ("null deref write", "struct P { int x; }\nfunc void main() { P* p = null; p.x = 1; }"),
-    ("null array read", "func int main() { int[] a = null; return a[0]; }"),
-    ("null array write", "func void main() { int[] a = null; a[0] = 1; }"),
-    ("oob read", "func int main() { int[] a = new int[3]; return a[3]; }"),
-    ("oob write", "func void main() { int[] a = new int[3]; a[0 - 1] = 9; }"),
-    ("int div by zero", "func int main() { int z = 0; return 1 / z; }"),
-    ("int mod by zero", "func int main() { int z = 0; return 1 % z; }"),
-    ("float div by zero", "func float main() { float z = 0.0; return 1.0 / z; }"),
-    ("len of null", "func int main() { int[] a = null; return len(a); }"),
-    ("negative array length", "func void main() { int n = 0 - 2; int[] a = new int[n]; }"),
-    ("builtin domain error", "func float main() { float x = 0.0 - 1.0; return sqrt(x); }"),
-]
 
 
 @pytest.mark.parametrize(
@@ -158,61 +134,25 @@ def test_step_limit_fires_at_same_step():
         return acc;
     }
     """
-    module = compile_program(src)
-    baseline = Interpreter(module)
+    baseline = Interpreter(compile_program(src))
     baseline.run("main", [])
     # Any budget below the full run must fault at the identical count.
     for budget in (baseline.steps - 1, baseline.steps // 2, 7):
-        module2, interp, compiled, entry, args = _run_both(
-            src, max_steps=budget
-        )
-        oi = _outcome(interp, entry, [])
-        oc = _outcome(compiled, entry, [])
-        assert oi == oc
-        assert oi[0] == "fault" and oi[1] == "step limit exceeded"
+        kind, message, _o, steps = assert_parity(src, max_steps=budget)
+        assert (kind, message) == ("fault", "step limit exceeded")
 
 
 def test_missing_entry_and_arity_messages():
-    src = "func int add(int a, int b) { return a + b; }"
-    module = compile_program(src)
-    for make in (lambda: Interpreter(module), lambda: CompiledExecutor(module)):
+    module = compile_program("func int add(int a, int b) { return a + b; }")
+    for backend in EXEC_BACKENDS:
+        make = lambda: create_executor(  # noqa: E731
+            module, exec_backend=backend, obs_enabled=False
+        )
         with pytest.raises(MiniCRuntimeError, match=r"no function named 'nope'"):
             make().run("nope", [])
         with pytest.raises(MiniCRuntimeError, match=r"add expects 2 args, got 1"):
             make().run("add", [1])
-    assert Interpreter(module).run("add", [2, 3]) == CompiledExecutor(
-        module
-    ).run("add", [2, 3])
-
-
-def test_intrinsic_without_runtime_message_parity():
-    # Intrinsics only appear in instrumented modules; fabricate one.
-    from repro.core.instrument import build_observe_module, compute_verify_spec
-    from repro.analysis.purity import EffectAnalysis
-
-    src = """
-    func int main() {
-        int acc = 0;
-        for (int i = 0; i < 4; i = i + 1) { acc = acc + i; }
-        return acc;
-    }
-    """
-    module = compile_program(src)
-    effects = EffectAnalysis(module)
-    label = next(iter(next(iter(module.functions.values())).loops))
-    func = module.functions["main"]
-    specs = {label: compute_verify_spec(module, func, label, effects)}
-    observe = build_observe_module(module, specs)
-    msgs = []
-    for make in (
-        lambda: Interpreter(observe),
-        lambda: CompiledExecutor(observe),
-    ):
-        with pytest.raises(MiniCRuntimeError) as exc:
-            make().run("main", [])
-        msgs.append(str(exc.value))
-    assert msgs[0] == msgs[1]
-    assert "executed without a runtime" in msgs[0]
+        assert make().run("add", [2, 3]) == 5
 
 
 # -- backend selection seam --------------------------------------------------
@@ -221,10 +161,15 @@ def test_intrinsic_without_runtime_message_parity():
 def test_resolve_exec_backend_explicit_env_default(monkeypatch):
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
     assert resolve_exec_backend(None) == "interp"
-    assert resolve_exec_backend("compiled") == "compiled"
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "compiled")
-    assert resolve_exec_backend(None) == "compiled"
-    assert resolve_exec_backend("interp") == "interp"
+    for backend in EXEC_BACKENDS:
+        assert resolve_exec_backend(backend) == backend
+        monkeypatch.setenv(EXEC_BACKEND_ENV, backend)
+        assert resolve_exec_backend(None) == backend
+        # An explicit name beats the environment.
+        for explicit in EXEC_BACKENDS:
+            assert resolve_exec_backend(explicit) == explicit
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "  ")
+    assert resolve_exec_backend(None) == "interp"
     with pytest.raises(ValueError):
         resolve_exec_backend("jit")
     monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
@@ -232,53 +177,48 @@ def test_resolve_exec_backend_explicit_env_default(monkeypatch):
         resolve_exec_backend(None)
 
 
-def test_create_executor_backend_and_fallback():
+def test_create_executor_backend_and_fallback(monkeypatch):
     module = compile_program("func int main() { return 41 + 1; }")
-    assert isinstance(create_executor(module, exec_backend="interp"), Interpreter)
-    compiled = create_executor(module, exec_backend="compiled")
-    assert isinstance(compiled, CompiledExecutor)
-    assert compiled.run("main", []) == 42
-    # Observers and profilers force the interpreter.
-    assert isinstance(
-        create_executor(module, observers=[Observer()], exec_backend="compiled"),
-        Interpreter,
+    for backend, executor in _executors(module).items():
+        assert executor.run("main", []) == 42
+    # With no explicit name the environment picks the backend.
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
+    assert type(create_executor(module, obs_enabled=False)) is CodegenExecutor
+    monkeypatch.delenv(EXEC_BACKEND_ENV)
+    assert type(create_executor(module, obs_enabled=False)) is Interpreter
+
+    # Only codegen ever falls back; the interpreter serves every caller.
+    class CallObserver(Observer):
+        wants_calls = True
+
+    forced = [
+        dict(observers=[CallObserver()]),
+        dict(profiler=Profiler()),
+        dict(obs_enabled=True),
+    ]
+    for kwargs in forced:
+        for backend in EXEC_BACKENDS:
+            executor = create_executor(module, exec_backend=backend, **kwargs)
+            assert type(executor) is Interpreter
+            assert executor.run("main", []) == 42
+    loop_observed = create_executor(
+        module, observers=[Observer()], exec_backend="codegen", obs_enabled=False
     )
-    assert isinstance(
-        create_executor(module, profiler=Profiler(), exec_backend="compiled"),
-        Interpreter,
-    )
-    assert isinstance(
-        create_executor(module, exec_backend="compiled", obs_enabled=True),
-        Interpreter,
-    )
+    assert type(loop_observed) is ProfiledCodegenExecutor
+    assert loop_observed.run("main", []) == 42
 
 
-def test_run_program_exec_backend_threading():
+def test_run_program_exec_backend_threading(monkeypatch):
     src = 'func void main() { print("hi", 1 + 1); }'
-    r_interp = run_program(src, exec_backend="interp")
-    r_compiled = run_program(src, exec_backend="compiled")
-    assert r_interp == r_compiled == (None, "hi 2\n")
+    for backend in EXEC_BACKENDS:
+        assert run_program(src, exec_backend=backend) == (None, "hi 2\n")
+        monkeypatch.setenv(EXEC_BACKEND_ENV, backend)
+        assert run_program(src) == (None, "hi 2\n")
 
 
-def test_compile_module_is_cached_per_module():
-    module = compile_program("func int main() { return 7; }")
-    assert compile_module(module) is compile_module(module)
-    key = id(module)
-    assert key in _MODULE_CACHE
-    # The LRU is bounded: flooding it with fresh modules evicts ours.
-    keep = []
-    for i in range(_MODULE_CACHE_MAX + 1):
-        other = compile_program(f"func int main() {{ return {i}; }}")
-        keep.append(other)
-        compile_module(other)
-    assert key not in _MODULE_CACHE
-    assert len(_MODULE_CACHE) <= _MODULE_CACHE_MAX
-    # Recompilation after eviction still works and re-caches.
-    assert compile_module(module).functions["main"] is not None
-    assert id(module) in _MODULE_CACHE
-
-
-def test_compiled_analyzer_report_matches_interp():
+def test_compiled_analyzer_report_matches_interp(monkeypatch):
+    # The compiled (codegen) path, picked up from the environment rather
+    # than an explicit argument, reports exactly what the interpreter does.
     src = """
     func int main() {
         int[] data = new int[16];
@@ -293,20 +233,11 @@ def test_compiled_analyzer_report_matches_interp():
         compile_program(src), static_filter=False, clock=_zero,
         exec_backend="interp",
     ).analyze()
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
     rc = DcaAnalyzer(
         compile_program(src), static_filter=False, clock=_zero,
-        exec_backend="compiled",
     ).analyze()
     assert ri.to_json() == rc.to_json()
     # The backend choice is run metadata, never serialized.
     assert "exec_backend" not in ri.to_json()
-    assert ri.exec_backend == "interp" and rc.exec_backend == "compiled"
-
-
-def test_fast_intrinsics_flag_contract():
-    # DcaRuntime opts into direct intrinsic dispatch; the base hook and
-    # any custom runtime default to the handle_intrinsic path.
-    from repro.interp.interpreter import RuntimeHooks
-
-    assert DcaRuntime.fast_intrinsics is True
-    assert RuntimeHooks.fast_intrinsics is False
+    assert ri.exec_backend == "interp" and rc.exec_backend == "codegen"

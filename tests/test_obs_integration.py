@@ -1,7 +1,7 @@
 """Cross-subsystem observability tests.
 
 Covers the merge matrix (worker telemetry absorbed through
-``Tracer.absorb`` / ``MetricsRegistry.merge`` while the compiled exec
+``Tracer.absorb`` / ``MetricsRegistry.merge`` while the codegen exec
 backend and the process schedule backend are active together), the
 cache-counter reconciliation against ``CacheAccounting``, and the batch
 driver's guarantee that failed programs still appear in the merged
@@ -37,12 +37,12 @@ def program_file(tmp_path):
     return str(path)
 
 
-# -- merge matrix: process schedule backend x compiled exec backend ------------
+# -- merge matrix: process schedule backend x codegen exec backend -------------
 
 
-def test_worker_telemetry_merges_under_process_and_compiled(program_file):
+def test_worker_telemetry_merges_under_process_and_codegen(program_file):
     config = AnalysisConfig(
-        backend="process", jobs=2, exec_backend="compiled",
+        backend="process", jobs=2, exec_backend="codegen",
         static_filter=False,
     )
     try:
@@ -65,9 +65,9 @@ def test_worker_telemetry_merges_under_process_and_compiled(program_file):
     counters = ctx.metrics.to_dict()["counters"]
     assert counters["interp.instructions"] > 0
     assert counters["schedule.tasks_submitted"] == report.schedule_executions
-    # Compiled execution cannot observe, so under full observability
-    # every compiled request records a fallback — proving the exec
-    # backend instrumentation crossed the process boundary too.
+    # Codegen records no per-run obs metrics, so under full
+    # observability every codegen request records a fallback — proving
+    # the exec backend instrumentation crossed the process boundary too.
     assert counters["exec.fallback.obs-enabled"] >= 1
     assert counters["exec.backend.interp"] >= 1
 

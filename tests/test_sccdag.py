@@ -492,27 +492,3 @@ def test_simulator_uses_pipeline_plan():
     detail = speedup.loops["main.L1"]
     assert detail.mode == "pipeline"
     assert "[pipeline]" in speedup.summary()
-
-
-# -- deprecation shim ---------------------------------------------------------
-
-
-def test_legacy_report_dict_flattens_schema_2():
-    from repro.api import legacy_report_dict
-
-    report = DcaAnalyzer(
-        compile_program(CURSOR), clock=zero, tiering=True
-    ).analyze()
-    with pytest.warns(DeprecationWarning):
-        flat = legacy_report_dict(report.to_dict())
-    assert "report_schema_version" not in flat
-    assert "tier_counts" not in flat
-    assert flat["loops"]["main.L1"]["verdict"] == "non-commutative"
-    # The flattened shape matches the schema-1 serialization, modulo the
-    # extra "tiering" stage that only the tiered run times.
-    untiered = DcaAnalyzer(
-        compile_program(CURSOR), clock=zero, tiering=False
-    ).analyze().to_dict()
-    flat["metrics"].pop("stage_times_ms")
-    untiered["metrics"].pop("stage_times_ms")
-    assert flat == untiered
