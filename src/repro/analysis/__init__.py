@@ -34,7 +34,6 @@ from repro.analysis.sccdag import (
     SccNode,
     build_sccdag,
     partition_stages,
-    resolve_tiering,
 )
 
 __all__ = [
@@ -74,6 +73,5 @@ __all__ = [
     "dominates",
     "invalidate_loops",
     "partition_stages",
-    "resolve_tiering",
     "reverse_postorder",
 ]

@@ -33,15 +33,13 @@ replicable ("parallel") when none of its SCCs is sequential.  The
 resulting :class:`PipelinePlan` feeds the simulated multicore executor
 (:func:`repro.parallel.machine.pipeline_invocation_time`).
 
-Tier resolution (``--tiering`` / ``REPRO_TIERING``) follows the
-repo-wide precedence: explicit setting beats environment beats default
-off, unit-pinned like ``resolve_schedule_backend``.
+Whether the tiering stage runs (``--tiering`` / ``REPRO_TIERING``,
+default off) is resolved by :mod:`repro.settings`.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -66,14 +64,12 @@ __all__ = [
     "SCC_SEQUENTIAL",
     "SccDag",
     "SccNode",
-    "TIERING_ENV",
     "TIER_DOALL",
     "TIER_PIPELINE",
     "TIER_REDUCTION",
     "TIER_SEQUENTIAL",
     "build_sccdag",
     "partition_stages",
-    "resolve_tiering",
     "stage_shapes",
     "tier_display",
 ]
@@ -102,21 +98,7 @@ SCC_PARALLEL = "parallel"
 SCC_REDUCTION = "reduction"
 SCC_SEQUENTIAL = "sequential"
 
-#: Environment fallback for the tiering switch (explicit config wins).
-TIERING_ENV = "REPRO_TIERING"
-
-#: Truthy spellings accepted from the environment.
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 DEFAULT_MAX_PIPELINE_STAGES = 4
-
-
-def resolve_tiering(explicit: Optional[bool] = None) -> bool:
-    """Whether the pipeline tier runs: explicit > ``REPRO_TIERING`` > off."""
-    if explicit is not None:
-        return bool(explicit)
-    env = os.environ.get(TIERING_ENV, "").strip().lower()
-    return env in _TRUTHY
 
 
 def tier_display(tier: Optional[str], plan: Optional[Dict] = None) -> str:

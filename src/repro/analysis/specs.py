@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -84,8 +83,6 @@ __all__ = [
     "check_annotations",
     "default_registry",
     "recognize_chain_inserts",
-    "registry_from_env",
-    "specs_env_enabled",
 ]
 
 #: Equivalence classes for snapshot comparison (Koskinen & Bansal's
@@ -319,19 +316,6 @@ def default_registry() -> SpecRegistry:
         ),
     ]
     return SpecRegistry(tuple(specs))
-
-
-def specs_env_enabled() -> Optional[bool]:
-    """Tri-state REPRO_SPECS: None (unset), False, or True."""
-    raw = os.environ.get("REPRO_SPECS")
-    if raw is None:
-        return None
-    return raw.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def registry_from_env() -> Optional[SpecRegistry]:
-    """The default registry iff REPRO_SPECS enables specs, else None."""
-    return default_registry() if specs_env_enabled() else None
 
 
 # -- chain-insert recognizer ---------------------------------------------------

@@ -10,18 +10,10 @@ a thin adapter on top of this module; scattered kwargs and ad-hoc
 ``REPRO_*`` reads are considered legacy.
 
 **Precedence.**  Explicit config always beats the environment; the
-environment beats defaults.  Concretely (unit-tested in
-``tests/test_api.py``):
-
-* ``backend``/``jobs`` — resolved by
-  :func:`repro.core.schedule_engine.resolve_schedule_backend`: explicit
-  backend, then process implied by explicit ``jobs > 1``, then
-  ``REPRO_SCHEDULE_BACKEND``, then process implied by
-  ``REPRO_SCHEDULE_JOBS > 1``, then serial.
-* ``exec_backend`` — explicit value, then ``REPRO_EXEC_BACKEND``, then
-  the interpreter.
-* ``cache_dir`` — explicit value, then ``REPRO_CACHE_DIR``, then
-  disabled.
+environment beats defaults.  Every environment-backed field resolves
+through the one table in :mod:`repro.settings` (DESIGN.md §17 lists it with
+its flags and defaults); :meth:`AnalysisConfig.resolved` applies it to
+a whole config, and ``tests/test_api.py`` pins the order.
 
 **Caching.**  :meth:`AnalysisConfig.fingerprint` is the exact
 config-fingerprint component of the persistent cache key (see
@@ -49,14 +41,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
-from repro.cache import open_cache, resolve_cache_dir
-from repro.cache.keys import config_fingerprint
+from repro.analysis.sccdag import DEFAULT_MAX_PIPELINE_STAGES
+from repro.analysis.specs import default_registry
+from repro.cache import open_cache
+from repro.cache.keys import config_fingerprint, fingerprint_description
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import DcaReport
 from repro.core.schedule_engine import resolve_schedule_backend
 from repro.core.schedules import ScheduleConfig
-from repro.interp.compiler import EXEC_BACKENDS, resolve_exec_backend
+from repro.interp.compiler import EXEC_BACKENDS
 from repro.ir.function import Module
+from repro.settings import SETTINGS, resolve
 
 __all__ = [
     "AnalysisConfig",
@@ -120,7 +115,7 @@ class AnalysisConfig:
     #: reports serialize under ``report_schema_version`` 2.
     tiering: Optional[bool] = None
     #: Upper bound on DSWP pipeline stages per loop (>= 2).
-    max_pipeline_stages: int = 4
+    max_pipeline_stages: int = DEFAULT_MAX_PIPELINE_STAGES
 
     def __post_init__(self) -> None:
         if self.liveout_policy not in ("strict", "eventual"):
@@ -129,7 +124,7 @@ class AnalysisConfig:
             )
         if self.cache_mode not in ("rw", "ro", "refresh", "off"):
             raise ValueError(f"unknown cache mode {self.cache_mode!r}")
-        if self.backend not in (None, "serial", "process"):
+        if self.backend not in (None,) + SETTINGS["schedule_backend"].choices:
             raise ValueError(f"unknown schedule backend {self.backend!r}")
         # Validate against the backend registry, not a local copy: the
         # explicit field must accept exactly what REPRO_EXEC_BACKEND
@@ -167,57 +162,56 @@ class AnalysisConfig:
             s.name for s in self.schedule_config().testing_schedules()
         ]
 
-    def resolved_backend(self) -> Tuple[str, Optional[int]]:
-        return resolve_schedule_backend(self.backend, self.jobs)
-
-    def resolved_exec_backend(self) -> str:
-        return resolve_exec_backend(self.exec_backend)
-
-    def resolved_cache_dir(self) -> Optional[str]:
-        if self.cache_mode == "off":
-            return None
-        return resolve_cache_dir(self.cache_dir)
-
-    def resolved_ledger_dir(self) -> Optional[str]:
-        if self.ledger_dir == "off":
-            return None
-        return obs.resolve_ledger_dir(self.ledger_dir)
-
-    def resolved_specs(self):
-        """The effective :class:`~repro.analysis.specs.SpecRegistry`:
-        explicit ``specs`` beats ``REPRO_SPECS`` beats off."""
-        from repro.analysis.specs import default_registry, registry_from_env
-
-        if self.specs is None:
-            return registry_from_env()
-        return default_registry() if self.specs else None
-
-    def resolved_tiering(self) -> bool:
-        """Effective tiering switch: explicit ``tiering`` beats
-        ``REPRO_TIERING`` beats off."""
-        from repro.analysis.sccdag import resolve_tiering
-
-        return resolve_tiering(self.tiering)
+    def resolved(self) -> "AnalysisConfig":
+        """This config with every environment-backed field decided
+        (explicit field > ``REPRO_*`` variable > default, per
+        :mod:`repro.settings`).  ``backend``/``jobs`` follow
+        :func:`~repro.core.schedule_engine.resolve_schedule_backend`;
+        ``cache_mode="off"`` and ``ledger_dir="off"`` beat the
+        environment, and a disabled directory resolves to None."""
+        backend, jobs = resolve_schedule_backend(self.backend, self.jobs)
+        return self.replace(
+            backend=backend,
+            jobs=jobs,
+            exec_backend=resolve("exec_backend", self.exec_backend),
+            cache_dir=(
+                None
+                if self.cache_mode == "off"
+                else resolve("cache_dir", self.cache_dir)
+            ),
+            ledger_dir=(
+                None
+                if self.ledger_dir == "off"
+                else resolve("ledger_dir", self.ledger_dir)
+            ),
+            specs=resolve("specs", self.specs),
+            tiering=resolve("tiering", self.tiering),
+        )
 
     def fingerprint(self) -> str:
         """The exact config-fingerprint component of the persistent
         cache key.  Covers only verdict-relevant settings — backends,
         jobs, observability and cache policy are excluded, matching the
         report byte-identity contract across those axes."""
-        registry = self.resolved_specs()
         return config_fingerprint(
-            self.schedule_names(),
-            rtol=self.rtol,
-            liveout_policy=self.liveout_policy,
-            static_filter=self.static_filter,
-            max_steps=self.max_steps,
-            candidate_labels=self.candidate_labels,
-            specs=registry.digest() if registry is not None else None,
-            tiering=(
-                {"max_pipeline_stages": self.max_pipeline_stages}
-                if self.resolved_tiering()
-                else None
-            ),
+            fingerprint_description(
+                self.schedule_names(),
+                rtol=self.rtol,
+                liveout_policy=self.liveout_policy,
+                static_filter=self.static_filter,
+                max_steps=self.max_steps,
+                candidate_labels=self.candidate_labels,
+                specs=(
+                    default_registry().digest()
+                    if resolve("specs", self.specs)
+                    else None
+                ),
+                tiering=(
+                    {"max_pipeline_stages": self.max_pipeline_stages}
+                    if resolve("tiering", self.tiering)
+                    else None
+                ),
+            )
         )
 
 
@@ -281,11 +275,9 @@ class AnalysisSession:
         """The open :class:`~repro.cache.AnalysisCache`, or None."""
         if not self._cache_opened:
             self._cache_opened = True
-            mode = self.config.cache_mode
-            if mode != "off":
-                self._cache = open_cache(
-                    self.config.resolved_cache_dir(), mode=mode
-                )
+            self._cache = open_cache(
+                self.config.resolved().cache_dir, mode=self.config.cache_mode
+            )
         return self._cache
 
     @property
@@ -293,7 +285,7 @@ class AnalysisSession:
         """The open :class:`~repro.obs.RunLedger`, or None."""
         if not self._ledger_opened:
             self._ledger_opened = True
-            directory = self.config.resolved_ledger_dir()
+            directory = self.config.resolved().ledger_dir
             if directory is not None:
                 self._ledger = obs.RunLedger(directory)
         return self._ledger
@@ -359,8 +351,7 @@ class AnalysisSession:
     ) -> DcaAnalyzer:
         """Construct the configured analyzer — the one true assembly of
         ``DcaAnalyzer`` kwargs from an :class:`AnalysisConfig`."""
-        config = self.config
-        backend, jobs = config.resolved_backend()
+        config = self.config.resolved()
         return DcaAnalyzer(
             module,
             entry=config.entry,
@@ -371,14 +362,14 @@ class AnalysisSession:
             candidate_labels=config.candidate_labels,
             liveout_policy=config.liveout_policy,
             static_filter=config.static_filter,
-            specs=config.resolved_specs() or False,
-            backend=backend,
-            jobs=jobs,
-            exec_backend=config.resolved_exec_backend(),
+            specs=config.specs,
+            backend=config.backend,
+            jobs=config.jobs,
+            exec_backend=config.exec_backend,
             cache=self.cache,
             source_text=source_text,
             source_path=source_path,
-            tiering=config.resolved_tiering(),
+            tiering=config.tiering,
             max_pipeline_stages=config.max_pipeline_stages,
         )
 
@@ -405,9 +396,10 @@ class AnalysisSession:
         )
 
         module, source_text = self._prepare(program)
-        report = self.analyzer(
+        analyzer = self.analyzer(
             module, source_text=source_text, source_path=source_path
-        ).analyze()
+        )
+        report = analyzer.analyze()
         # Baselines profile the pristine program; give them a private
         # compile so DCA instrumentation cannot leak into their context.
         pristine, _ = self._prepare(
@@ -416,7 +408,7 @@ class AnalysisSession:
         ctx = build_context(
             pristine,
             entry=self.config.entry,
-            exec_backend=self.config.resolved_exec_backend(),
+            exec_backend=analyzer.exec_backend,
         )
         detectors = [
             DependenceProfilingDetector(),

@@ -447,10 +447,12 @@ def run_batch(
     if not specs:
         raise ValueError("empty corpus: no programs found")
 
-    backend, jobs = config.resolved_backend()
+    resolved = config.resolved()
     start = time.perf_counter()
-    if backend == "process" and len(specs) > 1:
-        outcomes = _run_pooled(config, specs, jobs, on_result, fail_fast)
+    if resolved.backend == "process" and len(specs) > 1:
+        outcomes = _run_pooled(
+            config, specs, resolved.jobs, on_result, fail_fast
+        )
     else:
         outcomes = _run_serial(config, specs, on_result, fail_fast)
     return CorpusResult(

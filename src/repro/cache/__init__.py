@@ -19,7 +19,6 @@ the ``repro cache`` maintenance subcommand)::
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.cache.keys import (
@@ -30,7 +29,6 @@ from repro.cache.keys import (
 )
 from repro.cache.store import (
     CACHE_DB_NAME,
-    CACHE_DIR_ENV,
     CACHE_MODES,
     AnalysisCache,
 )
@@ -38,31 +36,21 @@ from repro.cache.store import (
 __all__ = [
     "AnalysisCache",
     "CACHE_DB_NAME",
-    "CACHE_DIR_ENV",
     "CACHE_MODES",
     "SEMANTICS_VERSION",
     "config_fingerprint",
     "fingerprint_description",
     "module_workload_digest",
     "open_cache",
-    "resolve_cache_dir",
 ]
-
-
-def resolve_cache_dir(cache_dir: Optional[str] = None) -> Optional[str]:
-    """Resolve the cache directory: explicit argument, then the
-    ``REPRO_CACHE_DIR`` environment variable, then disabled (None)."""
-    if cache_dir is not None:
-        return os.path.expanduser(cache_dir)
-    env = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return os.path.expanduser(env) if env else None
 
 
 def open_cache(
     cache_dir: Optional[str] = None, mode: str = "rw"
 ) -> Optional[AnalysisCache]:
-    """Open the resolved cache directory, or None when caching is off."""
-    resolved = resolve_cache_dir(cache_dir)
-    if resolved is None or mode == "off":
+    """Open a resolved cache directory (see
+    :meth:`repro.api.AnalysisConfig.resolved`), or None when caching is
+    off."""
+    if cache_dir is None or mode == "off":
         return None
-    return AnalysisCache(resolved, mode=mode)
+    return AnalysisCache(cache_dir, mode=mode)

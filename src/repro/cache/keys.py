@@ -110,25 +110,7 @@ def fingerprint_description(
     return description
 
 
-def config_fingerprint(
-    schedule_names: Sequence[str],
-    rtol: float = 1e-9,
-    liveout_policy: str = "strict",
-    static_filter: bool = True,
-    max_steps: Optional[int] = None,
-    candidate_labels: Optional[Sequence[str]] = None,
-    specs: Optional[str] = None,
-    tiering: Optional[Dict[str, object]] = None,
-) -> str:
-    """Digest of the verdict-relevant analysis configuration."""
-    description = fingerprint_description(
-        schedule_names,
-        rtol=rtol,
-        liveout_policy=liveout_policy,
-        static_filter=static_filter,
-        max_steps=max_steps,
-        candidate_labels=candidate_labels,
-        specs=specs,
-        tiering=tiering,
-    )
+def config_fingerprint(description: Dict[str, object]) -> str:
+    """Digest of the verdict-relevant analysis configuration, given the
+    dict :func:`fingerprint_description` builds."""
     return _sha256(json.dumps(description, sort_keys=True))

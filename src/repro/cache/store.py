@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import repro.obs as obs
 from repro.cache.keys import SEMANTICS_VERSION
 
-__all__ = ["AnalysisCache", "CACHE_DB_NAME", "CACHE_DIR_ENV", "CACHE_MODES"]
+__all__ = ["AnalysisCache", "CACHE_DB_NAME", "CACHE_MODES"]
 
 #: Access counters kept per handle and persisted (summed) into ``meta``
 #: on close, so ``repro cache stats`` reports traffic across every run
@@ -58,9 +58,6 @@ __all__ = ["AnalysisCache", "CACHE_DB_NAME", "CACHE_DIR_ENV", "CACHE_MODES"]
 _LIFETIME_COUNTERS = ("lookups", "hits", "misses", "invalidations", "stores")
 
 CACHE_DB_NAME = "dca-cache.sqlite"
-
-#: Environment fallback for the cache directory (CLI flag wins).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: ``rw`` reads and writes; ``ro`` only reads; ``refresh`` recomputes
 #: everything and overwrites (reads are bypassed).

@@ -22,7 +22,7 @@ processes; ``--jobs N`` alone implies the process backend),
 executions instead of tree-walking them; env ``REPRO_EXEC_BACKEND``).
 
 Flags always beat the matching ``REPRO_*`` environment variables (see
-``repro.api`` for the full precedence order).
+:mod:`repro.settings` for every variable and the precedence order).
 
 Caching: ``analyze``/``detect``/``profile``/``batch`` accept ``--cache
 DIR`` (persistent verdict cache; env ``REPRO_CACHE_DIR``), ``--no-cache``
@@ -54,12 +54,14 @@ builds one :class:`~repro.api.AnalysisConfig` and drives an
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
 
 from repro.driver import compile_program, run_program
 from repro.interp.compiler import EXEC_BACKENDS
+from repro.settings import SETTINGS, resolve
 
 
 def _read(path: str) -> str:
@@ -125,24 +127,16 @@ def _write_json(path: str, payload) -> None:
 
 def _config_from_args(args: argparse.Namespace):
     """Build the session config from parsed flags — the only place the
-    CLI surface maps onto :class:`repro.api.AnalysisConfig`."""
+    CLI surface maps onto :class:`repro.api.AnalysisConfig`.  Each
+    analysis flag's dest is the config field it sets; flags left unset
+    (None) take the config's defaults."""
     from repro.api import AnalysisConfig
 
-    return AnalysisConfig(
-        entry=args.entry,
-        rtol=getattr(args, "rtol", 1e-9),
-        liveout_policy=getattr(args, "policy", "strict"),
-        static_filter=not getattr(args, "no_static_filter", False),
-        specs=getattr(args, "specs", None),
-        backend=getattr(args, "backend", None),
-        jobs=getattr(args, "jobs", None),
-        exec_backend=getattr(args, "exec_backend", None),
-        cache_dir=getattr(args, "cache", None),
-        cache_mode=getattr(args, "cache_mode", "rw"),
-        ledger_dir=getattr(args, "ledger", None),
-        tiering=getattr(args, "tiering", None),
-        max_pipeline_stages=getattr(args, "max_pipeline_stages", 4),
-    )
+    fields = {field.name for field in dataclasses.fields(AnalysisConfig)}
+    return AnalysisConfig(**{
+        name: value for name, value in vars(args).items()
+        if name in fields and value is not None
+    })
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -393,11 +387,12 @@ def _batch_via_server(args: argparse.Namespace) -> int:
         if spec.args is not None:
             entry["args"] = list(spec.args)
         programs.append(entry)
+    local = _config_from_args(args)
     config = {
-        "entry": args.entry,
-        "rtol": args.rtol,
-        "liveout_policy": args.policy,
-        "static_filter": not args.no_static_filter,
+        "entry": local.entry,
+        "rtol": local.rtol,
+        "liveout_policy": local.liveout_policy,
+        "static_filter": local.static_filter,
     }
     if args.specs is not None:
         config["specs"] = args.specs
@@ -472,12 +467,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.cache import AnalysisCache, CACHE_DIR_ENV, resolve_cache_dir
+    from repro.cache import AnalysisCache
 
-    directory = resolve_cache_dir(getattr(args, "cache", None))
+    directory = resolve("cache_dir", args.cache)
     if directory is None:
         print(
-            f"cache: no directory (pass --cache DIR or set {CACHE_DIR_ENV})",
+            "cache: no directory (pass --cache DIR or set "
+            f"{SETTINGS['cache_dir'].env})",
             file=sys.stderr,
         )
         return 2
@@ -548,10 +544,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     import repro.obs as obs
 
-    directory = obs.resolve_ledger_dir(getattr(args, "ledger", None))
+    directory = resolve("ledger_dir", args.ledger)
     if directory is None:
         print(
-            f"stats: no ledger (pass --ledger DIR or set {obs.LEDGER_DIR_ENV})",
+            "stats: no ledger (pass --ledger DIR or set "
+            f"{SETTINGS['ledger_dir'].env})",
             file=sys.stderr,
         )
         return 2
@@ -613,20 +610,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
         StaticCommutativityAnalysis,
     )
     from repro.analysis.diagnostics import Diagnostic, DiagnosticEngine
-    from repro.analysis.specs import (
-        check_annotations,
-        default_registry,
-        registry_from_env,
-    )
+    from repro.analysis.specs import check_annotations, default_registry
 
     module = compile_program(_read(args.program))
-    specs = getattr(args, "specs", None)
-    if specs is None:
-        registry = registry_from_env()
-    elif specs is True:
-        registry = default_registry()
-    else:
-        registry = specs or None
+    registry = default_registry() if resolve("specs", args.specs) else None
     verdicts = StaticCommutativityAnalysis(module, specs=registry).analyze()
     engine = DiagnosticEngine(program=args.program)
     engine.ingest_static(verdicts.values())
@@ -684,7 +671,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.sccdag import DEFAULT_MAX_PIPELINE_STAGES
     from repro.obs import EXPORT_FORMATS
+
+    def env(name: str) -> str:
+        return SETTINGS[name].env
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -696,6 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("program", help="MiniC source file")
         p.add_argument("--entry", default="main")
 
+    def policy_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--policy", choices=("strict", "eventual"),
+                       default=None, dest="liveout_policy")
+
     def exec_backend_flag(p: argparse.ArgumentParser) -> None:
         # Choices derive from the backend registry so a new backend is
         # reachable from the flag the moment it exists — the explicit
@@ -705,65 +700,74 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend for observer-free runs: "
                             "tree-walking interpreter or Python-source "
                             "codegen "
-                            "(default: interp, or REPRO_EXEC_BACKEND)")
-
-    def engine_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=("serial", "process"), default=None,
-                       help="schedule-execution backend (default: serial, or "
-                            "REPRO_SCHEDULE_BACKEND; --jobs N implies process)")
-        p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for the process backend "
-                            "(default: all cores, or REPRO_SCHEDULE_JOBS)")
-        exec_backend_flag(p)
+                            f"(default: interp, or {env('exec_backend')})")
 
     def specs_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--specs", action="store_const", const=True,
                        dest="specs", default=None,
                        help="verify modulo declared commutativity specs "
                             "(order-insensitive containers, monoid "
-                            "accumulators; default: off, or REPRO_SPECS)")
+                            f"accumulators; default: off, or {env('specs')})")
         p.add_argument("--no-specs", action="store_const", const=False,
                        dest="specs",
                        help="force byte-exact verification even when "
-                            "REPRO_SPECS is set")
+                            f"{env('specs')} is set")
 
-    def tiering_flags(p: argparse.ArgumentParser) -> None:
+    def analysis_flags(p: argparse.ArgumentParser) -> None:
+        """Flags shared by analyze/detect/profile/batch/serve.  Every
+        default is None: :class:`repro.api.AnalysisConfig` owns them."""
+        p.add_argument("--rtol", type=float, default=None)
+        p.add_argument("--no-static-filter", action="store_false",
+                       dest="static_filter", default=None,
+                       help="disable the static pre-screen")
+        # Schedule and execution engines.
+        p.add_argument("--backend", default=None,
+                       choices=SETTINGS["schedule_backend"].choices,
+                       help="schedule-execution backend (default: serial, or "
+                            f"{env('schedule_backend')}; --jobs N implies "
+                            "process)")
+        p.add_argument("--jobs", type=int, default=None, metavar="N",
+                       help="worker processes for the process backend "
+                            f"(default: all cores, or {env('schedule_jobs')})")
+        exec_backend_flag(p)
+        specs_flags(p)
+        # Parallelization tiering.
         p.add_argument("--tiering", action="store_const", const=True,
                        dest="tiering", default=None,
                        help="classify every loop into a parallelization "
                             "tier (DOALL/REDUCTION/PIPELINE/SEQUENTIAL) "
                             "and emit schema-2 reports (default: off, or "
-                            "REPRO_TIERING)")
+                            f"{env('tiering')})")
         p.add_argument("--no-tiering", action="store_const", const=False,
                        dest="tiering",
-                       help="force tiering off even when REPRO_TIERING "
+                       help=f"force tiering off even when {env('tiering')} "
                             "is set")
-        p.add_argument("--max-pipeline-stages", type=int, default=4,
+        p.add_argument("--max-pipeline-stages", type=int, default=None,
                        dest="max_pipeline_stages", metavar="K",
                        help="upper bound on DSWP pipeline stages per "
-                            "loop (default: 4)")
-
-    def cache_flags(p: argparse.ArgumentParser) -> None:
+                            f"loop (default: {DEFAULT_MAX_PIPELINE_STAGES})")
+        # Persistent cache.
         p.add_argument("--cache", metavar="DIR", default=None,
+                       dest="cache_dir",
                        help="persistent verdict cache directory "
-                            "(default: REPRO_CACHE_DIR, else disabled)")
+                            f"(default: {env('cache_dir')}, else disabled)")
         p.add_argument("--cache-mode", choices=("rw", "ro", "refresh", "off"),
-                       default="rw", dest="cache_mode",
+                       default=None, dest="cache_mode",
                        help="rw reads+writes, ro never writes, refresh "
                             "recomputes and overwrites, off disables")
         p.add_argument("--no-cache", action="store_const", const="off",
                        dest="cache_mode",
                        help="shorthand for --cache-mode off")
-
-    def ledger_flags(p: argparse.ArgumentParser) -> None:
+        # Run ledger.
         p.add_argument("--ledger", metavar="DIR", default=None,
+                       dest="ledger_dir",
                        help="run-ledger directory for cross-run trend "
-                            "tracking (default: REPRO_LEDGER_DIR, else "
+                            f"tracking (default: {env('ledger_dir')}, else "
                             "disabled)")
         p.add_argument("--no-ledger", action="store_const", const="off",
-                       dest="ledger",
+                       dest="ledger_dir",
                        help="disable run recording even when "
-                            "REPRO_LEDGER_DIR is set")
+                            f"{env('ledger_dir')} is set")
 
     p_run = sub.add_parser("run", help="compile and execute a program")
     common(p_run)
@@ -776,41 +780,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run DCA on every loop")
     common(p_an)
-    p_an.add_argument("--rtol", type=float, default=1e-9)
-    p_an.add_argument("--policy", choices=("strict", "eventual"), default="strict")
+    policy_flag(p_an)
     p_an.add_argument("--cores", type=int, default=0,
                       help="also simulate parallel speedup on N cores")
     p_an.add_argument("--json", action="store_true",
                       help="emit the report as JSON")
-    p_an.add_argument("--no-static-filter", action="store_true",
-                      help="disable the static pre-screen")
     p_an.add_argument("--profile", action="store_true",
                       help="include the per-loop cost breakdown table")
     p_an.add_argument("--trace", metavar="FILE",
                       help="enable tracing; write Chrome trace-event JSON")
-    engine_flags(p_an)
-    specs_flags(p_an)
-    tiering_flags(p_an)
-    cache_flags(p_an)
-    ledger_flags(p_an)
+    analysis_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
     p_det = sub.add_parser("detect", help="DCA vs the five baseline detectors")
     common(p_det)
-    p_det.add_argument("--rtol", type=float, default=1e-9)
     p_det.add_argument("--json", action="store_true",
                        help="emit DCA + baseline verdicts as JSON")
-    p_det.add_argument("--no-static-filter", action="store_true",
-                       help="disable the static pre-screen")
     p_det.add_argument("--profile", action="store_true",
                        help="include per-detector and per-loop cost detail")
     p_det.add_argument("--trace", metavar="FILE",
                        help="enable tracing; write Chrome trace-event JSON")
-    engine_flags(p_det)
-    specs_flags(p_det)
-    tiering_flags(p_det)
-    cache_flags(p_det)
-    ledger_flags(p_det)
+    analysis_flags(p_det)
     p_det.set_defaults(func=cmd_detect)
 
     p_prof = sub.add_parser(
@@ -818,11 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run DCA with full observability and report pipeline cost",
     )
     common(p_prof)
-    p_prof.add_argument("--rtol", type=float, default=1e-9)
-    p_prof.add_argument("--policy", choices=("strict", "eventual"),
-                        default="strict")
-    p_prof.add_argument("--no-static-filter", action="store_true",
-                        help="disable the static pre-screen")
+    policy_flag(p_prof)
     p_prof.add_argument("--trace", metavar="FILE",
                         help="write Chrome trace-event JSON "
                              "(load in chrome://tracing)")
@@ -840,11 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="export_out",
                         help="write the --export payload to FILE instead "
                              "of stdout")
-    engine_flags(p_prof)
-    specs_flags(p_prof)
-    tiering_flags(p_prof)
-    cache_flags(p_prof)
-    ledger_flags(p_prof)
+    analysis_flags(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 
     p_batch = sub.add_parser(
@@ -861,11 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON/JSONL corpus manifest (path strings or "
                               "{path, entry, args} objects)")
     p_batch.add_argument("--entry", default="main")
-    p_batch.add_argument("--rtol", type=float, default=1e-9)
-    p_batch.add_argument("--policy", choices=("strict", "eventual"),
-                         default="strict")
-    p_batch.add_argument("--no-static-filter", action="store_true",
-                         help="disable the static pre-screen")
+    policy_flag(p_batch)
     p_batch.add_argument("--json", action="store_true",
                          help="emit the aggregate corpus report as JSON")
     p_batch.add_argument("--jsonl", metavar="FILE",
@@ -883,11 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="submit the corpus to a running `repro serve` "
                               "daemon instead of analyzing locally "
                               "(e.g. http://127.0.0.1:8421)")
-    engine_flags(p_batch)
-    specs_flags(p_batch)
-    tiering_flags(p_batch)
-    cache_flags(p_batch)
-    ledger_flags(p_batch)
+    analysis_flags(p_batch)
     p_batch.set_defaults(func=cmd_batch)
 
     p_serve = sub.add_parser(
@@ -895,35 +869,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-lived analysis daemon: HTTP/JSON over a warm engine "
              "pool and shared cache",
     )
-    p_serve.add_argument("--host", default=None,
-                         help="bind address (default: 127.0.0.1, or "
-                              "REPRO_SERVE_HOST)")
-    p_serve.add_argument("--port", type=int, default=None,
-                         help="TCP port; 0 picks a free one (default: "
-                              "8421, or REPRO_SERVE_PORT)")
-    p_serve.add_argument("--queue-depth", type=int, default=None,
-                         dest="queue_depth",
-                         help="admission bound: max queued+running "
-                              "requests before 429 (default: 64, or "
-                              "REPRO_SERVE_QUEUE_DEPTH)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="concurrent analysis worker threads "
-                              "(default: 4, or REPRO_SERVE_WORKERS)")
-    p_serve.add_argument("--priority", type=int, default=None,
-                         help="default request priority; lower runs "
-                              "sooner (default: 10, or "
-                              "REPRO_SERVE_PRIORITY)")
+
+    def serve_flag(flag: str, name: str, what: str, **kwargs) -> None:
+        row = SETTINGS[name]
+        p_serve.add_argument(
+            flag, default=None,
+            help=f"{what} (default: {row.default}, or {row.env})", **kwargs
+        )
+
+    serve_flag("--host", "serve_host", "bind address")
+    serve_flag("--port", "serve_port",
+               "TCP port; 0 picks a free one", type=int)
+    serve_flag("--queue-depth", "serve_queue_depth",
+               "admission bound: max queued+running requests before 429",
+               type=int, dest="queue_depth")
+    serve_flag("--workers", "serve_workers",
+               "concurrent analysis worker threads", type=int)
+    serve_flag("--priority", "serve_priority",
+               "default request priority; lower runs sooner", type=int)
     p_serve.add_argument("--entry", default="main")
-    p_serve.add_argument("--rtol", type=float, default=1e-9)
-    p_serve.add_argument("--policy", choices=("strict", "eventual"),
-                         default="strict")
-    p_serve.add_argument("--no-static-filter", action="store_true",
-                         help="disable the static pre-screen")
-    engine_flags(p_serve)
-    specs_flags(p_serve)
-    tiering_flags(p_serve)
-    cache_flags(p_serve)
-    ledger_flags(p_serve)
+    policy_flag(p_serve)
+    analysis_flags(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
     p_cache = sub.add_parser(
@@ -933,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def cache_dir_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cache", metavar="DIR", default=None,
-                       help="cache directory (default: REPRO_CACHE_DIR)")
+                       help=f"cache directory (default: {env('cache_dir')})")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
@@ -966,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument("--ledger", metavar="DIR", default=None,
                          help="run-ledger directory "
-                              "(default: REPRO_LEDGER_DIR)")
+                              f"(default: {env('ledger_dir')})")
     p_stats.add_argument("--json", action="store_true",
                          help="emit trends and regressions as JSON")
     p_stats.add_argument("--threshold", type=float, default=20.0,

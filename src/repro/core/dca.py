@@ -54,13 +54,8 @@ from repro.analysis.sccdag import (
     TIER_SEQUENTIAL,
     build_sccdag,
     partition_stages,
-    resolve_tiering,
 )
-from repro.analysis.specs import (
-    SpecRegistry,
-    default_registry,
-    registry_from_env,
-)
+from repro.analysis.specs import SpecRegistry, default_registry
 from repro.core.liveout import canonicalize_snapshot, capture, snapshot_digest
 from repro.core.instrument import (
     VerifySpec,
@@ -105,9 +100,10 @@ from repro.core.schedule_engine import (
     outcome_fails,
 )
 from repro.core.schedules import IdentitySchedule, ScheduleConfig
-from repro.interp.compiler import create_executor, resolve_exec_backend
+from repro.interp.compiler import create_executor
 from repro.interp.interpreter import Interpreter
 from repro.ir.function import Module
+from repro.settings import resolve
 
 
 class DcaAnalyzer:
@@ -161,14 +157,9 @@ class DcaAnalyzer:
         #: resolves from the ``REPRO_SPECS`` environment (default: off);
         #: ``True`` selects the built-in registry, ``False`` disables
         #: specs, a :class:`SpecRegistry` is used as-is.
-        if specs is None:
-            self.specs: Optional[SpecRegistry] = registry_from_env()
-        elif specs is True:
-            self.specs = default_registry()
-        elif specs is False:
-            self.specs = None
-        else:
-            self.specs = specs
+        if specs is None or isinstance(specs, bool):
+            specs = default_registry() if resolve("specs", specs) else None
+        self.specs: Optional[SpecRegistry] = specs
         #: Declared container struct -> link-field slot, restricted to
         #: structs this module actually defines with the exact declared
         #: signature.  Empty whenever specs are off or nothing matches —
@@ -198,7 +189,7 @@ class DcaAnalyzer:
         #: environment fallback).  The profiling run takes codegen's
         #: profiled lowering under ``codegen``; everything runs on the
         #: interpreter when the observability context is enabled.
-        self.exec_backend = resolve_exec_backend(exec_backend)
+        self.exec_backend = resolve("exec_backend", exec_backend)
         #: Testing hook: ``{(loop label, schedule name): fault style}``
         #: fires the named fault inside that schedule's execution.
         self.fault_injection = dict(fault_injection or {})
@@ -216,7 +207,7 @@ class DcaAnalyzer:
         #: from the ``REPRO_TIERING`` environment (default: off).  When
         #: off, reports and cache keys are byte-identical to tiering-free
         #: releases.
-        self.tiering = resolve_tiering(tiering)
+        self.tiering = bool(resolve("tiering", tiering))
         if max_pipeline_stages < 2:
             raise ValueError("max_pipeline_stages must be >= 2")
         self.max_pipeline_stages = max_pipeline_stages
@@ -387,20 +378,7 @@ class DcaAnalyzer:
     def config_fingerprint(self) -> str:
         """The verdict-relevant configuration digest — one third of the
         cache key (see :mod:`repro.cache.keys` for what it covers)."""
-        return config_fingerprint(
-            self._schedule_names(),
-            rtol=self.rtol,
-            liveout_policy=self.liveout_policy,
-            static_filter=self.static_filter,
-            max_steps=self.max_steps,
-            candidate_labels=(
-                sorted(self.candidate_labels)
-                if self.candidate_labels is not None
-                else None
-            ),
-            specs=self.specs.digest() if self.specs is not None else None,
-            tiering=self._tiering_fingerprint(),
-        )
+        return config_fingerprint(self._fingerprint_description())
 
     def _apply_cached(
         self,

@@ -201,17 +201,15 @@ class LoopResult:
     def to_dict(self, schema: int = 1) -> Dict[str, object]:
         """Serialize this loop.  ``schema=1`` (the default, also the
         cache-payload shape) is byte-identical to pre-tiering releases;
-        ``schema=2`` nests the verdict while keeping ``decided_by`` and
-        ``is_commutative`` as deprecated flat aliases for one release."""
-        verdict: object = (
-            self.verdict_object() if schema >= 2 else self.verdict
-        )
-        return {
+        ``schema=2`` nests the verdict, ``decided_by`` included, into
+        :meth:`verdict_object` and drops the flat ``decided_by`` and
+        ``is_commutative``."""
+        data: Dict[str, object] = {
             "label": self.label,
             "function": self.function,
             "line": self.line,
             "kind": self.kind,
-            "verdict": verdict,
+            "verdict": self.verdict,
             "reason": self.reason,
             "invocations": self.invocations,
             "max_trip": self.max_trip,
@@ -225,6 +223,10 @@ class LoopResult:
             "is_commutative": self.is_commutative,
             "cost": self.cost.to_dict(),
         }
+        if schema >= 2:
+            data["verdict"] = self.verdict_object()
+            del data["decided_by"], data["is_commutative"]
+        return data
 
     def to_payload(self) -> Dict[str, object]:
         """Cache representation of a decided loop: :meth:`to_dict` with

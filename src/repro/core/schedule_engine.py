@@ -78,6 +78,7 @@ from repro.interp.codegen import (
 )
 from repro.interp.interpreter import Interpreter
 from repro.interp.values import MiniCRuntimeError
+from repro.settings import SETTINGS, resolve
 
 __all__ = [
     "FAULT_STYLES",
@@ -96,11 +97,6 @@ __all__ = [
     "should_test",
     "warm_shared_pool",
 ]
-
-#: Environment knobs consulted when the analyzer is not given an explicit
-#: backend/jobs (lets CI exercise the parallel path suite-wide).
-BACKEND_ENV = "REPRO_SCHEDULE_BACKEND"
-JOBS_ENV = "REPRO_SCHEDULE_JOBS"
 
 #: Outcome statuses.
 OK = "ok"
@@ -738,25 +734,19 @@ def resolve_schedule_backend(
         1. explicit ``jobs`` argument;
         2. ``REPRO_SCHEDULE_JOBS``;
         3. backend default (all cores for ``process``).
+
+    Steps 3-5 and the jobs order are the ``schedule_backend`` and
+    ``schedule_jobs`` rows of :mod:`repro.settings`.
     """
-    env_jobs: Optional[int] = None
-    env_jobs_text = os.environ.get(JOBS_ENV, "").strip()
-    if env_jobs_text:
-        env_jobs = int(env_jobs_text)
-    resolved_jobs = jobs if jobs is not None else env_jobs
-    if backend is None:
-        if jobs is not None and jobs > 1:
-            backend = "process"
-        else:
-            backend = os.environ.get(BACKEND_ENV, "").strip() or None
-    if backend is None:
-        backend = "process" if env_jobs and env_jobs > 1 else "serial"
-    if backend not in ("serial", "process"):
+    if backend is None and jobs is not None and jobs > 1:
+        backend = "process"
+    backend = resolve("schedule_backend", backend)
+    if backend not in SETTINGS["schedule_backend"].choices:
         raise ValueError(
             f"unknown schedule backend {backend!r}; "
             "expected 'serial' or 'process'"
         )
-    return backend, resolved_jobs
+    return backend, resolve("schedule_jobs", jobs)
 
 
 def create_engine(

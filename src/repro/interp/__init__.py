@@ -9,9 +9,8 @@ from repro.interp.codegen import (
     codegen_stats,
     compile_module_codegen,
     module_digest,
-    resolve_codegen_cache_dir,
 )
-from repro.interp.compiler import create_executor, resolve_exec_backend
+from repro.interp.compiler import create_executor
 from repro.interp.events import Location, LoopCtx, Observer
 from repro.interp.interpreter import Interpreter, RuntimeHooks
 from repro.interp.profiler import Profiler
@@ -44,7 +43,5 @@ __all__ = [
     "create_executor",
     "format_value",
     "module_digest",
-    "resolve_codegen_cache_dir",
-    "resolve_exec_backend",
     "truthy",
 ]

@@ -66,7 +66,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.analysis.loops import build_loop_forest
-from repro.cache import resolve_cache_dir
 from repro.interp.events import LoopCtx
 from repro.interp.interpreter import (
     _DEFAULT_MAX_STEPS,
@@ -106,6 +105,7 @@ from repro.ir.instructions import (
 from repro.ir.printer import format_module
 from repro.lang.builtins import BUILTINS
 from repro.lang.types import FloatType
+from repro.settings import SETTINGS, resolve
 
 __all__ = [
     "CODEGEN_CACHE_ENV",
@@ -118,13 +118,12 @@ __all__ = [
     "compile_module_codegen",
     "module_digest",
     "reset_codegen_stats",
-    "resolve_codegen_cache_dir",
 ]
 
 #: Directory override for persisted codegen artifacts.  When unset, the
 #: artifact store lives under ``<REPRO_CACHE_DIR>/codegen``; when
 #: neither is set, artifacts are not persisted.
-CODEGEN_CACHE_ENV = "REPRO_CODEGEN_CACHE_DIR"
+CODEGEN_CACHE_ENV = SETTINGS["codegen_cache_dir"].env
 
 #: Bumped whenever the lowering or artifact layout changes shape; stale
 #: artifacts then miss on the header check and are recompiled.
@@ -978,25 +977,6 @@ def _build_namespace(module: Module, profiled: bool) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def resolve_codegen_cache_dir(cache_dir: Optional[str] = None) -> Optional[str]:
-    """Resolve the artifact directory.
-
-    Precedence: explicit argument (empty string disables), then
-    ``REPRO_CODEGEN_CACHE_DIR``, then ``<REPRO_CACHE_DIR>/codegen``,
-    then disabled.
-    """
-    if cache_dir is not None:
-        cache_dir = cache_dir.strip()
-        return os.path.expanduser(cache_dir) if cache_dir else None
-    env = os.environ.get(CODEGEN_CACHE_ENV, "").strip()
-    if env:
-        return os.path.expanduser(env)
-    base = resolve_cache_dir(None)
-    if base is None:
-        return None
-    return os.path.join(base, "codegen")
-
-
 def _artifact_path(cache_dir: str, digest: str, profiled: bool = False) -> str:
     suffix = ".prof.rpcg" if profiled else ".rpcg"
     return os.path.join(cache_dir, digest + suffix)
@@ -1108,8 +1088,9 @@ def compile_module_codegen(
     ``profiled`` selects the observer-event lowering run by
     :class:`ProfiledCodegenExecutor`.  In-process results are memoized
     per module object and variant; across processes the compiled code
-    object is persisted under the module digest (see
-    :func:`resolve_codegen_cache_dir`; pass ``cache_dir=""`` to disable
+    object is persisted under the module digest in ``cache_dir``, which
+    defaults to ``REPRO_CODEGEN_CACHE_DIR``, then
+    ``<REPRO_CACHE_DIR>/codegen`` (pass ``cache_dir=""`` to disable
     persistence).  Raises :class:`CompileError` when the module cannot
     be lowered — callers fall back to the interpreter.
     """
@@ -1138,7 +1119,7 @@ def compile_module_codegen(
 def _compile_uncached(
     module: Module, cache_dir: Optional[str], profiled: bool
 ) -> CodegenProgram:
-    directory = resolve_codegen_cache_dir(cache_dir)
+    directory = resolve("codegen_cache_dir", cache_dir)
     code = None
     digest = None
     if directory is not None:

@@ -12,7 +12,6 @@ faithful, the interpreter runs instead.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import repro.obs as obs
@@ -24,43 +23,22 @@ from repro.interp.codegen import (
 )
 from repro.interp.interpreter import Interpreter, RuntimeHooks
 from repro.ir.function import Module
+from repro.settings import SETTINGS, resolve
 
 # Read and cleared by perfbench/workloads.py::drop_exec_memos.
 from repro.interp.codegen import _MODULE_CACHE  # noqa: F401
 
 __all__ = [
     "EXEC_BACKENDS",
-    "EXEC_BACKEND_ENV",
     "CompileError",
     "create_executor",
-    "resolve_exec_backend",
 ]
 
-#: Environment knob consulted when no explicit backend is given (lets CI
-#: run the whole suite under the codegen backend).
-EXEC_BACKEND_ENV = "REPRO_EXEC_BACKEND"
-
-#: Supported execution backends.  Single source of truth: CLI choices
-#: and :class:`repro.api.AnalysisConfig` validation both derive from
-#: this tuple, so a backend added here is reachable from every surface.
-EXEC_BACKENDS = ("interp", "codegen")
-
-
-def resolve_exec_backend(backend: Optional[str] = None) -> str:
-    """Resolve an execution backend name.
-
-    Resolution order: explicit argument, then the ``REPRO_EXEC_BACKEND``
-    environment variable, then ``interp``.
-    """
-    if backend is None:
-        backend = os.environ.get(EXEC_BACKEND_ENV, "").strip() or None
-    if backend is None:
-        return "interp"
-    if backend not in EXEC_BACKENDS:
-        raise ValueError(
-            f"unknown exec backend {backend!r}; expected one of {EXEC_BACKENDS}"
-        )
-    return backend
+#: Supported execution backends.  Single source of truth: CLI choices,
+#: :class:`repro.api.AnalysisConfig` validation and the
+#: ``REPRO_EXEC_BACKEND`` row of :mod:`repro.settings` share this tuple,
+#: so a backend added there is reachable from every surface.
+EXEC_BACKENDS = SETTINGS["exec_backend"].choices
 
 
 def create_executor(
@@ -80,9 +58,14 @@ def create_executor(
     instruction and intrinsic metrics that generated code does not
     reproduce).  Loop/memory observers run on codegen's profiled
     lowering.  Everything else — including a module codegen rejects —
-    gets the tree-walking interpreter.
+    gets the tree-walking interpreter.  ``exec_backend=None`` defers to
+    ``REPRO_EXEC_BACKEND``, then ``interp``.
     """
-    backend = resolve_exec_backend(exec_backend)
+    backend = resolve("exec_backend", exec_backend)
+    if backend not in EXEC_BACKENDS:
+        raise ValueError(
+            f"unknown exec backend {backend!r}; expected one of {EXEC_BACKENDS}"
+        )
     ctx = obs.current()
     if backend == "codegen":
         if observers and any(o.wants_calls for o in observers):

@@ -45,12 +45,7 @@ from repro.obs.export import (
     render_export,
     render_openmetrics,
 )
-from repro.obs.ledger import (
-    LEDGER_DB_NAME,
-    LEDGER_DIR_ENV,
-    RunLedger,
-    resolve_ledger_dir,
-)
+from repro.obs.ledger import LEDGER_DB_NAME, RunLedger
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_SPAN, SpanRecord, Tracer
 
@@ -78,8 +73,6 @@ __all__ = [
     "render_openmetrics",
     "reset",
     "LEDGER_DB_NAME",
-    "LEDGER_DIR_ENV",
-    "resolve_ledger_dir",
 ]
 
 

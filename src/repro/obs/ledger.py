@@ -33,15 +33,10 @@ from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "LEDGER_DB_NAME",
-    "LEDGER_DIR_ENV",
     "RunLedger",
-    "resolve_ledger_dir",
 ]
 
 LEDGER_DB_NAME = "run-ledger.sqlite"
-
-#: Environment fallback for the ledger directory (CLI flag wins).
-LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
 
 #: v2: per-tier verdict counts (``tiers`` column) — pre-existing
 #: databases are migrated in place via ``ALTER TABLE ADD COLUMN``.
@@ -77,14 +72,6 @@ _ROW_FIELDS = (
     "schedule_executions", "executions_saved", "cache_hits", "cache_misses",
     "verdicts", "tiers", "stage_times", "extra",
 )
-
-
-def resolve_ledger_dir(explicit: Optional[str] = None) -> Optional[str]:
-    """The ledger directory to use: explicit setting, else environment."""
-    if explicit:
-        return explicit
-    env = os.environ.get(LEDGER_DIR_ENV, "").strip()
-    return env or None
 
 
 class RunLedger:

@@ -83,19 +83,10 @@ from repro.lang.errors import MiniCError
 from repro.obs.export import render_openmetrics
 from repro.obs.ledger import RunLedger
 from repro.obs.metrics import MetricsRegistry
+from repro.settings import SETTINGS, resolve
 
 __all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "DEFAULT_PRIORITY",
-    "DEFAULT_QUEUE_DEPTH",
-    "DEFAULT_WORKERS",
     "REQUEST_CONFIG_FIELDS",
-    "SERVE_HOST_ENV",
-    "SERVE_PORT_ENV",
-    "SERVE_PRIORITY_ENV",
-    "SERVE_QUEUE_DEPTH_ENV",
-    "SERVE_WORKERS_ENV",
     "AnalysisServer",
     "ServeConfig",
     "ServeClient",
@@ -104,18 +95,6 @@ __all__ = [
 ]
 
 # -- configuration ------------------------------------------------------------
-
-SERVE_HOST_ENV = "REPRO_SERVE_HOST"
-SERVE_PORT_ENV = "REPRO_SERVE_PORT"
-SERVE_QUEUE_DEPTH_ENV = "REPRO_SERVE_QUEUE_DEPTH"
-SERVE_WORKERS_ENV = "REPRO_SERVE_WORKERS"
-SERVE_PRIORITY_ENV = "REPRO_SERVE_PRIORITY"
-
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8421
-DEFAULT_QUEUE_DEPTH = 64
-DEFAULT_WORKERS = 4
-DEFAULT_PRIORITY = 10
 
 #: :class:`AnalysisConfig` fields a request body's ``config`` object may
 #: override.  Everything else — backend, jobs, exec backend, cache and
@@ -144,11 +123,11 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 class ServeConfig:
     """Resolved daemon knobs (see :func:`resolve_serve_config`)."""
 
-    host: str = DEFAULT_HOST
-    port: int = DEFAULT_PORT
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
-    workers: int = DEFAULT_WORKERS
-    default_priority: int = DEFAULT_PRIORITY
+    host: str = SETTINGS["serve_host"].default
+    port: int = SETTINGS["serve_port"].default
+    queue_depth: int = SETTINGS["serve_queue_depth"].default
+    workers: int = SETTINGS["serve_workers"].default
+    default_priority: int = SETTINGS["serve_priority"].default
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -159,16 +138,6 @@ class ServeConfig:
             raise ValueError(f"port out of range: {self.port}")
 
 
-def _env_int(environ, name: str) -> Optional[int]:
-    raw = environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def resolve_serve_config(
     host: Optional[str] = None,
     port: Optional[int] = None,
@@ -177,41 +146,16 @@ def resolve_serve_config(
     default_priority: Optional[int] = None,
     environ: Optional[Dict[str, str]] = None,
 ) -> ServeConfig:
-    """Resolve serve knobs with the repo-wide precedence convention.
-
-    Mirrors :func:`repro.core.schedule_engine.resolve_schedule_backend`
-    and :func:`repro.interp.compiler.resolve_exec_backend`: an explicit
-    argument (CLI flag) beats the environment variable, which beats the
-    built-in default.  Environment knobs: ``REPRO_SERVE_HOST``,
-    ``REPRO_SERVE_PORT``, ``REPRO_SERVE_QUEUE_DEPTH``,
-    ``REPRO_SERVE_WORKERS``, ``REPRO_SERVE_PRIORITY``.
-    """
-    import os
-
-    environ = os.environ if environ is None else environ
-    env_host = environ.get(SERVE_HOST_ENV)
-    if host is None:
-        host = env_host if env_host else DEFAULT_HOST
-    if port is None:
-        port = _env_int(environ, SERVE_PORT_ENV)
-        port = DEFAULT_PORT if port is None else port
-    if queue_depth is None:
-        queue_depth = _env_int(environ, SERVE_QUEUE_DEPTH_ENV)
-        queue_depth = DEFAULT_QUEUE_DEPTH if queue_depth is None else queue_depth
-    if workers is None:
-        workers = _env_int(environ, SERVE_WORKERS_ENV)
-        workers = DEFAULT_WORKERS if workers is None else workers
-    if default_priority is None:
-        default_priority = _env_int(environ, SERVE_PRIORITY_ENV)
-        default_priority = (
-            DEFAULT_PRIORITY if default_priority is None else default_priority
-        )
+    """Serve knobs: each explicit argument (CLI flag) beats its
+    environment variable (the ``serve_*`` rows of
+    :mod:`repro.settings`), which beats the default.  ``environ``
+    replaces the process environment (for tests)."""
     return ServeConfig(
-        host=host,
-        port=int(port),
-        queue_depth=int(queue_depth),
-        workers=int(workers),
-        default_priority=int(default_priority),
+        host=resolve("serve_host", host, environ),
+        port=resolve("serve_port", port, environ),
+        queue_depth=resolve("serve_queue_depth", queue_depth, environ),
+        workers=resolve("serve_workers", workers, environ),
+        default_priority=resolve("serve_priority", default_priority, environ),
     )
 
 
@@ -296,13 +240,9 @@ class AnalysisServer:
         # Shared warm state: one rw cache handle for the process.  The
         # store is multi-thread safe (see cache/store.py); sessions
         # borrow it and never close it.
-        if self.base.cache_mode == "off":
-            self._cache = None
-        else:
-            self._cache = open_cache(
-                self.base.resolved_cache_dir(), mode=self.base.cache_mode
-            )
-        self._ledger_dir = self.base.resolved_ledger_dir()
+        resolved = self.base.resolved()
+        self._cache = open_cache(resolved.cache_dir, mode=self.base.cache_mode)
+        self._ledger_dir = resolved.ledger_dir
         # Per-request session config: ledger rows are recorded by the
         # server itself (kind="serve-*"), never by inner sessions; a
         # disabled server cache disables per-request opens too.
@@ -354,11 +294,13 @@ class AnalysisServer:
         self._shutdown = asyncio.Event()
         self._started_at = time.time()
 
-        backend, jobs = self.base.resolved_backend()
-        if backend == "process":
+        resolved = self.base.resolved()
+        if resolved.backend == "process":
             # Pre-fork the shared engine pool so the first request does
             # not pay the fork+import bill.
-            await self._loop.run_in_executor(None, warm_shared_pool, jobs)
+            await self._loop.run_in_executor(
+                None, warm_shared_pool, resolved.jobs
+            )
 
         workers = [
             asyncio.create_task(self._worker())
@@ -1002,8 +944,8 @@ class ServeClient:
         parts = urlsplit(url if "//" in url else f"http://{url}")
         if parts.scheme not in ("", "http"):
             raise ValueError(f"only http:// URLs are supported: {url!r}")
-        self.host = parts.hostname or DEFAULT_HOST
-        self.port = parts.port or DEFAULT_PORT
+        self.host = parts.hostname or ServeConfig.host
+        self.port = parts.port or ServeConfig.port
         self.timeout = timeout
 
     def _connection(self):

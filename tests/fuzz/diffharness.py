@@ -51,7 +51,7 @@ from repro.analysis.commutativity import (
     StaticCommutativityAnalysis,
 )
 from repro.analysis.dynamic_deps import DynamicDepProfiler
-from repro.analysis.specs import default_registry, registry_from_env
+from repro.analysis.specs import default_registry
 from repro.cache import AnalysisCache
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import (
@@ -71,6 +71,7 @@ from repro.interp import (
     ProfiledCodegenExecutor,
     create_executor,
 )
+from repro.settings import resolve
 
 from fuzzgen import generate_program
 
@@ -183,7 +184,8 @@ def differential_check(
     # above did (REPRO_SPECS), so the agreement check compares the two
     # stages under one verification semantics.
     static = StaticCommutativityAnalysis(
-        compile_program(source), specs=registry_from_env()
+        compile_program(source),
+        specs=default_registry() if resolve("specs") else None,
     ).analyze()
     for label, verdict in static.items():
         if not verdict.is_proven or label not in serial.results:
@@ -501,9 +503,12 @@ def tier_map(source: str) -> Dict[str, Dict[str, object]]:
 
 
 def verdict_map(source: str) -> Dict[str, str]:
-    """Per-loop dynamic verdicts (static filter off) — corpus goldens."""
+    """Per-loop dynamic verdicts (static filter off, specs off) — corpus
+    goldens.  Specs are pinned off because specs legitimately flip bag
+    loops to commutative; the differential harness still runs every
+    corpus program under the ambient ``REPRO_SPECS``."""
     report = DcaAnalyzer(
         compile_program(source), static_filter=False, clock=_zero,
-        backend="serial",
+        backend="serial", specs=False,
     ).analyze()
     return {label: report.results[label].verdict for label in sorted(report.results)}

@@ -17,7 +17,7 @@ import pytest
 import repro.obs as obs
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.core.schedule_engine import resolve_schedule_backend
-from repro.interp.compiler import resolve_exec_backend
+from repro.settings import resolve
 
 PROGRAM = """
 func void main() {
@@ -168,28 +168,30 @@ def test_explicit_exec_backend_beats_env(monkeypatch):
 
     for env_choice in EXEC_BACKENDS:
         monkeypatch.setenv("REPRO_EXEC_BACKEND", env_choice)
-        assert resolve_exec_backend(None) == env_choice
+        assert resolve("exec_backend") == env_choice
         for explicit in EXEC_BACKENDS:
-            assert resolve_exec_backend(explicit) == explicit
+            assert resolve("exec_backend", explicit) == explicit
+            config = AnalysisConfig(exec_backend=explicit).resolved()
+            assert config.exec_backend == explicit
 
 
 def test_config_resolution_uses_precedence(monkeypatch):
     monkeypatch.setenv("REPRO_SCHEDULE_BACKEND", "serial")
     monkeypatch.setenv("REPRO_EXEC_BACKEND", "codegen")
-    config = AnalysisConfig(jobs=2, exec_backend="interp")
-    assert config.resolved_backend() == ("process", 2)
-    assert config.resolved_exec_backend() == "interp"
-    assert AnalysisConfig().resolved_exec_backend() == "codegen"
+    config = AnalysisConfig(jobs=2, exec_backend="interp").resolved()
+    assert (config.backend, config.jobs) == ("process", 2)
+    assert config.exec_backend == "interp"
+    assert AnalysisConfig().resolved().exec_backend == "codegen"
     monkeypatch.setenv("REPRO_EXEC_BACKEND", "interp")
     assert AnalysisConfig(
         exec_backend="codegen"
-    ).resolved_exec_backend() == "codegen"
+    ).resolved().exec_backend == "codegen"
 
 
 def test_cache_mode_off_ignores_env_dir(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert AnalysisConfig().resolved_cache_dir() == str(tmp_path)
-    assert AnalysisConfig(cache_mode="off").resolved_cache_dir() is None
+    assert AnalysisConfig().resolved().cache_dir == str(tmp_path)
+    assert AnalysisConfig(cache_mode="off").resolved().cache_dir is None
 
 
 def test_cli_backend_flag_beats_env(monkeypatch, capsys):

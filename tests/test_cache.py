@@ -13,12 +13,13 @@ import sqlite3
 import pytest
 
 from repro.api import AnalysisConfig, AnalysisSession
-from repro.cache import AnalysisCache, open_cache, resolve_cache_dir
+from repro.cache import AnalysisCache, open_cache
 from repro.cache.keys import SEMANTICS_VERSION
 from repro.cache.store import CACHE_DB_NAME
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import DECIDED_CACHE, DECIDED_DYNAMIC
 from repro.driver import compile_program
+from repro.settings import resolve
 
 PROGRAM = """
 func void main() {
@@ -150,10 +151,10 @@ def test_semantics_version_purge(tmp_path):
 
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert resolve_cache_dir(None) is None
+    assert resolve("cache_dir") is None
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-    assert resolve_cache_dir(None) == str(tmp_path / "env")
-    assert resolve_cache_dir(str(tmp_path / "flag")) == str(tmp_path / "flag")
+    assert resolve("cache_dir") == str(tmp_path / "env")
+    assert resolve("cache_dir", str(tmp_path / "flag")) == str(tmp_path / "flag")
     assert open_cache(None, mode="off") is None
 
 

@@ -30,7 +30,6 @@ from repro.interp import (
     compile_module_codegen,
     create_executor,
     module_digest,
-    resolve_exec_backend,
 )
 from repro.interp.codegen import (
     _MODULE_CACHE,
@@ -39,12 +38,14 @@ from repro.interp.codegen import (
     _artifact_path,
     codegen_source,
     codegen_stats,
-    resolve_codegen_cache_dir,
 )
-from repro.interp.compiler import EXEC_BACKEND_ENV, EXEC_BACKENDS
+from repro.interp.compiler import EXEC_BACKENDS
 from repro.interp.events import Observer
 from repro.interp.interpreter import RuntimeHooks
 from repro.interp.profiler import Profiler
+from repro.settings import SETTINGS, resolve
+
+EXEC_BACKEND_ENV = SETTINGS["exec_backend"].env
 
 CORPUS = sorted(
     glob.glob(
@@ -321,18 +322,18 @@ def test_codegen_in_exec_backends():
 
 def test_resolve_exec_backend_codegen(monkeypatch):
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
-    assert resolve_exec_backend(None) == "interp"
-    assert resolve_exec_backend("codegen") == "codegen"
+    assert resolve("exec_backend") == "interp"
+    assert resolve("exec_backend", "codegen") == "codegen"
     monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
-    assert resolve_exec_backend(None) == "codegen"
+    assert resolve("exec_backend") == "codegen"
     # Explicit flag beats the env var for every backend.
     for explicit in EXEC_BACKENDS:
-        assert resolve_exec_backend(explicit) == explicit
+        assert resolve("exec_backend", explicit) == explicit
     with pytest.raises(ValueError):
-        resolve_exec_backend("jit")
+        create_executor(_fresh(SRC), exec_backend="jit")
     monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
     with pytest.raises(ValueError):
-        resolve_exec_backend(None)
+        resolve("exec_backend")
 
 
 def test_compiled_backend_is_unknown(monkeypatch, capsys):
@@ -342,12 +343,13 @@ def test_compiled_backend_is_unknown(monkeypatch, capsys):
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
     with pytest.raises(ValueError, match=r"unknown exec backend 'compiled'; "
                        r"expected one of \('interp', 'codegen'\)"):
-        resolve_exec_backend(removed)
+        create_executor(_fresh(SRC), exec_backend=removed)
     with pytest.raises(ValueError, match="unknown exec backend 'compiled'"):
         AnalysisConfig(exec_backend=removed)
     monkeypatch.setenv(EXEC_BACKEND_ENV, removed)
-    with pytest.raises(ValueError, match="unknown exec backend 'compiled'"):
-        resolve_exec_backend(None)
+    with pytest.raises(ValueError, match="REPRO_EXEC_BACKEND must be one of "
+                       "interp, codegen, got 'compiled'"):
+        resolve("exec_backend")
     monkeypatch.delenv(EXEC_BACKEND_ENV)
     with pytest.raises(SystemExit) as exc:
         cli_main(["analyze", "examples/array_map.mc",
@@ -459,17 +461,17 @@ def test_disk_cache_cold_then_warm(tmp_path):
 
 def test_disk_cache_env_resolution(tmp_path, monkeypatch):
     monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path / "fromenv"))
-    assert resolve_codegen_cache_dir(None) == str(tmp_path / "fromenv")
+    assert resolve("codegen_cache_dir") == str(tmp_path / "fromenv")
     # Explicit argument beats the env; empty string disables.
-    assert resolve_codegen_cache_dir(str(tmp_path / "arg")) == str(
+    assert resolve("codegen_cache_dir", str(tmp_path / "arg")) == str(
         tmp_path / "arg"
     )
-    assert resolve_codegen_cache_dir("") is None
+    assert resolve("codegen_cache_dir", "") is None
     monkeypatch.delenv(CODEGEN_CACHE_ENV, raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "base"))
-    assert resolve_codegen_cache_dir(None) == str(tmp_path / "base" / "codegen")
+    assert resolve("codegen_cache_dir") == str(tmp_path / "base" / "codegen")
     monkeypatch.setenv("REPRO_CACHE_DIR", "")
-    assert resolve_codegen_cache_dir(None) is None
+    assert resolve("codegen_cache_dir") is None
 
 
 TAMPERS = ["flip-payload", "truncate", "garbage", "wrong-magic"]

@@ -18,17 +18,19 @@ from repro.interp import (
     MiniCRuntimeError,
     ProfiledCodegenExecutor,
     create_executor,
-    resolve_exec_backend,
 )
-from repro.interp.compiler import EXEC_BACKEND_ENV, EXEC_BACKENDS
+from repro.interp.compiler import EXEC_BACKENDS
 from repro.interp.events import Observer
 from repro.interp.profiler import Profiler
+from repro.settings import SETTINGS, resolve
 
 from test_codegen import FAULT_PROGRAMS
 
 #: The executor class each backend name must select when nothing forces
 #: a fallback.
 EXPECTED_EXECUTOR = {"interp": Interpreter, "codegen": CodegenExecutor}
+
+EXEC_BACKEND_ENV = SETTINGS["exec_backend"].env
 
 
 def _zero():
@@ -159,22 +161,25 @@ def test_missing_entry_and_arity_messages():
 
 
 def test_resolve_exec_backend_explicit_env_default(monkeypatch):
+    module = compile_program("func int main() { return 1; }")
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
-    assert resolve_exec_backend(None) == "interp"
+    assert resolve("exec_backend") == "interp"
     for backend in EXEC_BACKENDS:
-        assert resolve_exec_backend(backend) == backend
+        assert resolve("exec_backend", backend) == backend
         monkeypatch.setenv(EXEC_BACKEND_ENV, backend)
-        assert resolve_exec_backend(None) == backend
+        assert resolve("exec_backend") == backend
         # An explicit name beats the environment.
         for explicit in EXEC_BACKENDS:
-            assert resolve_exec_backend(explicit) == explicit
+            assert resolve("exec_backend", explicit) == explicit
     monkeypatch.setenv(EXEC_BACKEND_ENV, "  ")
-    assert resolve_exec_backend(None) == "interp"
+    assert resolve("exec_backend") == "interp"
     with pytest.raises(ValueError):
-        resolve_exec_backend("jit")
+        create_executor(module, exec_backend="jit")
     monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
-    with pytest.raises(ValueError):
-        resolve_exec_backend(None)
+    with pytest.raises(ValueError, match=EXEC_BACKEND_ENV):
+        resolve("exec_backend")
+    with pytest.raises(ValueError, match=EXEC_BACKEND_ENV):
+        create_executor(module)
 
 
 def test_create_executor_backend_and_fallback(monkeypatch):

@@ -10,11 +10,10 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.ledger import (
-    LEDGER_DIR_ENV,
-    RunLedger,
-    resolve_ledger_dir,
-)
+from repro.obs.ledger import RunLedger
+from repro.settings import SETTINGS, resolve
+
+LEDGER_DIR_ENV = SETTINGS["ledger_dir"].env
 
 PROGRAM = """
 func void main() {
@@ -94,11 +93,16 @@ def test_ledger_persists_across_handles(tmp_path):
 
 
 def test_resolve_ledger_dir_precedence(tmp_path, monkeypatch):
+    from repro.api import AnalysisConfig
+
     monkeypatch.delenv(LEDGER_DIR_ENV, raising=False)
-    assert resolve_ledger_dir(None) is None
+    assert resolve("ledger_dir") is None
+    assert AnalysisConfig().resolved().ledger_dir is None
     monkeypatch.setenv(LEDGER_DIR_ENV, str(tmp_path))
-    assert resolve_ledger_dir(None) == str(tmp_path)
-    assert resolve_ledger_dir("/explicit") == "/explicit"
+    assert resolve("ledger_dir") == str(tmp_path)
+    assert AnalysisConfig().resolved().ledger_dir == str(tmp_path)
+    assert resolve("ledger_dir", "/explicit") == "/explicit"
+    assert AnalysisConfig(ledger_dir="off").resolved().ledger_dir is None
 
 
 # -- trends and regressions ----------------------------------------------------

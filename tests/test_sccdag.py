@@ -27,7 +27,6 @@ from repro.analysis.sccdag import (
     ParallelismTier,
     build_sccdag,
     partition_stages,
-    resolve_tiering,
     stage_shapes,
     tier_display,
 )
@@ -40,6 +39,7 @@ from repro.parallel.machine import (
     parallel_invocation_time,
     pipeline_invocation_time,
 )
+from repro.settings import resolve
 
 
 def zero() -> float:
@@ -269,21 +269,24 @@ def test_pipeline_empty_costs():
 
 def test_resolve_tiering_default_off(monkeypatch):
     monkeypatch.delenv("REPRO_TIERING", raising=False)
-    assert resolve_tiering(None) is False
+    assert resolve("tiering") is False
+    assert DcaAnalyzer(compile_program(CURSOR)).tiering is False
 
 
 def test_resolve_tiering_env(monkeypatch):
     monkeypatch.setenv("REPRO_TIERING", "1")
-    assert resolve_tiering(None) is True
+    assert resolve("tiering") is True
+    assert DcaAnalyzer(compile_program(CURSOR)).tiering is True
     monkeypatch.setenv("REPRO_TIERING", "off")
-    assert resolve_tiering(None) is False
+    assert resolve("tiering") is False
 
 
 def test_resolve_tiering_explicit_beats_env(monkeypatch):
     monkeypatch.setenv("REPRO_TIERING", "1")
-    assert resolve_tiering(False) is False
+    assert resolve("tiering", False) is False
+    assert DcaAnalyzer(compile_program(CURSOR), tiering=False).tiering is False
     monkeypatch.delenv("REPRO_TIERING")
-    assert resolve_tiering(True) is True
+    assert resolve("tiering", True) is True
 
 
 def test_parallelism_tier_enum_values():
@@ -394,11 +397,11 @@ def test_tiered_report_serializes_schema_2():
     verdict = loop["verdict"]
     assert verdict["value"] == "non-commutative"
     assert verdict["tier"] == TIER_PIPELINE
-    assert verdict["decided_by"] == loop["decided_by"]
+    assert verdict["decided_by"] == "dynamic"
     assert isinstance(verdict["used_specs"], bool)
-    # Deprecated flat aliases survive for one release.
-    assert "is_commutative" in loop
-    assert "decided_by" in loop
+    # The flat schema-1 aliases are gone from schema 2.
+    assert "is_commutative" not in loop
+    assert "decided_by" not in loop
 
 
 def test_untiered_report_has_no_schema_marker():

@@ -16,22 +16,19 @@ from repro.api import AnalysisConfig
 from repro.obs.export import parse_openmetrics
 from repro.obs.ledger import RunLedger
 from repro.serve import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    DEFAULT_PRIORITY,
-    DEFAULT_QUEUE_DEPTH,
-    DEFAULT_WORKERS,
-    SERVE_HOST_ENV,
-    SERVE_PORT_ENV,
-    SERVE_PRIORITY_ENV,
-    SERVE_QUEUE_DEPTH_ENV,
-    SERVE_WORKERS_ENV,
     AnalysisServer,
     ServeClient,
     ServeConfig,
     resolve_serve_config,
     serving,
 )
+from repro.settings import SETTINGS
+
+SERVE_HOST_ENV = SETTINGS["serve_host"].env
+SERVE_PORT_ENV = SETTINGS["serve_port"].env
+SERVE_QUEUE_DEPTH_ENV = SETTINGS["serve_queue_depth"].env
+SERVE_WORKERS_ENV = SETTINGS["serve_workers"].env
+SERVE_PRIORITY_ENV = SETTINGS["serve_priority"].env
 
 GOOD = """
 func void main() {
@@ -67,12 +64,12 @@ BROKEN = "func void main( {"
 class TestResolveServeConfig:
     def test_defaults(self):
         cfg = resolve_serve_config(environ={})
-        assert cfg == ServeConfig(
-            host=DEFAULT_HOST,
-            port=DEFAULT_PORT,
-            queue_depth=DEFAULT_QUEUE_DEPTH,
-            workers=DEFAULT_WORKERS,
-            default_priority=DEFAULT_PRIORITY,
+        assert cfg == ServeConfig() == ServeConfig(
+            host="127.0.0.1",
+            port=8421,
+            queue_depth=64,
+            workers=4,
+            default_priority=10,
         )
 
     def test_env_beats_default(self):
@@ -114,7 +111,7 @@ class TestResolveServeConfig:
 
     def test_empty_env_value_means_default(self):
         cfg = resolve_serve_config(environ={SERVE_PORT_ENV: ""})
-        assert cfg.port == DEFAULT_PORT
+        assert cfg.port == 8421
 
     def test_non_integer_env_rejected(self):
         with pytest.raises(ValueError, match="REPRO_SERVE_PORT"):
@@ -552,8 +549,10 @@ class TestLocalFailFast:
 
         (tmp_path / "a_bad.mc").write_text(BROKEN)
         (tmp_path / "b_good.mc").write_text(GOOD)
+        # Pinned serial: under REPRO_SCHEDULE_BACKEND=process both
+        # programs are in flight before the first one fails.
         result = run_batch(
-            AnalysisConfig(cache_mode="off"),
+            AnalysisConfig(cache_mode="off", backend="serial"),
             paths=[str(tmp_path)],
             fail_fast=True,
         )
@@ -597,7 +596,8 @@ class TestLocalFailFast:
         (tmp_path / "a_bad.mc").write_text(BROKEN)
         (tmp_path / "b_good.mc").write_text(GOOD)
         code = main(
-            ["batch", str(tmp_path), "--fail-fast", "--no-cache"]
+            ["batch", str(tmp_path), "--fail-fast", "--no-cache",
+             "--backend", "serial"]
         )
         out = capsys.readouterr().out
         assert code == 1

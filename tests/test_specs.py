@@ -21,12 +21,11 @@ from repro.analysis.specs import (
     chain_insert_spec,
     check_annotations,
     default_registry,
-    registry_from_env,
-    specs_env_enabled,
 )
 from repro.core.dca import DcaAnalyzer
 from repro.core.liveout import Snapshot, canonicalize_snapshot
 from repro.core.report import DECIDED_STATIC_SPECS
+from repro.settings import resolve
 
 
 def _zero() -> float:
@@ -110,16 +109,18 @@ func void main() {
 
 
 def test_registry_from_env(monkeypatch):
+    module = compile_program("func void main() { print(1); }")
     monkeypatch.delenv("REPRO_SPECS", raising=False)
-    assert specs_env_enabled() is None
-    assert registry_from_env() is None
-    for falsy in ("", "0", "false", "no", "off"):
+    assert resolve("specs") is False
+    assert DcaAnalyzer(module).specs is None
+    for falsy in ("", "0", "false", "no", "off", " OFF "):
         monkeypatch.setenv("REPRO_SPECS", falsy)
-        assert specs_env_enabled() is False
-        assert registry_from_env() is None
+        assert resolve("specs") is False
+        assert DcaAnalyzer(module).specs is None
     monkeypatch.setenv("REPRO_SPECS", "1")
-    assert specs_env_enabled() is True
-    assert registry_from_env().digest() == default_registry().digest()
+    assert resolve("specs") is True
+    assert DcaAnalyzer(module).specs.digest() == default_registry().digest()
+    assert DcaAnalyzer(module, specs=False).specs is None
 
 
 # ---------------------------------------------------------------------------
