@@ -2,14 +2,14 @@
 
 Every instrumentation site in the pipeline guards on the observability
 context's ``enabled`` flag (or receives the shared no-op span), so a
-disabled context should cost one attribute check on the interpreter's
-hot path.  This harness verifies that claim empirically on a PLDS
-subset:
+disabled context should cost one attribute check on the execution hot
+path.  This harness verifies that claim empirically on a PLDS subset:
 
-* **baseline** — the interpreter with the hooks surgically removed
-  (``_exec_intrinsic`` without the tally guard, ``run`` without the
-  flush wrapper), i.e. the pre-observability interpreter;
-* **disabled** — the shipped interpreter with observability off (the
+* **baseline** — the pipeline with the per-execution hooks surgically
+  removed (``DcaRuntime.handle_intrinsic`` without the intrinsic tally
+  guard, ``Interpreter.run`` and ``CodegenExecutor.run`` without the
+  ``counted_run`` call), i.e. the pre-observability executors;
+* **disabled** — the shipped pipeline with observability off (the
   default for every user who never asks for a trace).
 
 Wall time is noisy under CI, so the comparison is paired min-of-N with
@@ -29,6 +29,9 @@ from conftest import format_table
 import repro.obs as obs
 from repro.benchsuite import PLDS_BENCHMARKS
 from repro.core import DcaAnalyzer
+from repro.core.instrument import RT_GET, RT_NEXT, RT_PERMUTE, RT_RECORD, RT_VERIFY
+from repro.core.runtime import DcaRuntime
+from repro.interp.codegen import CodegenExecutor
 from repro.interp.interpreter import Interpreter
 from repro.interp.values import MiniCRuntimeError
 
@@ -41,23 +44,43 @@ REPS_PER_ROUND = 3
 MAX_ROUNDS = 5
 
 
-def _no_hook_exec_intrinsic(self, instr, frame):
-    """``Interpreter._exec_intrinsic`` without the obs tally guard."""
-    args = [self._value(a, frame) for a in instr.args]
-    if self.runtime is None:
-        raise MiniCRuntimeError(
-            f"intrinsic {instr.func!r} executed without a runtime"
-        )
-    result = self.runtime.handle_intrinsic(self, instr.func, args)
-    if instr.dest is not None:
-        frame[instr.dest] = result
+def _no_hook_handle_intrinsic(self, interp, name, args):
+    """``DcaRuntime.handle_intrinsic`` without the obs tally guard."""
+    label = args[0]
+    if name == RT_GET:
+        return self._get(label, args[1])
+    if name == RT_NEXT:
+        return self._next(label)
+    if name == RT_RECORD:
+        self._record(label, tuple(args[1:]))
+        return None
+    if name == RT_PERMUTE:
+        self._permute(label)
+        return None
+    if name == RT_VERIFY:
+        self._verify(interp, label, args[1:])
+        return None
+    raise MiniCRuntimeError(f"unknown DCA intrinsic {name!r}")
 
 
 def _no_hook_run(self, entry="main", args=None):
-    """``Interpreter.run`` without the obs flush wrapper."""
+    """``Interpreter.run`` without the ``counted_run`` call."""
     if entry not in self.module.functions:
         raise MiniCRuntimeError(f"no function named {entry!r}")
     return self._call_function(entry, list(args or []))
+
+
+def _no_hook_codegen_run(self, entry="main", args=None):
+    """``CodegenExecutor.run`` without the ``counted_run`` call."""
+    cf = self.program.functions.get(entry)
+    if cf is None:
+        raise MiniCRuntimeError(f"no function named {entry!r}")
+    args = list(args or [])
+    if len(args) != cf.nparams:
+        raise MiniCRuntimeError(
+            f"{entry} expects {cf.nparams} args, got {len(args)}"
+        )
+    return cf.pyfunc(self, *args)
 
 
 def _subset():
@@ -90,11 +113,14 @@ def test_disabled_obs_overhead(benchmark, capsys, monkeypatch):
     modules = {b.name: b.compile(fresh=True) for b in benches}
 
     def measure_round():
-        # Paired: baseline (hooks stripped) vs shipped interpreter,
+        # Paired: baseline (hooks stripped) vs shipped executors,
         # interleaved so drift hits both sides alike.
         with monkeypatch.context() as patch:
-            patch.setattr(Interpreter, "_exec_intrinsic", _no_hook_exec_intrinsic)
+            patch.setattr(
+                DcaRuntime, "handle_intrinsic", _no_hook_handle_intrinsic
+            )
             patch.setattr(Interpreter, "run", _no_hook_run)
+            patch.setattr(CodegenExecutor, "run", _no_hook_codegen_run)
             baseline = _min_of(REPS_PER_ROUND, lambda: _analyze_all(benches, modules))
         disabled = _min_of(REPS_PER_ROUND, lambda: _analyze_all(benches, modules))
         return baseline, disabled

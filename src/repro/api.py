@@ -3,7 +3,7 @@
 This module is the **single construction point** for analyses: one
 frozen :class:`AnalysisConfig` value object captures every knob the
 pipeline accepts (schedules, seeds, tolerance, live-out policy, static
-filter, schedule/exec backends, jobs, observability, cache policy), and
+filter, schedule/exec backends, jobs, cache and ledger policy), and
 one :class:`AnalysisSession` facade drives the four entry points —
 ``analyze``, ``detect``, ``profile``, ``batch`` — over it.  The CLI is
 a thin adapter on top of this module; scattered kwargs and ad-hoc
@@ -91,11 +91,10 @@ class AnalysisConfig:
     #: None defers to the environment, then the defaults.
     backend: Optional[str] = None
     jobs: Optional[int] = None
-    #: Execution backend for observer-free runs (one of
-    #: :data:`repro.interp.compiler.EXEC_BACKENDS`).
+    #: Execution backend (one of
+    #: :data:`repro.interp.compiler.EXEC_BACKENDS`); runs that need
+    #: call events or the cost profiler always interpret.
     exec_backend: Optional[str] = None
-    #: Record spans/metrics/events during session operations.
-    obs: bool = False
     #: Persistent cache directory (None defers to ``REPRO_CACHE_DIR``,
     #: then disabled) and mode ("rw", "ro", "refresh", or "off").
     cache_dir: Optional[str] = None
@@ -314,16 +313,7 @@ class AnalysisSession:
             program=source_path or "<inline>",
             fingerprint=self.config.fingerprint(),
             wall_ms=sum(report.stage_times_ms.values()),
-            schedule_executions=report.schedule_executions,
-            executions_saved=(
-                report.static_schedules_saved
-                + report.cache.schedule_executions_avoided
-            ),
-            cache_hits=report.cache.hits,
-            cache_misses=report.cache.misses,
-            verdicts=report.verdict_counts(),
-            tiers=report.tier_counts() if report.tiering else {},
-            stage_times=report.stage_times_ms,
+            **report.ledger_columns(),
         )
 
     def __enter__(self) -> "AnalysisSession":
@@ -431,7 +421,9 @@ class AnalysisSession:
 
         Returns ``(report, obs_context)``.  If the process-local
         observability context is not already enabled, a fresh enabled
-        context is installed; the caller owns disabling it.
+        context is installed; the caller owns disabling it.  The
+        configured exec backend runs exactly as it would untraced, so
+        the spans time the program an ``analyze`` call runs.
         """
         ctx = obs.current()
         if not ctx.enabled:

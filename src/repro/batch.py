@@ -21,10 +21,11 @@ runs the full DCA pipeline over every program:
 * **Streaming**: ``on_result`` is invoked with each
   :class:`ProgramOutcome` as it completes (completion order); the final
   :class:`CorpusResult` lists outcomes in corpus order regardless.
-* **Observability**: with ``config.obs`` set and an enabled context on
-  the coordinator, worker span/metric/event payloads are absorbed into
-  the coordinator's trace, one lane per program, yielding a single
-  merged Chrome trace for the whole corpus.
+* **Observability**: when the coordinator's obs context is enabled,
+  pool workers record into a private context and ship its
+  span/metric/event payload back; the coordinator absorbs it, one lane
+  per program, yielding a single merged Chrome trace for the whole
+  corpus.
 * **Caching**: each worker opens the configured persistent cache
   itself (sqlite in WAL mode tolerates the concurrent writers), so a
   re-run of the same corpus is served from cache across the pool.
@@ -320,34 +321,17 @@ def analyze_program_spec(
     finally:
         outcome.wall_ms = (time.perf_counter() - start) * 1000.0
         if ctx is not None:
-            outcome.obs = {
-                "pid": os.getpid(),
-                "spans": [
-                    {
-                        "name": rec.name,
-                        "args": dict(rec.args),
-                        "path": list(rec.path),
-                        "start_us": rec.start_us,
-                        "dur_us": rec.dur_us,
-                        "depth": rec.depth,
-                        "parent": rec.parent,
-                        "sid": rec.sid,
-                    }
-                    for rec in ctx.tracer.spans
-                ],
-                "metrics": ctx.metrics.to_dict(),
-                "events": [e.to_dict() for e in ctx.events.events],
-            }
+            outcome.obs = ctx.payload()
             obs.disable()
     return outcome
 
 
-def _run_in_worker(config, spec: ProgramSpec, index: int) -> ProgramOutcome:
+def _run_in_worker(
+    config, spec: ProgramSpec, index: int, ship_obs: bool
+) -> ProgramOutcome:
     """Pool-worker entry point: serial analysis, no nested pools."""
     worker_config = config.replace(backend="serial", jobs=None)
-    return analyze_program_spec(
-        worker_config, spec, index, ship_obs=config.obs
-    )
+    return analyze_program_spec(worker_config, spec, index, ship_obs=ship_obs)
 
 
 def _lost_outcome(spec: ProgramSpec, index: int, error: str) -> ProgramOutcome:
@@ -521,13 +505,13 @@ def _run_pooled(
     def submit(index: int) -> None:
         try:
             fut = _shared_pool(jobs).submit(
-                _run_in_worker, config, specs[index], index
+                _run_in_worker, config, specs[index], index, ctx.enabled
             )
         except BrokenProcessPool:
             _discard_pool(jobs)
             ctx.count("batch.pool_rebuilds")
             fut = _shared_pool(jobs).submit(
-                _run_in_worker, config, specs[index], index
+                _run_in_worker, config, specs[index], index, ctx.enabled
             )
         future_map[fut] = index
 
@@ -538,7 +522,7 @@ def _run_pooled(
         pool = ProcessPoolExecutor(max_workers=1, mp_context=_mp_context())
         try:
             return pool.submit(
-                _run_in_worker, config, specs[index], index
+                _run_in_worker, config, specs[index], index, ctx.enabled
             ).result()
         except BrokenProcessPool:
             return _lost_outcome(

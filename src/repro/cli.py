@@ -18,8 +18,8 @@ strict|eventual``, ``--cores N`` (adds a simulated speedup to analyze),
 the static pre-screen and run every loop dynamically), ``--backend
 serial|process`` / ``--jobs N`` (fan schedule executions out to worker
 processes; ``--jobs N`` alone implies the process backend),
-``--exec-backend interp|codegen`` (Python-source-compile observer-free
-executions instead of tree-walking them; env ``REPRO_EXEC_BACKEND``).
+``--exec-backend interp|codegen`` (Python-source-compile executions
+instead of tree-walking them, traced or not; env ``REPRO_EXEC_BACKEND``).
 
 Flags always beat the matching ``REPRO_*`` environment variables (see
 :mod:`repro.settings` for every variable and the precedence order).
@@ -321,7 +321,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     ctx = None
     if args.trace:
         ctx = obs.enable()
-        config = config.replace(obs=True)
     jsonl_handle = open(args.jsonl, "w") if args.jsonl else None
 
     def stream(outcome) -> None:
@@ -697,9 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
         # flag must never accept less than REPRO_EXEC_BACKEND does.
         p.add_argument("--exec-backend", choices=EXEC_BACKENDS,
                        default=None, dest="exec_backend",
-                       help="execution backend for observer-free runs: "
-                            "tree-walking interpreter or Python-source "
-                            "codegen "
+                       help="execution backend: tree-walking "
+                            "interpreter or Python-source codegen; "
+                            "traced runs use it too "
                             f"(default: interp, or {env('exec_backend')})")
 
     def specs_flags(p: argparse.ArgumentParser) -> None:

@@ -187,8 +187,8 @@ class DcaAnalyzer:
         #: golden and schedule replays: ``interp`` or ``codegen`` (see
         #: :mod:`repro.interp.compiler` and the ``REPRO_EXEC_BACKEND``
         #: environment fallback).  The profiling run takes codegen's
-        #: profiled lowering under ``codegen``; everything runs on the
-        #: interpreter when the observability context is enabled.
+        #: profiled lowering under ``codegen``, with or without an
+        #: enabled observability context.
         self.exec_backend = resolve("exec_backend", exec_backend)
         #: Testing hook: ``{(loop label, schedule name): fault style}``
         #: fires the named fault inside that schedule's execution.
@@ -306,7 +306,6 @@ class DcaAnalyzer:
             observers=[profiler],
             max_steps=self.max_steps,
             exec_backend=self.exec_backend,
-            obs_enabled=self._obs.enabled,
         )
         executor.run(self.entry, self.args)
         report.executions += 1
@@ -502,7 +501,6 @@ class DcaAnalyzer:
                 runtime=golden_rt,
                 max_steps=self.max_steps,
                 exec_backend=self.exec_backend,
-                obs_enabled=self._obs.enabled,
             )
             entry_result = interp.run(self.entry, self.args)
             report.executions += 1

@@ -343,8 +343,8 @@ class DcaReport:
     #: across backends, and these fields would break that.
     backend: str = "serial"
     jobs: int = 1
-    #: Which execution backend ran the observer-free executions
-    #: (``interp`` or ``codegen``).  Same contract: never serialized —
+    #: Which execution backend the analysis asked for (``interp`` or
+    #: ``codegen``).  Same contract: never serialized —
     #: codegen and interpreted reports must stay byte-identical.
     exec_backend: str = "interp"
     #: Persistent-cache accounting for this run.  Same contract: never
@@ -377,6 +377,23 @@ class DcaReport:
             if result.tier is not None:
                 counts[result.tier] = counts.get(result.tier, 0) + 1
         return counts
+
+    def ledger_columns(self) -> Dict[str, object]:
+        """This report's columns of one run-ledger row, as keywords of
+        :meth:`repro.obs.RunLedger.record`; the caller adds the kind,
+        program, fingerprint and wall time."""
+        return {
+            "schedule_executions": self.schedule_executions,
+            "executions_saved": (
+                self.static_schedules_saved
+                + self.cache.schedule_executions_avoided
+            ),
+            "cache_hits": self.cache.hits,
+            "cache_misses": self.cache.misses,
+            "verdicts": self.verdict_counts(),
+            "tiers": self.tier_counts() if self.tiering else {},
+            "stage_times": self.stage_times_ms,
+        }
 
     def decided_by_counts(self, serialized: bool = False) -> Dict[str, int]:
         """Verdict provenance histogram.  ``serialized=True`` folds cache

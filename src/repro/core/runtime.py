@@ -72,7 +72,8 @@ class DcaRuntime(RuntimeHooks):
 
     #: ``handle_intrinsic`` below is a pure name dispatch, so the
     #: codegen backend may call ``_get``/``_next``/``_record``/
-    #: ``_permute``/``_verify`` directly (see RuntimeHooks).
+    #: ``_permute``/``_verify`` directly (see RuntimeHooks).  Turned off
+    #: per instance under an enabled obs context (intrinsic tally below).
     fast_intrinsics = True
 
     def __init__(
@@ -126,12 +127,16 @@ class DcaRuntime(RuntimeHooks):
         #: once at construction, so the flag is fixed for its lifetime and
         #: the per-iteration intrinsics can test a plain bool.
         self._obs_enabled = self._obs.enabled
+        if self._obs_enabled:
+            self.fast_intrinsics = False
 
     # -- intrinsic dispatch -----------------------------------------------------
 
     def handle_intrinsic(
         self, interp: Interpreter, name: str, args: List[object]
     ) -> object:
+        if self._obs_enabled:
+            self._obs.metrics.counter(f"interp.intrinsic.{name}").inc()
         # Hot-first dispatch: rt_iterator_get/next/record fire once (or
         # more) per loop iteration; permute/verify once per invocation.
         label = args[0]

@@ -171,8 +171,8 @@ class ScheduleTask:
     #: Testing hook: one of :data:`FAULT_STYLES`, fired before execution.
     inject_fault: Optional[str] = None
     #: Execution backend: ``interp`` (tree-walking) or ``codegen``
-    #: (Python-source codegen); codegen falls back to interp whenever
-    #: observability is enabled — it records no per-run obs metrics.
+    #: (Python-source codegen; falls back to interp on a module it
+    #: cannot lower).
     exec_backend: str = "interp"
 
     @property
@@ -325,7 +325,7 @@ def execute_task(
         capture_snapshots=strict,
     )
     interp = None
-    if task.exec_backend == "codegen" and not obs_ctx.enabled:
+    if task.exec_backend == "codegen":
         # Codegen replays reuse the per-process program cache; the
         # executor itself is fresh per task (own heap/globals/output).
         try:
@@ -411,24 +411,7 @@ def run_task_in_worker(task: ScheduleTask) -> ScheduleOutcome:
     try:
         outcome = execute_task(task, obs_ctx=ctx, in_process=False)
     finally:
-        payload = {
-            "pid": os.getpid(),
-            "spans": [
-                {
-                    "name": rec.name,
-                    "args": dict(rec.args),
-                    "path": list(rec.path),
-                    "start_us": rec.start_us,
-                    "dur_us": rec.dur_us,
-                    "depth": rec.depth,
-                    "parent": rec.parent,
-                    "sid": rec.sid,
-                }
-                for rec in ctx.tracer.spans
-            ],
-            "metrics": ctx.metrics.to_dict(),
-            "events": [e.to_dict() for e in ctx.events.events],
-        }
+        payload = ctx.payload()
         obs.disable()
     outcome.obs = payload
     return outcome

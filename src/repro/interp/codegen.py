@@ -27,9 +27,9 @@ hands it to CPython's own compiler, so replay executes plain bytecode:
   block entry and checks ``max_steps`` before the body runs.
 
 Compilation is memoized per :class:`Module` object, and the compiled
-code object is persisted on disk keyed by the sha256 of
-:func:`repro.ir.printer.format_module` — the same module digest the
-analysis cache uses — so cold corpus programs skip even the source
+code object is persisted on disk keyed by :func:`module_digest` (the
+printed module plus every instruction's source line, which fault
+messages embed), so cold corpus programs skip even the source
 generation + ``compile()`` cost.  Artifacts carry a format version,
 the running interpreter's bytecode magic and a payload checksum; any
 mismatch or corruption silently falls back to a fresh compile (never to
@@ -45,12 +45,13 @@ enter/iteration/exit events are computed statically per CFG edge from
 the natural-loop forest, exactly as the interpreter's
 ``_loop_transition`` derives them from the (previous, current) block
 pair.  The profiled variant has its own memo key and artifact file;
-the plain lowering is unchanged by it.  Call observers, the cost
-profiler and obs-enabled runs still go to the tree-walking interpreter
+the plain lowering is unchanged by it.  Call observers and the cost
+profiler still go to the tree-walking interpreter
 (:func:`repro.interp.compiler.create_executor` routes them).  The
 :class:`~repro.core.runtime.DcaRuntime` ``fast_intrinsics`` contract is
 honored: when the runtime opts in, the five ``rt_*`` intrinsics call the
-handler methods directly with the label baked as a constant.
+handler methods directly with the label baked as a constant (under an
+enabled obs context it opts out, so intrinsics reach its tally).
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from repro.interp.interpreter import (
     _trunc_div,
     Interpreter,
     RuntimeHooks,
+    counted_run,
 )
 from repro.interp.values import (
     Heap,
@@ -205,13 +207,15 @@ def _san(name: str) -> str:
 
 
 def module_digest(module: Module) -> str:
-    """The sha256 of the module's canonical printed form.
-
-    This is the module component of the analysis cache's workload digest
-    (:func:`repro.cache.keys.module_workload_digest`), so one printed
-    module maps to exactly one codegen artifact.
+    """The codegen artifact key: the sha256 of the module's printed form
+    plus every instruction's source line, which the printed form omits
+    but generated fault messages embed.
     """
-    return hashlib.sha256(format_module(module).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(format_module(module).encode("utf-8"))
+    for func in module.functions.values():
+        for block in func.blocks.values():
+            digest.update(repr([i.line for i in block.instrs]).encode())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -1203,7 +1207,7 @@ class CodegenExecutor:
             raise MiniCRuntimeError(
                 f"{entry} expects {cf.nparams} args, got {len(args)}"
             )
-        return cf.pyfunc(self, *args)
+        return counted_run(self, cf.pyfunc, self, *args)
 
     def output_text(self) -> str:
         if not self.output:

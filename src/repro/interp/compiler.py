@@ -48,18 +48,15 @@ def create_executor(
     profiler=None,
     max_steps: Optional[int] = None,
     exec_backend: Optional[str] = None,
-    obs_enabled: Optional[bool] = None,
 ):
     """Build an executor for ``module`` honouring the fallback rules.
 
     The codegen backend is used only when it can be *exactly* faithful:
-    no profiler, no observer that wants call events, and the
-    observability context disabled (the interpreter tallies per-run
-    instruction and intrinsic metrics that generated code does not
-    reproduce).  Loop/memory observers run on codegen's profiled
-    lowering.  Everything else — including a module codegen rejects —
-    gets the tree-walking interpreter.  ``exec_backend=None`` defers to
-    ``REPRO_EXEC_BACKEND``, then ``interp``.
+    no profiler and no observer that wants call events (an enabled obs
+    context does not matter).  Loop/memory observers run on codegen's
+    profiled lowering.  Everything else — including a module codegen
+    rejects — gets the tree-walking interpreter.  ``exec_backend=None``
+    defers to ``REPRO_EXEC_BACKEND``, then ``interp``.
     """
     backend = resolve("exec_backend", exec_backend)
     if backend not in EXEC_BACKENDS:
@@ -73,29 +70,24 @@ def create_executor(
         elif profiler is not None:
             ctx.count("exec.fallback.profiler")
         else:
-            if obs_enabled is None:
-                obs_enabled = ctx.enabled
-            if obs_enabled:
-                ctx.count("exec.fallback.obs-enabled")
+            try:
+                program = compile_module_codegen(
+                    module, profiled=bool(observers)
+                )
+            except CompileError:
+                ctx.count("exec.fallback.compile-error")
             else:
-                try:
-                    program = compile_module_codegen(
-                        module, profiled=bool(observers)
+                ctx.count("exec.backend.codegen")
+                if observers:
+                    return ProfiledCodegenExecutor(
+                        program,
+                        runtime=runtime,
+                        observers=observers,
+                        max_steps=max_steps,
                     )
-                except CompileError:
-                    ctx.count("exec.fallback.compile-error")
-                else:
-                    ctx.count("exec.backend.codegen")
-                    if observers:
-                        return ProfiledCodegenExecutor(
-                            program,
-                            runtime=runtime,
-                            observers=observers,
-                            max_steps=max_steps,
-                        )
-                    return CodegenExecutor(
-                        program, runtime=runtime, max_steps=max_steps
-                    )
+                return CodegenExecutor(
+                    program, runtime=runtime, max_steps=max_steps
+                )
     ctx.count("exec.backend.interp")
     return Interpreter(
         module,

@@ -11,12 +11,11 @@ Executes a :class:`repro.ir.function.Module` with:
   how the DCA runtime library (paper Fig. 3) plugs in;
 * an optional profiler hook that attributes executed instructions to the
   dynamic loop stack;
-* cheap observability hooks (``repro.obs``): when the process-local
-  observability context is enabled, the interpreter tallies intrinsic
-  calls per name and flushes instructions-retired counters to the metrics
-  registry when the run finishes (even on a faulting run).  When the
-  context is disabled — the default — the hooks reduce to one boolean
-  check per intrinsic and per run.
+* cheap observability hooks (``repro.obs``): :func:`counted_run`, which
+  the codegen backend shares, publishes each run's instructions retired
+  when the process-local observability context is enabled (even on a
+  faulting run); the DCA runtime tallies intrinsics per name.  When the
+  context is disabled — the default — that is one check per run.
 
 One ``Interpreter`` instance corresponds to one execution of the program.
 """
@@ -85,6 +84,22 @@ def _c_mod(a: int, b: int) -> int:
     return a - _trunc_div(a, b) * b
 
 
+def counted_run(executor, fn: Callable, *args) -> object:
+    """Call ``fn(*args)`` as one run of ``executor``; under an enabled
+    obs context publish its ``interp.runs``/``interp.instructions``,
+    also when it raises: partial executions still cost instructions."""
+    ctx = obs_mod.current()
+    if not ctx.enabled:
+        return fn(*args)
+    start = executor.steps
+    try:
+        return fn(*args)
+    finally:
+        metrics = ctx.metrics
+        metrics.counter("interp.runs").inc()
+        metrics.counter("interp.instructions").inc(executor.steps - start)
+
+
 class RuntimeHooks:
     """Interface for objects receiving ``Intrinsic`` instructions."""
 
@@ -123,12 +138,6 @@ class Interpreter:
         self.profiler = profiler
         self.max_steps = max_steps or _DEFAULT_MAX_STEPS
         self.steps = 0
-        self.obs = obs_mod.current()
-        self._obs_enabled = self.obs.enabled
-        #: Per-name intrinsic call tallies; populated only when the
-        #: observability context is enabled.
-        self.intrinsic_counts: Dict[str, int] = {}
-        self._flushed_steps = 0
         self.output: List[str] = []
         self.loop_stack: List[LoopCtx] = []
         #: Stack of `Call` instructions currently executing (for access
@@ -175,24 +184,7 @@ class Interpreter:
     def run(self, entry: str = "main", args: Optional[List[object]] = None) -> object:
         if entry not in self.module.functions:
             raise MiniCRuntimeError(f"no function named {entry!r}")
-        if not self._obs_enabled:
-            return self._call_function(entry, list(args or []))
-        try:
-            return self._call_function(entry, list(args or []))
-        finally:
-            # Flush even when the run raises (mismatch abort, runtime
-            # fault): partial executions still cost instructions.
-            self._flush_obs()
-
-    def _flush_obs(self) -> None:
-        """Publish instruction/intrinsic tallies to the metrics registry."""
-        metrics = self.obs.metrics
-        metrics.counter("interp.runs").inc()
-        metrics.counter("interp.instructions").inc(self.steps - self._flushed_steps)
-        self._flushed_steps = self.steps
-        for name, count in self.intrinsic_counts.items():
-            metrics.counter(f"interp.intrinsic.{name}").inc(count)
-        self.intrinsic_counts = {}
+        return counted_run(self, self._call_function, entry, list(args or []))
 
     def output_text(self) -> str:
         if not self.output:
@@ -500,10 +492,6 @@ class Interpreter:
             frame[instr.dest] = result
 
     def _exec_intrinsic(self, instr: Intrinsic, frame: Dict[Reg, object]) -> None:
-        if self._obs_enabled:
-            self.intrinsic_counts[instr.func] = (
-                self.intrinsic_counts.get(instr.func, 0) + 1
-            )
         args = [self._value(a, frame) for a in instr.args]
         if self.runtime is None:
             raise MiniCRuntimeError(

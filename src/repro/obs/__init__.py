@@ -35,6 +35,7 @@ or, scoped (restores the previous context on exit)::
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from typing import Callable, Dict, Optional
 
@@ -116,6 +117,29 @@ class ObsContext:
     ) -> None:
         if self.enabled:
             self.events.emit(severity, kind, message, provenance=provenance, **fields)
+
+    def payload(self) -> Dict[str, object]:
+        """This context's recordings as a picklable worker payload
+        (``pid``/``spans``/``metrics``/``events``), the input of
+        :meth:`absorb` on the coordinator."""
+        return {
+            "pid": os.getpid(),
+            "spans": [
+                {
+                    "name": rec.name,
+                    "args": dict(rec.args),
+                    "path": list(rec.path),
+                    "start_us": rec.start_us,
+                    "dur_us": rec.dur_us,
+                    "depth": rec.depth,
+                    "parent": rec.parent,
+                    "sid": rec.sid,
+                }
+                for rec in self.tracer.spans
+            ],
+            "metrics": self.metrics.to_dict(),
+            "events": [e.to_dict() for e in self.events.events],
+        }
 
     def absorb(self, payload: Dict[str, object], lane: int = 1) -> None:
         """Merge a worker process's observability payload into this

@@ -47,9 +47,9 @@ Endpoints (HTTP/1.1, one request per connection)::
 ``GET /metrics`` is the ten-line adapter promised by
 :mod:`repro.obs.export`: the server owns a private, lock-guarded
 :class:`~repro.obs.metrics.MetricsRegistry` (the *global* obs context
-stays disabled — enabling it would force the interp exec-backend
-fallback) and the endpoint is literally ``render_openmetrics(registry)``
-behind a gauge refresh.
+stays disabled — its tracer keeps one unlocked span stack, which
+concurrent request threads would tangle) and the endpoint is literally
+``render_openmetrics(registry)`` behind a gauge refresh.
 
 Every served request lands one run-ledger row (kind ``serve-analyze`` /
 ``serve-detect``) so ``repro stats`` tracks server-side trends; inner
@@ -474,14 +474,8 @@ class AnalysisServer:
                     program=job.name,
                     fingerprint=job.fingerprint,
                     wall_ms=wall_ms,
-                    schedule_executions=report.schedule_executions,
-                    executions_saved=report.static_schedules_saved
-                    + report.cache.schedule_executions_avoided,
-                    cache_hits=report.cache.hits,
-                    cache_misses=report.cache.misses,
-                    verdicts=report.verdict_counts(),
-                    stage_times=report.stage_times_ms,
                     extra={"module_digest": job.digest},
+                    **report.ledger_columns(),
                 )
         except Exception:
             pass

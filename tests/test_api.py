@@ -102,14 +102,14 @@ def test_fingerprint_changes_with_verdict_relevant_knobs(changes):
     [
         {"backend": "process", "jobs": 4},
         {"exec_backend": "codegen"},
-        {"obs": True},
+        {"ledger_dir": "/tmp/some-ledger"},
         {"cache_dir": "/tmp/some-cache", "cache_mode": "refresh"},
         {"entry": "other", "args": (1,)},
     ],
 )
 def test_fingerprint_ignores_non_verdict_knobs(changes):
-    # Backends/jobs/obs/cache are the byte-identity axes: entries must be
-    # shared across them.  entry/args live in the *module* digest, not
+    # Backends/jobs/ledger/cache are the byte-identity axes: entries must
+    # be shared across them.  entry/args live in the *module* digest, not
     # the config fingerprint.
     assert (
         AnalysisConfig().fingerprint()

@@ -365,8 +365,8 @@ def test_create_executor_codegen_and_fallback():
     assert isinstance(codegen, CodegenExecutor)
     assert codegen.run("main", []) == 42
     # Loop/memory observers run on the profiled lowering; call
-    # observers, profilers, and enabled obs need the interpreter's event
-    # stream, so codegen falls back for them.
+    # observers and profilers need the interpreter's event stream, so
+    # codegen falls back for them.  An enabled obs context does not.
     assert isinstance(
         create_executor(module, observers=[Observer()], exec_backend="codegen"),
         ProfiledCodegenExecutor,
@@ -385,10 +385,12 @@ def test_create_executor_codegen_and_fallback():
         create_executor(module, profiler=Profiler(), exec_backend="codegen"),
         Interpreter,
     )
-    assert isinstance(
-        create_executor(module, exec_backend="codegen", obs_enabled=True),
-        Interpreter,
-    )
+    import repro.obs as obs
+
+    with obs.enabled():
+        observed = create_executor(module, exec_backend="codegen")
+        assert isinstance(observed, CodegenExecutor)
+        assert observed.run("main", []) == 42
 
 
 def test_run_program_codegen_backend():
@@ -491,6 +493,24 @@ def _tamper(path, tamper):
     with open(path, "wb") as fh:
         fh.write(corrupted)
     return blob
+
+
+def test_artifact_key_covers_source_lines(tmp_path):
+    # Two programs that print alike but fault on different lines: the
+    # second must not load the first one's artifact, whose fault
+    # message would name the wrong line.
+    from repro.ir.printer import format_module
+
+    cache_dir = str(tmp_path)
+    line2 = "struct P { int x; }\nfunc int main() { P* p = null; return p.x; }"
+    line3 = "struct P { int x; }\nfunc int main() { P* p = null;\n    return p.x; }"
+    assert format_module(_fresh(line2)) == format_module(_fresh(line3))
+    assert module_digest(_fresh(line2)) != module_digest(_fresh(line3))
+    for src, line in ((line2, 2), (line3, 3)):
+        program = compile_module_codegen(_fresh(src), cache_dir=cache_dir)
+        with pytest.raises(MiniCRuntimeError) as exc:
+            CodegenExecutor(program).run("main", [])
+        assert str(exc.value) == f"null dereference reading .x (line {line})"
 
 
 @pytest.mark.parametrize("tamper", TAMPERS)
@@ -719,9 +739,9 @@ def test_corpus_warm_disk_replay_byte_identical(tmp_path, monkeypatch):
 
 
 def test_profile_falls_back_to_interp_on_corpus_program():
-    # --profile needs the interpreter's event stream; with the codegen
-    # backend requested the session must still produce correct verdicts
-    # (execution falls back, analysis does not degrade).
+    # --profile runs the requested codegen backend (only call observers
+    # and the cost profiler interpret); the session must still produce
+    # correct verdicts.
     import repro.obs as obs
     from repro.api import AnalysisConfig, AnalysisSession
 
@@ -730,8 +750,7 @@ def test_profile_falls_back_to_interp_on_corpus_program():
     with open(path.replace(".mc", ".expect.json")) as fh:
         expected = json.load(fh)
     config = AnalysisConfig(
-        static_filter=False, exec_backend="codegen", obs=True,
-        cache_mode="off",
+        static_filter=False, exec_backend="codegen", cache_mode="off",
     )
     try:
         with AnalysisSession(config) as session:

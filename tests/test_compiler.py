@@ -10,6 +10,7 @@ seam for every name in ``EXEC_BACKENDS`` and compare everything;
 
 import pytest
 
+import repro.obs as obs
 from repro.core.dca import DcaAnalyzer
 from repro.driver import compile_program, run_program
 from repro.interp import (
@@ -42,7 +43,7 @@ def _executors(module, max_steps=None):
     executors = {}
     for backend in EXEC_BACKENDS:
         executor = create_executor(
-            module, max_steps=max_steps, exec_backend=backend, obs_enabled=False
+            module, max_steps=max_steps, exec_backend=backend
         )
         assert type(executor) is EXPECTED_EXECUTOR[backend]
         executors[backend] = executor
@@ -148,7 +149,7 @@ def test_missing_entry_and_arity_messages():
     module = compile_program("func int add(int a, int b) { return a + b; }")
     for backend in EXEC_BACKENDS:
         make = lambda: create_executor(  # noqa: E731
-            module, exec_backend=backend, obs_enabled=False
+            module, exec_backend=backend
         )
         with pytest.raises(MiniCRuntimeError, match=r"no function named 'nope'"):
             make().run("nope", [])
@@ -188,9 +189,9 @@ def test_create_executor_backend_and_fallback(monkeypatch):
         assert executor.run("main", []) == 42
     # With no explicit name the environment picks the backend.
     monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
-    assert type(create_executor(module, obs_enabled=False)) is CodegenExecutor
+    assert type(create_executor(module)) is CodegenExecutor
     monkeypatch.delenv(EXEC_BACKEND_ENV)
-    assert type(create_executor(module, obs_enabled=False)) is Interpreter
+    assert type(create_executor(module)) is Interpreter
 
     # Only codegen ever falls back; the interpreter serves every caller.
     class CallObserver(Observer):
@@ -199,15 +200,26 @@ def test_create_executor_backend_and_fallback(monkeypatch):
     forced = [
         dict(observers=[CallObserver()]),
         dict(profiler=Profiler()),
-        dict(obs_enabled=True),
     ]
     for kwargs in forced:
         for backend in EXEC_BACKENDS:
             executor = create_executor(module, exec_backend=backend, **kwargs)
             assert type(executor) is Interpreter
             assert executor.run("main", []) == 42
+    # An enabled obs context never forces a fallback: each backend runs
+    # itself and publishes the same per-run counters.
+    for backend in EXEC_BACKENDS:
+        with obs.enabled() as ctx:
+            executor = create_executor(module, exec_backend=backend)
+            assert type(executor) is EXPECTED_EXECUTOR[backend]
+            assert executor.run("main", []) == 42
+            counters = ctx.metrics.to_dict()["counters"]
+        assert counters[f"exec.backend.{backend}"] == 1
+        assert counters["interp.runs"] == 1
+        assert counters["interp.instructions"] == executor.steps
+        assert not any(name.startswith("exec.fallback.") for name in counters)
     loop_observed = create_executor(
-        module, observers=[Observer()], exec_backend="codegen", obs_enabled=False
+        module, observers=[Observer()], exec_backend="codegen"
     )
     assert type(loop_observed) is ProfiledCodegenExecutor
     assert loop_observed.run("main", []) == 42

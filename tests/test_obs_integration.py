@@ -3,15 +3,17 @@
 Covers the merge matrix (worker telemetry absorbed through
 ``Tracer.absorb`` / ``MetricsRegistry.merge`` while the codegen exec
 backend and the process schedule backend are active together), the
-cache-counter reconciliation against ``CacheAccounting``, and the batch
-driver's guarantee that failed programs still appear in the merged
-trace.
+observed codegen/interp counter parity, the cache-counter
+reconciliation against ``CacheAccounting``, and the batch driver's
+guarantee that failed programs still appear in the merged trace.
 """
 
 import pytest
 
 import repro.obs as obs
 from repro.api import AnalysisConfig, AnalysisSession
+from repro.core.dca import DcaAnalyzer
+from repro.driver import compile_program
 from repro.batch import (
     STATUS_OK,
     STATUS_WORKER_LOST,
@@ -65,11 +67,10 @@ def test_worker_telemetry_merges_under_process_and_codegen(program_file):
     counters = ctx.metrics.to_dict()["counters"]
     assert counters["interp.instructions"] > 0
     assert counters["schedule.tasks_submitted"] == report.schedule_executions
-    # Codegen records no per-run obs metrics, so under full
-    # observability every codegen request records a fallback — proving
-    # the exec backend instrumentation crossed the process boundary too.
-    assert counters["exec.fallback.obs-enabled"] >= 1
-    assert counters["exec.backend.interp"] >= 1
+    # Full observability runs the requested codegen backend, which
+    # publishes the interpreter's per-run counters itself: no fallback.
+    assert counters["exec.backend.codegen"] >= 2
+    assert "exec.fallback.obs-enabled" not in counters
 
 
 def test_merged_totals_match_serial_run(program_file):
@@ -90,6 +91,57 @@ def test_merged_totals_match_serial_run(program_file):
         AnalysisConfig(backend="process", jobs=2, static_filter=False)
     )
     assert merged == serial
+
+
+#: A commutative reduction plus a last-writer loop whose perturbed
+#: schedules abort on a live-out mismatch mid-run.
+PARITY_PROGRAM = """
+func void main() {
+  int[] data = new int[12];
+  for (int i = 0; i < 12; i = i + 1) { data[i] = i * 5 % 7; }
+  int s = 0;
+  for (int j = 0; j < 12; j = j + 1) { s += data[j]; }
+  int last = 0;
+  for (int k = 0; k < 12; k = k + 1) { last = data[k]; }
+  print(s, last);
+}
+"""
+
+
+def _zero():
+    return 0.0
+
+
+@pytest.mark.parametrize("backend,jobs", [("serial", None), ("process", 2)])
+def test_observed_codegen_matches_interp(backend, jobs):
+    # An enabled obs context observes the backend that was asked for:
+    # codegen runs (no fallback) and publishes exactly the interpreter's
+    # analysis counters, and the report is unchanged.
+    def run(exec_backend):
+        with obs.enabled(clock=_zero) as ctx:
+            report = DcaAnalyzer(
+                compile_program(PARITY_PROGRAM),
+                static_filter=False,
+                clock=_zero,
+                backend=backend,
+                jobs=jobs,
+                exec_backend=exec_backend,
+            ).analyze()
+            counters = ctx.metrics.to_dict()["counters"]
+        analysis = {
+            name: value
+            for name, value in counters.items()
+            if name.startswith(("dca.", "interp."))
+        }
+        return report.to_json(), analysis, counters
+
+    interp_json, interp_counters, _ = run("interp")
+    codegen_json, codegen_counters, counters = run("codegen")
+    assert codegen_json == interp_json
+    assert codegen_counters == interp_counters
+    assert interp_counters["interp.intrinsic.rt_verify"] > 0
+    assert counters["exec.backend.codegen"] >= 2
+    assert not [name for name in counters if name.startswith("exec.fallback.")]
 
 
 # -- cache counters reconcile with CacheAccounting -----------------------------
@@ -180,26 +232,40 @@ def test_worker_lost_outcome_gets_synthetic_span_and_event():
 
 
 def test_shipped_payload_absorbs_instead_of_synthesizing():
-    payload = {
-        "pid": 123,
-        "spans": [{
-            "sid": 1, "parent": None, "name": "repro.compile",
-            "args": {}, "path": ["repro.compile"],
-            "start_us": 0.0, "dur_us": 10.0, "depth": 0,
-        }],
-        "metrics": {"counters": {"interp.runs": 2}},
-        "events": [],
-    }
+    # Round trip: what a worker records, ObsContext.payload() ships and
+    # the coordinator absorbs, keeping names, args, parent links,
+    # durations, metrics and events.
+    ticks = iter(range(100))
+    worker = obs.ObsContext(enabled=True, clock=lambda: next(ticks) / 1e3)
+    with worker.span("repro.compile", path="p.mc"):
+        with worker.span("dca.schedule", loop="L0") as sp:
+            sp.set(instructions=7)
+    worker.count("interp.runs", 2)
+    worker.observe("dca.permute.len", 4)
+    worker.event("warning", "dca.note", "kept", provenance="test", loop="L0")
+    payload = worker.payload()
+    assert set(payload) == {"pid", "spans", "metrics", "events"}
+
     ctx = obs.enable()
     try:
         out = outcome(STATUS_OK, obs_payload=payload)
         _absorb_or_flush(ctx, out, lane=2)
         assert out.obs is None, "payload must be dropped after absorption"
-        (span,) = ctx.tracer.spans
-        assert span.name == "repro.compile"
-        assert span.lane == 2
-        assert ctx.metrics.to_dict()["counters"]["interp.runs"] == 2
-        assert not ctx.events.events
+        outer, inner = sorted(ctx.tracer.spans, key=lambda s: s.depth)
+        assert (outer.name, outer.args) == ("repro.compile", {"path": "p.mc"})
+        assert (inner.name, inner.args) == (
+            "dca.schedule", {"loop": "L0", "instructions": 7}
+        )
+        assert outer.parent is None and inner.parent == outer.sid
+        assert inner.path == ("repro.compile", "dca.schedule")
+        assert {s.lane for s in ctx.tracer.spans} == {2}
+        assert [s.dur_us for s in (outer, inner)] == [
+            s.dur_us for s in sorted(worker.tracer.spans, key=lambda s: s.depth)
+        ]
+        assert ctx.metrics.to_dict() == worker.metrics.to_dict()
+        assert [e.to_dict() for e in ctx.events.events] == [
+            e.to_dict() for e in worker.events.events
+        ]
     finally:
         obs.disable()
 
@@ -228,7 +294,7 @@ def test_pooled_batch_trace_includes_failed_programs(tmp_path):
     bad = tmp_path / "bad.mc"
     bad.write_text("func void main() { this is not minic }")
 
-    config = AnalysisConfig(backend="process", jobs=2, obs=True)
+    config = AnalysisConfig(backend="process", jobs=2)
     ctx = obs.enable()
     try:
         with AnalysisSession(config) as session:

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import AnalysisConfig
+from repro.api import AnalysisConfig, AnalysisSession
 from repro.obs.export import parse_openmetrics
 from repro.obs.ledger import RunLedger
 from repro.serve import (
@@ -470,6 +470,23 @@ class TestServeLedger:
         kinds = sorted(row["kind"] for row in rows)
         assert kinds == ["serve-analyze", "serve-detect"]
         assert all(row["program"] == "ledgered.mc" for row in rows)
+
+    def test_tiered_row_matches_session_row(self, client, tmp_path):
+        # A tiering-on served analysis stores the tier counts that a
+        # session row for the same program stores, not {}.
+        client.analyze(GOOD, name="tiered.mc", config={"tiering": True})
+        session_ledger = str(tmp_path / "session-ledger")
+        config = AnalysisConfig(
+            tiering=True, cache_mode="off", ledger_dir=session_ledger
+        )
+        with AnalysisSession(config) as session:
+            session.analyze(GOOD, source_path="tiered.mc")
+        with RunLedger(str(tmp_path / "ledger")) as ledger:
+            (served,) = ledger.runs(kind="serve-analyze")
+        with RunLedger(session_ledger) as ledger:
+            (local,) = ledger.runs(kind="analyze")
+        assert served["tiers"] and served["tiers"] == local["tiers"]
+        assert served["verdicts"] == local["verdicts"]
 
 
 # ---------------------------------------------------------------------------
