@@ -5,12 +5,12 @@
 directories scanned for ``*.mc``, and/or a JSON/JSONL manifest — and
 runs the full DCA pipeline over every program:
 
-* **Fan-out** rides the same shared ``ProcessPoolExecutor`` pool the
-  schedule engine uses (:func:`repro.core.schedule_engine._shared_pool`),
-  one worker task per *program*; inside a worker the analysis itself
-  runs on the serial schedule backend, so corpus-level parallelism never
-  nests pools.  A serial-backend config runs programs in-process,
-  in order.
+* **Fan-out** drives the schedule engine's pool loop
+  (:class:`repro.core.schedule_engine.PoolRun`) over the same shared
+  worker pool, one item per *program*; inside a worker the analysis
+  itself runs on the serial schedule backend, so corpus-level
+  parallelism never nests pools.  A serial-backend config runs programs
+  in-process, in order.
 * **Failure containment**: a program that fails to parse, faults at
   runtime, or kills its worker becomes a recorded
   :class:`ProgramOutcome` (status ``parse-error`` / ``fault`` /
@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -272,26 +271,13 @@ def _program_config(config, spec: ProgramSpec):
 
 
 def analyze_program_spec(
-    config, spec: ProgramSpec, index: int, ship_obs: bool = False
+    config, spec: ProgramSpec, index: int
 ) -> ProgramOutcome:
-    """Analyze one corpus program, converting failures into outcomes.
-
-    ``ship_obs=True`` (pool workers) records the analysis into a private
-    observability context and ships its serialized payload back for the
-    coordinator to absorb; in-process callers record straight into the
-    ambient context instead.
-    """
+    """Analyze one corpus program, converting failures into outcomes."""
     from repro.api import AnalysisSession
 
     outcome = ProgramOutcome(path=spec.path, index=index)
     start = time.perf_counter()
-    ctx = None
-    if ship_obs:
-        if obs.is_enabled():
-            # A forked worker inherits the coordinator's enabled context;
-            # recording into it would silently accumulate cross-process.
-            obs.disable()
-        ctx = obs.enable()
     try:
         with open(spec.path, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -320,27 +306,21 @@ def analyze_program_spec(
         outcome.error = repr(exc)
     finally:
         outcome.wall_ms = (time.perf_counter() - start) * 1000.0
-        if ctx is not None:
-            outcome.obs = ctx.payload()
-            obs.disable()
     return outcome
 
 
 def _run_in_worker(
     config, spec: ProgramSpec, index: int, ship_obs: bool
 ) -> ProgramOutcome:
-    """Pool-worker entry point: serial analysis, no nested pools."""
+    """Pool-worker entry point: serial analysis, no nested pools; with
+    ``ship_obs`` the worker's telemetry ships back in ``outcome.obs``."""
     worker_config = config.replace(backend="serial", jobs=None)
-    return analyze_program_spec(worker_config, spec, index, ship_obs=ship_obs)
-
-
-def _lost_outcome(spec: ProgramSpec, index: int, error: str) -> ProgramOutcome:
-    return ProgramOutcome(
-        path=spec.path,
-        index=index,
-        status=STATUS_WORKER_LOST,
-        error=error,
+    outcome, payload = obs.record_in_worker(
+        lambda: analyze_program_spec(worker_config, spec, index),
+        ship=ship_obs,
     )
+    outcome.obs = payload
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -488,68 +468,27 @@ def _run_pooled(
     fail_fast: bool = False,
 ) -> List[ProgramOutcome]:
     """Fan programs out over the shared schedule-engine worker pool."""
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    from repro.core.schedule_engine import (
-        _discard_pool,
-        _mp_context,
-        _shared_pool,
-    )
+    from repro.core.schedule_engine import PoolRun
 
     jobs = max(1, jobs or os.cpu_count() or 1)
     ctx = obs.current()
     outcomes: List[Optional[ProgramOutcome]] = [None] * len(specs)
-    future_map: Dict[object, int] = {}
-    pool_broken = False
+
+    def failed(index: int, exc: BaseException) -> ProgramOutcome:
+        lost = isinstance(exc, BrokenProcessPool)
+        return ProgramOutcome(
+            path=specs[index].path,
+            index=index,
+            status=STATUS_WORKER_LOST if lost else STATUS_FAULT,
+            error="worker process died during analysis" if lost else repr(exc),
+        )
+
+    pool = PoolRun(jobs, "batch", failed)
 
     def submit(index: int) -> None:
-        try:
-            fut = _shared_pool(jobs).submit(
-                _run_in_worker, config, specs[index], index, ctx.enabled
-            )
-        except BrokenProcessPool:
-            _discard_pool(jobs)
-            ctx.count("batch.pool_rebuilds")
-            fut = _shared_pool(jobs).submit(
-                _run_in_worker, config, specs[index], index, ctx.enabled
-            )
-        future_map[fut] = index
-
-    def retry_isolated(index: int) -> ProgramOutcome:
-        # A broken pool cannot attribute the death to a program, so each
-        # in-flight program is retried alone; one that kills its private
-        # worker again is the culprit and is recorded worker-lost.
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=_mp_context())
-        try:
-            return pool.submit(
-                _run_in_worker, config, specs[index], index, ctx.enabled
-            ).result()
-        except BrokenProcessPool:
-            return _lost_outcome(
-                specs[index], index, "worker process died during analysis"
-            )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def collect(fut, index: int) -> ProgramOutcome:
-        nonlocal pool_broken
-        try:
-            return fut.result()
-        except BrokenProcessPool:
-            pool_broken = True
-            return retry_isolated(index)
-        except Exception as exc:  # submission/pickling failure
-            outcome = _lost_outcome(specs[index], index, repr(exc))
-            outcome.status = STATUS_FAULT
-            return outcome
-
-    def handle(index: int, outcome: ProgramOutcome) -> None:
-        # One trace lane per program keeps the merged Chrome trace
-        # readable: lanes are stable corpus indices.
-        _absorb_or_flush(ctx, outcome, lane=index + 1)
-        _note_outcome(ctx, outcome)
-        outcomes[index] = outcome
-        _emit(outcome, on_result)
+        pool.submit(
+            index, _run_in_worker, config, specs[index], index, ctx.enabled
+        )
 
     # With fail-fast, submissions go out in a sliding window of `jobs`
     # so "stop submitting after the first failure" has something left
@@ -560,31 +499,18 @@ def _run_pooled(
     for _ in range(window):
         submit(next_index)
         next_index += 1
-    while future_map:
-        done, _ = wait(set(future_map), return_when=FIRST_COMPLETED)
-        for fut in done:
-            index = future_map.pop(fut)
-            outcome = collect(fut, index)
-            handle(index, outcome)
-            if (
-                fail_fast
-                and failed_path is None
-                and outcome.status != STATUS_OK
-            ):
-                failed_path = specs[index].path
-            if failed_path is None and next_index < len(specs):
-                submit(next_index)
-                next_index += 1
-        if pool_broken:
-            # The broken pool poisons every outstanding future; drain
-            # them via isolated retries, then discard it so any later
-            # analysis starts a fresh pool.
-            for fut in list(future_map):
-                index = future_map.pop(fut)
-                handle(index, collect(fut, index))
-            _discard_pool(jobs)
-            ctx.count("batch.pool_rebuilds")
-            pool_broken = False
+    for index, outcome in pool:
+        # One trace lane per program keeps the merged Chrome trace
+        # readable: lanes are stable corpus indices.
+        _absorb_or_flush(ctx, outcome, lane=index + 1)
+        _note_outcome(ctx, outcome)
+        outcomes[index] = outcome
+        _emit(outcome, on_result)
+        if fail_fast and failed_path is None and outcome.status != STATUS_OK:
+            failed_path = specs[index].path
+        if failed_path is None and next_index < len(specs):
+            submit(next_index)
+            next_index += 1
     if failed_path is not None:
         for index in range(next_index, len(specs)):
             skipped = _skipped_outcome(specs[index], index, failed_path)

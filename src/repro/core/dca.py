@@ -4,25 +4,33 @@
 
 1. **Selection** — every source loop is a candidate unless it (or a callee)
    performs I/O (§IV-E).
-2. **Static pre-screen** — the static commutativity prover
+2. **Profile** — one run of the pristine program under the dynamic
+   dependence profiler, whose same-invocation memory flow feeds iterator
+   recognition and whose dependence graph feeds tiering.
+3. **Static pre-screen** — the static commutativity prover
    (:mod:`repro.analysis.commutativity`) resolves loops whose verdict
-   follows from the IR alone; proven loops skip permutation testing
-   entirely (disable with ``static_filter=False`` / ``--no-static-filter``).
-3. **Golden run** — the observe variant executes once, collecting per-loop,
+   follows from the IR alone, modulo declared commutativity specs when
+   those are on; proven loops skip permutation testing entirely
+   (disable with ``static_filter=False`` / ``--no-static-filter``).
+4. **Golden run** — the observe variant executes once, collecting per-loop,
    per-invocation live-out snapshots in original program order.
-4. **Testing** — per remaining candidate loop, a test variant (outlined +
+5. **Testing** — per remaining candidate loop, a test variant (outlined +
    split) runs once per schedule.  The identity schedule runs first as a
    transformation sanity check; perturbing schedules (reverse, random) only
    run when the loop actually iterates (≥2 trips somewhere), since
    permuting fewer than two iterations cannot change anything.
-5. **Verdicts** — any divergence or fault under a perturbing schedule marks
+6. **Verdicts** — any divergence or fault under a perturbing schedule marks
    the loop non-commutative; identity divergence marks the transformation
    unsound for that loop (reported separately as ``split-mismatch``).
    Every :class:`~repro.core.report.LoopResult` records which stage decided
-   it (``decided_by``: selection / static / dynamic / cache).
+   it (``decided_by``: selection / static / static-specs / dynamic /
+   cache).
+7. **Tiering** (``tiering=True``) — every loop gets a parallelization
+   tier (DOALL / REDUCTION / PIPELINE / SEQUENTIAL) from its verdict and
+   the profiled dependence graph (:mod:`repro.analysis.sccdag`).
 
 When a persistent :class:`~repro.cache.AnalysisCache` is attached, each
-loop that would enter stage 4 is first looked up by ``(workload digest,
+loop that would enter stage 5 is first looked up by ``(workload digest,
 loop label, config fingerprint)``; a hit replays the memoized verdict,
 cost record and accounting instead of executing any schedule, and a miss
 stores the freshly decided loop for the next run.  Warm reports
@@ -56,7 +64,7 @@ from repro.analysis.sccdag import (
     partition_stages,
 )
 from repro.analysis.specs import SpecRegistry, default_registry
-from repro.core.liveout import canonicalize_snapshot, capture, snapshot_digest
+from repro.core.liveout import snapshot_digest
 from repro.core.instrument import (
     VerifySpec,
     build_observe_module,
@@ -98,10 +106,10 @@ from repro.core.schedule_engine import (
     ScheduleTask,
     create_engine,
     outcome_fails,
+    program_outcome,
 )
 from repro.core.schedules import IdentitySchedule, ScheduleConfig
 from repro.interp.compiler import create_executor
-from repro.interp.interpreter import Interpreter
 from repro.ir.function import Module
 from repro.settings import resolve
 
@@ -317,21 +325,6 @@ class DcaAnalyzer:
         self._profiled_trips = dict(profiler.max_trips)
         self._dep_profiler = profiler
 
-    def _program_outcome(self, interp: Interpreter, result: object):
-        """The eventual observable outcome of a finished execution.
-
-        With specs enabled the final-globals snapshot canonicalizes
-        declared containers exactly like ``rt_verify`` does (the worker
-        side applies the same rewrite via ``task.spec.equivalence``), so
-        the eventual policy also compares modulo declared equivalence.
-        """
-        global_names = sorted(self.module.globals)
-        roots = [interp.globals[name] for name in global_names]
-        final = capture(roots)
-        if self._chain_slots:
-            final = canonicalize_snapshot(final, self._chain_slots)
-        return (interp.output_text(), result, final)
-
     # -- persistent cache ------------------------------------------------------
 
     def workload_digest(self) -> str:
@@ -514,7 +507,12 @@ class DcaAnalyzer:
         for snaps in golden.values():
             for snap in snaps:
                 snapshot_digest(snap)
-        self._golden_outcome = self._program_outcome(interp, entry_result)
+        self._golden_outcome = program_outcome(
+            interp,
+            entry_result,
+            sorted(self.module.globals),
+            self._chain_slots,
+        )
         self._golden_counts = {
             label: golden_rt.invocation_count(label) for label in testable
         }

@@ -29,11 +29,13 @@ Two backends implement :class:`ScheduleEngine`:
   are submitted once its identity replay passes the gate.  When any
   schedule of a loop fails, pending schedules *after* it (in task
   order) are cancelled — schedules *before* it still run to completion
-  so the merged report stays deterministic.  A worker that dies
-  (OOM-killed, ``os._exit``) breaks the pool; the engine rebuilds it,
-  retries the affected tasks in isolation, and reports unrecoverable
-  ones as ``worker-lost`` so the analyzer can fault the loop instead of
-  hanging.
+  so the merged report stays deterministic.  Submission, collection
+  and worker-death recovery are :class:`PoolRun`'s, the one pool loop
+  this engine shares with the corpus batch driver: a worker that dies
+  (OOM-killed, ``os._exit``) breaks the pool, the broken pool is dropped
+  so later submissions land on a fresh one, and each affected task is
+  retried alone; one that dies again is reported ``worker-lost`` so the
+  analyzer can fault the loop instead of hanging.
 
 **Determinism contract.**  For a fixed program + workload + schedule
 preset, both backends produce the same outcomes for every *consumed*
@@ -58,7 +60,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.instrument import VerifySpec
@@ -83,6 +85,7 @@ from repro.settings import SETTINGS, resolve
 __all__ = [
     "FAULT_STYLES",
     "LoopPlan",
+    "PoolRun",
     "ProcessScheduleEngine",
     "ScheduleEngine",
     "ScheduleOutcome",
@@ -92,6 +95,7 @@ __all__ = [
     "engine_queue_depth",
     "execute_task",
     "outcome_fails",
+    "program_outcome",
     "resolve_schedule_backend",
     "shared_pool_jobs",
     "should_test",
@@ -292,6 +296,17 @@ def _codegen_for_blob(module_blob: bytes) -> CodegenProgram:
     return program
 
 
+def program_outcome(executor, result: object, global_names, chain_slots=None):
+    """``(output, return value, globals snapshot)`` of a finished run: the
+    eventual policy's observable outcome, for the golden run and every
+    replay alike.  Declared chain slots (``(struct, next field)`` pairs)
+    canonicalize the snapshot exactly like ``rt_verify`` does."""
+    final = capture([executor.globals[name] for name in global_names])
+    if chain_slots:
+        final = canonicalize_snapshot(final, dict(chain_slots))
+    return executor.output_text(), result, final
+
+
 def execute_task(
     task: ScheduleTask,
     clock: Optional[Callable[[], float]] = None,
@@ -361,18 +376,13 @@ def execute_task(
             else:
                 if not strict:
                     golden_out, golden_ret, golden_globals = task.golden_outcome
-                    roots = [interp.globals[name] for name in task.global_names]
-                    final = capture(roots)
-                    if task.spec.equivalence:
-                        # Mirror the analyzer's golden-outcome capture:
-                        # declared containers compare as multisets under
-                        # the eventual policy too.
-                        final = canonicalize_snapshot(
-                            final, dict(task.spec.equivalence)
-                        )
+                    out, ret, final = program_outcome(
+                        interp, entry_result, task.global_names,
+                        task.spec.equivalence,
+                    )
                     outcome.outcome_ok = (
-                        interp.output_text() == golden_out
-                        and entry_result == golden_ret
+                        out == golden_out
+                        and ret == golden_ret
                         and snapshots_equal(golden_globals, final, rtol=task.rtol)
                     )
             sp.set(instructions=interp.steps, mismatch=mismatch, fault=fault)
@@ -397,22 +407,14 @@ def execute_task(
 def run_task_in_worker(task: ScheduleTask) -> ScheduleOutcome:
     """Worker-process entry point: rehydrate, execute, summarize.
 
-    When the coordinator has observability enabled, the worker records
-    spans/metrics/events into a private context and ships the serialized
-    payload back inside the outcome for merging.
+    When the coordinator has observability enabled, the worker's
+    spans/metrics/events ship back inside the outcome for merging.
     """
-    if not task.obs_enabled:
-        if obs.is_enabled():
-            # A forked worker can inherit the coordinator's enabled
-            # context; recording into it would silently accumulate.
-            obs.disable()
-        return execute_task(task, in_process=False)
-    ctx = obs.enable(clock=None if task.measure_time else _zero_clock)
-    try:
-        outcome = execute_task(task, obs_ctx=ctx, in_process=False)
-    finally:
-        payload = ctx.payload()
-        obs.disable()
+    outcome, payload = obs.record_in_worker(
+        lambda: execute_task(task, in_process=False),
+        ship=task.obs_enabled,
+        clock=None if task.measure_time else _zero_clock,
+    )
     outcome.obs = payload
     return outcome
 
@@ -491,7 +493,8 @@ class SerialScheduleEngine(ScheduleEngine):
 
 #: Shared worker pools keyed by job count — reused across engines (and
 #: analyzer instances) so repeated small analyses don't pay pool startup
-#: every time.  Rebuilt transparently when a worker death breaks a pool.
+#: every time.  A pool a worker death broke is dropped (``PoolRun``) and
+#: the next submission builds a fresh one.
 _SHARED_POOLS: Dict[int, ProcessPoolExecutor] = {}
 
 
@@ -512,16 +515,11 @@ def _shared_pool(jobs: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _discard_pool(jobs: int) -> None:
-    pool = _SHARED_POOLS.pop(jobs, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def shutdown_shared_pools() -> None:
     """Tear down every shared worker pool (tests, interpreter exit)."""
-    for jobs in list(_SHARED_POOLS):
-        _discard_pool(jobs)
+    while _SHARED_POOLS:
+        _, pool = _SHARED_POOLS.popitem()
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 atexit.register(shutdown_shared_pools)
@@ -546,6 +544,92 @@ def shared_pool_jobs() -> List[int]:
     return sorted(_SHARED_POOLS)
 
 
+class PoolRun:
+    """One run's items on the shared pool of ``jobs`` workers: the pool
+    loop the schedule engine and the corpus batch driver both drive.
+
+    Callers :meth:`submit` keyed items and iterate the run for ``(key,
+    result)`` pairs in completion order, submitting or :meth:`cancel`-ing
+    more as they go, until nothing is pending.  The recovery rule: a
+    worker death fails every future of its pool at once without naming
+    the culprit, so the broken pool is dropped as soon as it is seen
+    (later submissions land on a fresh pool that stays alive) and each
+    affected item is re-run alone in a throwaway one-worker pool.  An
+    item that dies again (``BrokenProcessPool``) or cannot be submitted
+    becomes ``failed(key, exc)``, the caller's outcome.  A pool holding
+    futures the run waits on is never shut down: a cancelled future never
+    wakes ``wait``.  Counts ``<prefix>.pool_rebuilds`` per dropped pool
+    and ``<prefix>.worker_retries`` per isolated retry.
+    """
+
+    def __init__(
+        self,
+        jobs: int,
+        prefix: str,
+        failed: Callable[[object, BaseException], object],
+    ):
+        self.jobs = jobs
+        self.prefix = prefix
+        self._failed = failed
+        self._ctx = obs.current()
+        #: future -> (key, pool it went to, fn, args)
+        self.pending: Dict[object, Tuple[object, object, Callable, tuple]] = {}
+
+    def submit(self, key: object, fn: Callable, *args) -> None:
+        pool = _shared_pool(self.jobs)
+        try:
+            fut = pool.submit(fn, *args)
+        except BrokenProcessPool:
+            # A worker death broke the shared pool before this run saw
+            # any of its futures fail (e.g. under an earlier run).
+            self._drop(pool)
+            pool = _shared_pool(self.jobs)
+            fut = pool.submit(fn, *args)
+        self.pending[fut] = (key, pool, fn, args)
+
+    def cancel(self, match: Callable[[object], bool]) -> List[object]:
+        """Cancel pending items whose key matches and that no worker has
+        started; returns their keys (they are never yielded)."""
+        cancelled = []
+        for fut, (key, _, _, _) in list(self.pending.items()):
+            if match(key) and fut.cancel():
+                del self.pending[fut]
+                cancelled.append(key)
+        return cancelled
+
+    def __iter__(self) -> Iterator[Tuple[object, object]]:
+        while self.pending:
+            done, _ = wait(set(self.pending), return_when=FIRST_COMPLETED)
+            for fut in done:
+                key, pool, fn, args = self.pending.pop(fut)
+                yield key, self._collect(fut, key, pool, fn, args)
+
+    def _collect(self, fut, key, pool, fn, args) -> object:
+        try:
+            try:
+                return fut.result()
+            except BrokenProcessPool:
+                self._drop(pool)
+                self._ctx.count(f"{self.prefix}.worker_retries")
+                isolated = ProcessPoolExecutor(
+                    max_workers=1, mp_context=_mp_context()
+                )
+                try:
+                    return isolated.submit(fn, *args).result()
+                finally:
+                    isolated.shutdown(wait=False)
+        except Exception as exc:  # a second death, submission/pickling failure
+            return self._failed(key, exc)
+
+    def _drop(self, pool: ProcessPoolExecutor) -> None:
+        # Only the broken pool itself: another run (or thread) may have
+        # replaced it already, and that fresh pool holds live futures.
+        if _SHARED_POOLS.get(self.jobs) is pool:
+            del _SHARED_POOLS[self.jobs]
+            pool.shutdown(wait=False)
+            self._ctx.count(f"{self.prefix}.pool_rebuilds")
+
+
 #: Process-wide count of schedule tasks submitted to the shared pools
 #: and not yet collected — the load signal the serving layer's admission
 #: control and ``/healthz`` read.  Updated by every ProcessScheduleEngine
@@ -565,8 +649,21 @@ def engine_queue_depth() -> int:
     return _INFLIGHT
 
 
+def _failed_outcome(
+    key: Tuple[LoopPlan, int], exc: BaseException
+) -> ScheduleOutcome:
+    plan, index = key
+    outcome = cancelled_outcome(plan.tasks[index])
+    lost = isinstance(exc, BrokenProcessPool)
+    outcome.status = WORKER_LOST if lost else FAULT
+    outcome.error = (
+        "worker process died during execution" if lost else repr(exc)
+    )
+    return outcome
+
+
 class ProcessScheduleEngine(ScheduleEngine):
-    """Multiprocess fan-out over a shared ``ProcessPoolExecutor``."""
+    """Multiprocess fan-out over the shared worker pool."""
 
     name = "process"
     emits_loop_spans = False
@@ -584,112 +681,49 @@ class ProcessScheduleEngine(ScheduleEngine):
         }
         #: label -> index of the earliest known failure (or None).
         fail_at: Dict[str, Optional[int]] = {plan.label: None for plan in plans}
-        future_map: Dict[object, Tuple[LoopPlan, int]] = {}
-        pool_broken = False
+        pool = PoolRun(self.jobs, "schedule", _failed_outcome)
 
         def note_queue_depth() -> None:
             # Gauge, not counter: the exported value is the high-water
             # view of the in-flight task window at the last transition.
             # The process-wide mirror (engine_queue_depth) feeds the
             # serving layer's admission control.
-            ctx.gauge("schedule.queue_depth", len(future_map))
+            ctx.gauge("schedule.queue_depth", len(pool.pending))
 
         def submit(plan: LoopPlan, index: int) -> None:
-            try:
-                fut = _shared_pool(self.jobs).submit(
-                    run_task_in_worker, plan.tasks[index]
-                )
-            except BrokenProcessPool:
-                # The shared pool died under an earlier batch; replace it
-                # and resubmit on the fresh one.
-                _discard_pool(self.jobs)
-                ctx.count("schedule.pool_rebuilds")
-                fut = _shared_pool(self.jobs).submit(
-                    run_task_in_worker, plan.tasks[index]
-                )
-            future_map[fut] = (plan, index)
+            pool.submit((plan, index), run_task_in_worker, plan.tasks[index])
             _inflight_delta(1)
             ctx.count("schedule.tasks_submitted")
             note_queue_depth()
 
-        def collect(fut, plan: LoopPlan, index: int) -> ScheduleOutcome:
-            nonlocal pool_broken
-            if fut.cancelled():
-                return cancelled_outcome(plan.tasks[index])
-            try:
-                return fut.result()
-            except BrokenProcessPool:
-                pool_broken = True
-                ctx.count("schedule.worker_retries")
-                return self._retry_isolated(plan.tasks[index])
-            except Exception as exc:  # submission/pickling failure
-                outcome = cancelled_outcome(plan.tasks[index])
-                outcome.status = FAULT
-                outcome.error = repr(exc)
-                return outcome
-
-        def handle(plan: LoopPlan, index: int, outcome: ScheduleOutcome) -> None:
+        for plan in plans:
+            submit(plan, 0)
+        for (plan, index), outcome in pool:
+            _inflight_delta(-1)
+            note_queue_depth()
             results[plan.label][index] = outcome
             if index == 0:
                 if should_test(plan, outcome):
                     for i in range(1, len(plan.tasks)):
                         submit(plan, i)
-                return
+                continue
             if not outcome_fails(outcome, plan.expected_invocations):
-                return
+                continue
             first = fail_at[plan.label]
             if first is None or index < first:
                 fail_at[plan.label] = index
                 # Early-cancel everything *after* the failure; earlier
                 # schedules must still complete for deterministic merging.
-                for fut, (p, i) in list(future_map.items()):
-                    if p is plan and i > index and fut.cancel():
-                        del future_map[fut]
-                        _inflight_delta(-1)
-                        results[plan.label][i] = cancelled_outcome(p.tasks[i])
-                        ctx.count("schedule.tasks_cancelled")
+                cancelled = pool.cancel(
+                    lambda key: key[0] is plan and key[1] > index
+                )
+                for _, i in cancelled:
+                    results[plan.label][i] = cancelled_outcome(plan.tasks[i])
+                if cancelled:
+                    _inflight_delta(-len(cancelled))
+                    ctx.count("schedule.tasks_cancelled", len(cancelled))
                 note_queue_depth()
-
-        for plan in plans:
-            submit(plan, 0)
-        while future_map:
-            done, _ = wait(set(future_map), return_when=FIRST_COMPLETED)
-            for fut in done:
-                plan, index = future_map.pop(fut)
-                _inflight_delta(-1)
-                note_queue_depth()
-                handle(plan, index, collect(fut, plan, index))
-            if pool_broken:
-                # The broken pool poisons every outstanding future; drain
-                # them via isolated retries, then start a fresh pool for
-                # any follow-up submissions.
-                for fut, (plan, index) in list(future_map.items()):
-                    del future_map[fut]
-                    _inflight_delta(-1)
-                    handle(plan, index, collect(fut, plan, index))
-                _discard_pool(self.jobs)
-                ctx.count("schedule.pool_rebuilds")
-                pool_broken = False
         return results
-
-    @staticmethod
-    def _retry_isolated(task: ScheduleTask) -> ScheduleOutcome:
-        """Re-run one task in a throwaway single-worker pool.
-
-        A broken pool cannot attribute the death to a task, so every
-        in-flight task is retried alone; a task that kills its private
-        worker again is the culprit and is reported ``worker-lost``.
-        """
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=_mp_context())
-        try:
-            return pool.submit(run_task_in_worker, task).result()
-        except BrokenProcessPool:
-            outcome = cancelled_outcome(task)
-            outcome.status = WORKER_LOST
-            outcome.error = "worker process died during execution"
-            return outcome
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
         # Shared pools outlive individual engines on purpose; nothing to

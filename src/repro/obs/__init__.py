@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.events import SEVERITIES, Event, EventLog
 from repro.obs.export import (
@@ -70,6 +70,7 @@ __all__ = [
     "enabled",
     "is_enabled",
     "parse_openmetrics",
+    "record_in_worker",
     "render_export",
     "render_openmetrics",
     "reset",
@@ -194,6 +195,28 @@ def disable() -> ObsContext:
     global _current
     _current = ObsContext(enabled=False)
     return _current
+
+
+def record_in_worker(
+    fn: Callable[[], object],
+    ship: bool,
+    clock: Optional[Callable[[], float]] = None,
+) -> Tuple[object, Optional[Dict[str, object]]]:
+    """Run ``fn()`` in a pool worker; returns ``(result, payload)``.
+
+    Never records into the context a forked worker inherits (it would
+    silently accumulate).  With ``ship``, records into a private context
+    whose :meth:`ObsContext.payload` the coordinator absorbs; else the
+    payload is None."""
+    if not ship:
+        if _current.enabled:
+            disable()
+        return fn(), None
+    ctx = enable(clock=clock)
+    try:
+        return fn(), ctx.payload()
+    finally:
+        disable()
 
 
 def reset() -> None:

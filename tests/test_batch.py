@@ -7,19 +7,24 @@ on both the serial path and the process-pool fan-out.
 """
 
 import json
+import os
 
 import pytest
 
+import repro.batch as batch
+import repro.obs as obs
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.batch import (
     STATUS_FAULT,
     STATUS_OK,
     STATUS_PARSE_ERROR,
+    STATUS_WORKER_LOST,
     discover_programs,
     load_manifest,
     run_batch,
 )
 from repro.cli import main
+from repro.core.schedule_engine import shutdown_shared_pools
 
 GOOD = """
 func void main() {
@@ -154,6 +159,46 @@ def test_process_batch_contains_failures(corpus):
         _config(backend="process", jobs=2), paths=[str(corpus)]
     )
     _check_mixed_result(result)
+
+
+@pytest.fixture
+def fresh_pools():
+    # Pool workers fork from this process: start from no pool so they
+    # inherit the test's patches, and drop them again afterwards.
+    shutdown_shared_pools()
+    yield
+    shutdown_shared_pools()
+
+
+def test_process_batch_records_dead_worker(tmp_path, monkeypatch, fresh_pools):
+    for name in ("a.mc", "b_dies.mc", "c.mc"):
+        (tmp_path / name).write_text(GOOD)
+    real = batch.analyze_program_spec
+
+    def dies_on_b(config, spec, index, *args, **kwargs):
+        if spec.path.endswith("b_dies.mc"):
+            os._exit(17)
+        return real(config, spec, index, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "analyze_program_spec", dies_on_b)
+    with obs.enabled() as ctx:
+        result = run_batch(
+            _config(backend="process", jobs=2), paths=[str(tmp_path)]
+        )
+    assert [o.path.rsplit("/", 1)[-1] for o in result.outcomes] == [
+        "a.mc", "b_dies.mc", "c.mc",
+    ]
+    assert [o.status for o in result.outcomes] == [
+        STATUS_OK, STATUS_WORKER_LOST, STATUS_OK,
+    ]
+    assert ctx.metrics.value("batch.pool_rebuilds") >= 1
+    lost = result.outcomes[1].path
+    assert any(
+        span.name == "batch.program"
+        and span.args.get("synthetic")
+        and span.args.get("path") == lost
+        for span in ctx.tracer.spans
+    )
 
 
 def test_outcomes_stay_in_corpus_order_and_stream(corpus):

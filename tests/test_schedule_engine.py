@@ -13,6 +13,9 @@ import glob
 import json
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -385,3 +388,100 @@ def test_obs_aggregates_identical_across_backends():
     serial = collect("serial", None)
     process = collect("process", 2)
     assert serial == process
+
+
+# -- worker death under the process backend ------------------------------------
+
+FIVE_LOOPS_SRC = """
+func void main() {
+  int[] a = new int[4000];
+  int[] b = new int[4000];
+  int[] c = new int[4000];
+  int[] d = new int[4000];
+  int[] e = new int[4000];
+  for (int i = 0; i < 4000; i = i + 1) { a[i] = i * 2; }
+  for (int i = 0; i < 4000; i = i + 1) { b[i] = i + 3; }
+  for (int i = 0; i < 4000; i = i + 1) { c[i] = i * i % 7; }
+  for (int i = 0; i < 4000; i = i + 1) { d[i] = i - 1; }
+  for (int i = 0; i < 4000; i = i + 1) { e[i] = 5 * i; }
+  print(a[7] + b[7] + c[7] + d[7] + e[7]);
+}
+"""
+
+#: Runs in a child interpreter so a hang fails the test instead of the
+#: suite.  ``wait`` is narrowed to one completed future per call (a legal
+#: FIRST_COMPLETED answer), which drives the engine through its broken-
+#: pool recovery one outcome at a time.  Every pool the engine builds is
+#: kept referenced, as a second thread submitting to the shared pool
+#: would keep it: a shut-down executor that is still alive cancels its
+#: queued futures, and a cancelled future never wakes ``wait``.
+_WORKER_DEATH_SCRIPT = textwrap.dedent(
+    """
+    import faulthandler
+    import json
+    import sys
+
+    import repro.core.schedule_engine as engine
+    from repro.core.dca import DcaAnalyzer
+    from repro.core.schedules import ScheduleConfig
+    from repro.driver import compile_program
+
+    faulthandler.dump_traceback_later(110, exit=True)
+    real_wait = engine.wait
+    built = []
+
+    class KeptPool(engine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    def one_completed(fs, timeout=None, return_when=engine.FIRST_COMPLETED):
+        done, _ = real_wait(fs, timeout=timeout, return_when=return_when)
+        first = next(iter(done))
+        return {first}, set(fs) - {first}
+
+    engine.wait = one_completed
+    engine.ProcessPoolExecutor = KeptPool
+    report = DcaAnalyzer(
+        compile_program(sys.stdin.read()),
+        schedules=ScheduleConfig.default(n_random=40),
+        static_filter=False,
+        backend="process",
+        jobs=2,
+        fault_injection={("main.L0", "identity"): "exit"},
+    ).analyze()
+    print(json.dumps({
+        "verdicts": {k: r.verdict for k, r in report.results.items()},
+        "reasons": {k: r.reason for k, r in report.results.items()},
+    }))
+    """
+)
+
+
+def test_worker_death_does_not_hang_process_engine():
+    """A worker killed during an identity replay breaks the pool while
+    other loops' replays are in flight; their isolated retries pass the
+    identity gate and submit perturbing schedules.  Those must run on a
+    live pool to completion: the analysis finishes, the killed loop is a
+    split-mismatch and every other loop still verifies commutative."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _WORKER_DEATH_SCRIPT],
+        input=FIVE_LOOPS_SRC,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-4000:]
+    data = json.loads(result.stdout)
+    verdicts = data["verdicts"]
+    assert verdicts.pop("main.L0") == "split-mismatch"
+    # A schedule left cancelled would merge as "schedule was never
+    # executed", a runtime fault: every other loop must be commutative.
+    assert len(verdicts) == 4
+    assert set(verdicts.values()) == {"commutative"}, data["reasons"]
