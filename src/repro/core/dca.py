@@ -1,37 +1,42 @@
 """DCA orchestration (paper Fig. 3).
 
-``DcaAnalyzer`` drives the whole analysis for one program + workload:
+``DcaAnalyzer.analyze`` runs one program + workload through a fixed list
+of named stages.  Each stage is a method over one per-analysis state
+record (``_Analysis``); the stage loop alone times each stage into
+``DcaReport.stage_times_ms`` and opens its ``dca.<name>`` span, so all
+analysis work is booked to exactly one stage:
 
-1. **Selection** — every source loop is a candidate unless it (or a callee)
-   performs I/O (§IV-E).
-2. **Profile** — one run of the pristine program under the dynamic
+1. ``selection`` — every source loop is a candidate unless it (or a
+   callee) performs I/O (§IV-E).
+2. ``profile`` — one run of the pristine program under the dynamic
    dependence profiler, whose same-invocation memory flow feeds iterator
    recognition and whose dependence graph feeds tiering.
-3. **Static pre-screen** — the static commutativity prover
+3. ``static`` (``static_filter=True``) — the static commutativity prover
    (:mod:`repro.analysis.commutativity`) resolves loops whose verdict
    follows from the IR alone, modulo declared commutativity specs when
    those are on; proven loops skip permutation testing entirely
    (disable with ``static_filter=False`` / ``--no-static-filter``).
-4. **Golden run** — the observe variant executes once, collecting per-loop,
-   per-invocation live-out snapshots in original program order.
-5. **Testing** — per remaining candidate loop, a test variant (outlined +
+4. ``golden`` — the verify spec of every testable loop, then one run of
+   the observe variant collecting per-loop, per-invocation live-out
+   snapshots in original program order, plus the program's final
+   outcome (eventual policy) and the test step budget.
+5. ``dynamic`` — per remaining candidate loop, a test variant (outlined +
    split) runs once per schedule.  The identity schedule runs first as a
-   transformation sanity check; perturbing schedules (reverse, random) only
-   run when the loop actually iterates (≥2 trips somewhere), since
-   permuting fewer than two iterations cannot change anything.
-6. **Verdicts** — any divergence or fault under a perturbing schedule marks
-   the loop non-commutative; identity divergence marks the transformation
-   unsound for that loop (reported separately as ``split-mismatch``).
-   Every :class:`~repro.core.report.LoopResult` records which stage decided
-   it (``decided_by``: selection / static / static-specs / dynamic /
-   cache).
-7. **Tiering** (``tiering=True``) — every loop gets a parallelization
+   transformation sanity check; perturbing schedules (reverse, random)
+   only run when the loop actually iterates (≥2 trips somewhere), since
+   permuting fewer than two iterations cannot change anything.  Any
+   divergence or fault under a perturbing schedule marks the loop
+   non-commutative; identity divergence marks the transformation unsound
+   for that loop (reported separately as ``split-mismatch``).  Every
+   :class:`~repro.core.report.LoopResult` records which stage decided it
+   (``decided_by``: selection / static / static-specs / dynamic / cache).
+6. ``tiering`` (``tiering=True``) — every loop gets a parallelization
    tier (DOALL / REDUCTION / PIPELINE / SEQUENTIAL) from its verdict and
    the profiled dependence graph (:mod:`repro.analysis.sccdag`).
 
 When a persistent :class:`~repro.cache.AnalysisCache` is attached, each
-loop that would enter stage 5 is first looked up by ``(workload digest,
-loop label, config fingerprint)``; a hit replays the memoized verdict,
+loop that would enter schedule testing is first looked up by ``(workload
+digest, loop label, config fingerprint)``; a hit replays the memoized verdict,
 cost record and accounting instead of executing any schedule, and a miss
 stores the freshly decided loop for the next run.  Warm reports
 serialize byte-identically to cold ones (cache provenance and hit/miss
@@ -42,13 +47,15 @@ from __future__ import annotations
 
 import pickle
 import time
-from contextlib import contextmanager, nullcontext
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import repro.obs as obs
 from repro.analysis.commutativity import (
     PROVEN_COMMUTATIVE,
     StaticCommutativityAnalysis,
+    StaticLoopVerdict,
 )
 from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.analysis.loops import build_loop_forest
@@ -81,7 +88,6 @@ from repro.cache.keys import (
 from repro.core.report import (
     COMMUTATIVE,
     COMMUTATIVE_VACUOUS,
-    DECIDED_CACHE,
     DECIDED_DYNAMIC,
     DECIDED_SELECTION,
     DECIDED_STATIC,
@@ -95,6 +101,7 @@ from repro.core.report import (
     UNTESTABLE,
     DcaReport,
     LoopResult,
+    add_counters,
 )
 from repro.core.runtime import DcaRuntime
 from repro.core.schedule_engine import (
@@ -105,13 +112,41 @@ from repro.core.schedule_engine import (
     ScheduleOutcome,
     ScheduleTask,
     create_engine,
-    outcome_fails,
     program_outcome,
 )
 from repro.core.schedules import IdentitySchedule, ScheduleConfig
 from repro.interp.compiler import create_executor
 from repro.ir.function import Module
 from repro.settings import resolve
+
+
+@dataclass
+class _Analysis:
+    """What the stages of one ``analyze`` call hand each other.  Built
+    fresh per call, so no per-analysis state lives on the analyzer."""
+
+    report: DcaReport
+    #: Module effect summaries: I/O exclusion and verify specs.
+    effects: Optional[EffectAnalysis] = None
+    #: Dependence profiler from the profile run: its max trips gate
+    #: static verdicts, its per-loop edges feed tiering.
+    profiler: Optional[DynamicDepProfiler] = None
+    #: label -> same-invocation flow edges, kept per loop: an edge
+    #: discovered in an enclosing loop's scope must not leak into an
+    #: inner loop's slice.
+    memory_flow: Dict[str, Set] = field(default_factory=dict)
+    #: label -> static pre-screen verdict.
+    static_verdicts: Dict[str, StaticLoopVerdict] = field(default_factory=dict)
+    #: label -> verify spec of every testable loop, in testing order.
+    specs: Dict[str, VerifySpec] = field(default_factory=dict)
+    #: label -> golden live-out snapshots, one per invocation.
+    golden: Dict[str, List] = field(default_factory=dict)
+    #: The golden run's final observable outcome (eventual policy).
+    golden_outcome: Optional[Tuple] = None
+    #: Step budget of every schedule execution.
+    step_budget: Optional[int] = None
+    #: Chrome-trace lane per worker pid (assigned in merge order).
+    lane_by_pid: Dict[int, int] = field(default_factory=dict)
 
 
 class DcaAnalyzer:
@@ -175,12 +210,6 @@ class DcaAnalyzer:
         self._chain_slots: Dict[str, int] = (
             self.specs.chain_slots(module) if self.specs is not None else {}
         )
-        #: label -> StaticLoopVerdict, filled when the pre-screen runs.
-        self.static_verdicts = {}
-        #: Same-invocation dynamic flow edges, filled by the profiling run.
-        self.memory_flow = None
-        #: label -> highest trip count seen in the profiling run.
-        self._profiled_trips: Dict[str, int] = {}
         #: Injectable monotonic clock (seconds) for stage/schedule timing.
         #: Injecting a clock also zeroes worker-side timing, making the
         #: full report byte-identical across schedule backends.
@@ -219,39 +248,34 @@ class DcaAnalyzer:
         if max_pipeline_stages < 2:
             raise ValueError("max_pipeline_stages must be >= 2")
         self.max_pipeline_stages = max_pipeline_stages
-        #: Dependence profiler retained from the profiling run; the
-        #: tiering stage reuses its per-loop edges and privatization facts.
-        self._dep_profiler: Optional[DynamicDepProfiler] = None
         self._workload_digest: Optional[str] = None
-        #: Chrome-trace lane per worker pid (assigned in merge order).
-        self._lane_by_pid: Dict[int, int] = {}
         #: Observability context; re-resolved at the start of ``analyze``.
         self._obs = obs.current()
 
-    # -- observability ---------------------------------------------------------
+    def analyze(self) -> DcaReport:
+        self._obs = obs.current()
+        report = DcaReport(
+            entry=self.entry,
+            static_filter=self.static_filter,
+            tiering=self.tiering,
+        )
+        state = _Analysis(report)
+        stages = [("selection", self._select), ("profile", self._profile)]
+        if self.static_filter:
+            stages.append(("static", self._prescreen))
+        stages += [("golden", self._golden), ("dynamic", self._test_loops)]
+        if self.tiering:
+            stages.append(("tiering", self._assign_tiers))
+        with self._obs.span("dca.analyze", entry=self.entry):
+            for name, stage in stages:
+                start = self._clock()
+                with self._obs.span(f"dca.{name}"):
+                    stage(state)
+                report.stage_times_ms[name] = (self._clock() - start) * 1000.0
+        self._emit_verdict_events(report)
+        return report
 
-    @contextmanager
-    def _stage(self, report: DcaReport, name: str):
-        """Measure one pipeline stage: wall time into the report, a span
-        into the observability context (when enabled)."""
-        start = self._clock()
-        try:
-            with self._obs.span(f"dca.{name}"):
-                yield
-        finally:
-            elapsed_ms = (self._clock() - start) * 1000.0
-            report.stage_times_ms[name] = (
-                report.stage_times_ms.get(name, 0.0) + elapsed_ms
-            )
-
-    @staticmethod
-    def _absorb_runtime(report: DcaReport, runtime: DcaRuntime) -> None:
-        """Fold one execution's runtime cost counters into report totals."""
-        report.snapshots_taken += runtime.snapshots_taken
-        report.snapshot_nodes += runtime.snapshot_nodes
-        report.snapshot_bytes += runtime.snapshot_bytes
-        report.verify_comparisons += runtime.verify_comparisons
-        report.mismatches += runtime.mismatches
+    # -- observability -------------------------------------------------------
 
     def _emit_verdict_events(self, report: DcaReport) -> None:
         if not self._obs.enabled:
@@ -274,11 +298,16 @@ class DcaAnalyzer:
                 function=result.function,
             )
 
-    # -- selection -----------------------------------------------------------
+    # -- selection and profile stages -----------------------------------------
 
-    def select_candidates(self) -> Dict[str, LoopResult]:
+    def _select(self, state: _Analysis) -> None:
+        state.effects = EffectAnalysis(self.module)
+        state.report.results = self.select_candidates(state.effects)
+
+    def select_candidates(
+        self, effects: EffectAnalysis
+    ) -> Dict[str, LoopResult]:
         """Classify every source loop; pre-assign verdicts for exclusions."""
-        effects = EffectAnalysis(self.module)
         results: Dict[str, LoopResult] = {}
         for func in self.module.functions.values():
             forest = build_loop_forest(func)
@@ -304,26 +333,88 @@ class DcaAnalyzer:
                 results[label] = result
         return results
 
-    # -- dynamic stage ---------------------------------------------------------
-
-    def _profile_memory_flow(self, report: DcaReport) -> None:
-        """One profiled run of the pristine program (iterator recognition)."""
-        profiler = DynamicDepProfiler(self.module)
+    def _run_program(self, report: DcaReport, module: Module, **kwargs):
+        """Run ``module`` once from the entry, charged to the report as
+        one execution; returns ``(executor, return value)``."""
         executor = create_executor(
-            self.module,
-            observers=[profiler],
+            module,
             max_steps=self.max_steps,
             exec_backend=self.exec_backend,
+            **kwargs,
         )
-        executor.run(self.entry, self.args)
+        value = executor.run(self.entry, self.args)
         report.executions += 1
         report.interp_instructions += executor.steps
-        #: label -> same-invocation flow edges, kept per loop: an edge
-        #: discovered in an enclosing loop's scope must not leak into an
-        #: inner loop's slice.
-        self.memory_flow = profiler.memory_flow_edges()
-        self._profiled_trips = dict(profiler.max_trips)
-        self._dep_profiler = profiler
+        return executor, value
+
+    def _profile(self, state: _Analysis) -> None:
+        """One profiled run of the pristine program (iterator recognition
+        and tiering)."""
+        state.profiler = DynamicDepProfiler(self.module)
+        self._run_program(
+            state.report, self.module, observers=[state.profiler]
+        )
+        state.memory_flow = state.profiler.memory_flow_edges()
+
+    # -- static and golden stages ---------------------------------------------
+
+    def _prescreen(self, state: _Analysis) -> None:
+        state.static_verdicts = StaticCommutativityAnalysis(
+            self.module, specs=self.specs
+        ).analyze()
+        for label, result in state.report.results.items():
+            verdict = state.static_verdicts.get(label)
+            if verdict is not None:
+                result.static_verdict = verdict.verdict
+                result.static_evidence = [str(e) for e in verdict.evidence]
+        if self._obs.enabled:
+            for verdict in state.static_verdicts.values():
+                self._obs.count(f"static.verdict.{verdict.verdict}")
+
+    def _golden(self, state: _Analysis) -> None:
+        """Verify specs for every testable loop, then the golden (observe)
+        run of all of them at once."""
+        report = state.report
+        #: One module-wide equivalence annotation shared by every loop's
+        #: VerifySpec: canonicalization keys on struct *types*, and a
+        #: declared type means declared everywhere.
+        equivalence = tuple(sorted(self._chain_slots.items())) or None
+        for label, result in report.results.items():
+            if result.verdict == NOT_EXERCISED:
+                func = self.module.functions[result.function]
+                spec = compute_verify_spec(
+                    self.module, func, label, state.effects
+                )
+                spec.equivalence = equivalence
+                state.specs[label] = spec
+
+        observe = build_observe_module(self.module, state.specs)
+        runtime = DcaRuntime(
+            state.specs, capture_snapshots=(self.liveout_policy == "strict")
+        )
+        executor, value = self._run_program(report, observe, runtime=runtime)
+        add_counters(report, runtime)
+        state.golden = runtime.snapshots
+        # Prepay golden digests: every test execution digests its own
+        # snapshots anyway (snapshot_content_digest), so rt_verify can
+        # compare content digests first and fall back to the
+        # rtol-tolerant structural comparison only when they differ.
+        for snaps in state.golden.values():
+            for snap in snaps:
+                snapshot_digest(snap)
+        state.golden_outcome = program_outcome(
+            executor, value, sorted(self.module.globals), self._chain_slots
+        )
+        for label in state.specs:
+            report.results[label].invocations = runtime.invocation_count(label)
+        # A permuted execution of a non-commutative loop may diverge (e.g. a
+        # worklist that never drains).  Budget every test run relative to the
+        # golden run so divergence is detected as a runtime fault (§IV-E)
+        # instead of spinning forever.
+        if self.max_steps is None:
+            state.step_budget = executor.steps * 20 + 200_000
+        else:
+            state.step_budget = self.max_steps
 
     # -- persistent cache ------------------------------------------------------
 
@@ -385,19 +476,13 @@ class DcaAnalyzer:
         bytes as its cold twin while executing zero schedules.
         """
         result.apply_payload(payload["result"])
-        cost = result.cost
-        report.executions += cost.schedule_executions
-        report.schedule_executions += cost.schedule_executions
-        report.interp_instructions += cost.interp_instructions
-        report.snapshots_taken += cost.snapshots_taken
-        report.snapshot_nodes += cost.snapshot_nodes
-        report.snapshot_bytes += cost.snapshot_bytes
-        report.verify_comparisons += cost.verify_comparisons
-        report.mismatches += cost.mismatches
+        report.add_loop_cost(result.cost)
         for reason, n in payload.get("skipped", {}).items():
             self._skip_schedules(report, reason, n)
         report.cache.hits += 1
-        report.cache.schedule_executions_avoided += cost.schedule_executions
+        report.cache.schedule_executions_avoided += (
+            result.cost.schedule_executions
+        )
         self._obs.count("dca.cache_hits")
 
     def _store_cached(
@@ -431,168 +516,71 @@ class DcaAnalyzer:
         if stored:
             report.cache.stores += 1
 
-    def analyze(self) -> DcaReport:
-        self._obs = obs.current()
-        report = DcaReport(entry=self.entry)
-        with self._obs.span("dca.analyze", entry=self.entry):
-            self._analyze(report)
-        self._emit_verdict_events(report)
-        return report
+    # -- dynamic stage --------------------------------------------------------
 
-    def _analyze(self, report: DcaReport) -> None:
-        report.tiering = self.tiering
-        with self._stage(report, "selection"):
-            report.results = self.select_candidates()
-        report.static_filter = self.static_filter
-
-        with self._stage(report, "profile"):
-            self._profile_memory_flow(report)
-        if self.static_filter:
-            with self._stage(report, "static"):
-                self.static_verdicts = StaticCommutativityAnalysis(
-                    self.module, specs=self.specs
-                ).analyze()
-                for label, result in report.results.items():
-                    verdict = self.static_verdicts.get(label)
-                    if verdict is not None:
-                        result.static_verdict = verdict.verdict
-                        result.static_evidence = [
-                            str(e) for e in verdict.evidence
-                        ]
-                if self._obs.enabled:
-                    for verdict in self.static_verdicts.values():
-                        self._obs.count(f"static.verdict.{verdict.verdict}")
-        effects = EffectAnalysis(self.module)
-        testable = [
-            label
-            for label, res in report.results.items()
-            if res.verdict is NOT_EXERCISED
-        ]
-        specs: Dict[str, VerifySpec] = {}
-        #: One module-wide equivalence annotation shared by every loop's
-        #: VerifySpec: canonicalization keys on struct *types*, and a
-        #: declared type means declared everywhere.
-        equivalence = (
-            tuple(sorted(self._chain_slots.items()))
-            if self._chain_slots
-            else None
-        )
-        for label in testable:
-            func = self.module.functions[report.results[label].function]
-            spec = compute_verify_spec(self.module, func, label, effects)
-            spec.equivalence = equivalence
-            specs[label] = spec
-
-        # Golden (observe) run: all candidate loops at once.
-        with self._stage(report, "golden"):
-            observe = build_observe_module(self.module, specs)
-            golden_rt = DcaRuntime(
-                specs, capture_snapshots=(self.liveout_policy == "strict")
+    def _test_loops(self, state: _Analysis) -> None:
+        """Decide every testable loop: static proof, cache replay, or
+        schedule testing on the engine."""
+        report = state.report
+        report.backend = self._engine.name
+        report.jobs = self._engine.jobs
+        report.exec_backend = self.exec_backend
+        cache = self.cache
+        if cache is not None:
+            report.cache.enabled = True
+            digest = self.workload_digest()
+            fingerprint = self.config_fingerprint()
+            cache.register_module(
+                digest,
+                source_text=self.source_text,
+                source_path=self.source_path,
+                entry=self.entry,
+                args=self.args,
             )
-            interp = create_executor(
-                observe,
-                runtime=golden_rt,
-                max_steps=self.max_steps,
-                exec_backend=self.exec_backend,
-            )
-            entry_result = interp.run(self.entry, self.args)
-            report.executions += 1
-            report.interp_instructions += interp.steps
-            self._absorb_runtime(report, golden_rt)
-        golden = golden_rt.snapshots
-        # Prepay golden digests: every test execution digests its own
-        # snapshots anyway (snapshot_content_digest), so rt_verify can
-        # compare content digests first and fall back to the
-        # rtol-tolerant structural comparison only when they differ.
-        for snaps in golden.values():
-            for snap in snaps:
-                snapshot_digest(snap)
-        self._golden_outcome = program_outcome(
-            interp,
-            entry_result,
-            sorted(self.module.globals),
-            self._chain_slots,
-        )
-        self._golden_counts = {
-            label: golden_rt.invocation_count(label) for label in testable
-        }
-        # A permuted execution of a non-commutative loop may diverge (e.g. a
-        # worklist that never drains).  Budget every test run relative to the
-        # golden run so divergence is detected as a runtime fault (§IV-E)
-        # instead of spinning forever.
-        if self.max_steps is None:
-            self._test_step_budget = interp.steps * 20 + 200_000
-        else:
-            self._test_step_budget = self.max_steps
-
-        with self._stage(report, "dynamic"):
-            report.backend = self._engine.name
-            report.jobs = self._engine.jobs
-            report.exec_backend = self.exec_backend
-            cache = self.cache
+        n_schedules = 1 + len(self.schedules.testing_schedules())
+        plans: List[LoopPlan] = []
+        for label in state.specs:
+            result = report.results[label]
+            if result.invocations == 0:
+                result.decided_by = DECIDED_SELECTION
+                continue
+            if self._apply_static_verdict(state, label, result):
+                report.static_schedules_saved += n_schedules
+                continue
+            result.decided_by = DECIDED_DYNAMIC
             if cache is not None:
-                report.cache.enabled = True
-                digest = self.workload_digest()
-                fingerprint = self.config_fingerprint()
-                cache.register_module(
-                    digest,
-                    source_text=self.source_text,
-                    source_path=self.source_path,
-                    entry=self.entry,
-                    args=self.args,
-                )
-            n_schedules = 1 + len(self.schedules.testing_schedules())
-            plans: List[LoopPlan] = []
-            for label in testable:
-                result = report.results[label]
-                result.invocations = self._golden_counts[label]
-                if result.invocations == 0:
-                    result.verdict = NOT_EXERCISED
-                    result.decided_by = DECIDED_SELECTION
+                payload = cache.lookup(digest, label, fingerprint)
+                if payload is not None:
+                    self._apply_cached(payload, result, report)
                     continue
-                if self._apply_static_verdict(label, result):
-                    report.static_schedules_saved += n_schedules
-                    continue
-                result.decided_by = DECIDED_DYNAMIC
-                if cache is not None:
-                    payload = cache.lookup(digest, label, fingerprint)
-                    if payload is not None:
-                        self._apply_cached(payload, result, report)
-                        continue
-                    report.cache.misses += 1
-                    if cache.has_stale_sibling(digest, label, fingerprint):
-                        report.cache.invalidations += 1
-                skipped_before = dict(report.schedules_skipped)
-                plan = self._plan_loop(label, specs[label], golden, result, report)
-                if plan is not None:
-                    plans.append(plan)
-                elif cache is not None:
-                    # Untestable/iterator-only: decided during planning.
-                    self._store_cached(label, result, report, skipped_before)
-            outcomes = self._engine.run(plans)
-            for plan in plans:
-                skipped_before = dict(report.schedules_skipped)
-                self._merge_loop(
-                    plan,
-                    outcomes[plan.label],
-                    report.results[plan.label],
+                report.cache.misses += 1
+                if cache.has_stale_sibling(digest, label, fingerprint):
+                    report.cache.invalidations += 1
+            skipped_before = dict(report.schedules_skipped)
+            plan = self._plan_loop(state, label, result)
+            if plan is not None:
+                plans.append(plan)
+            elif cache is not None:
+                # Untestable/iterator-only: decided during planning.
+                self._store_cached(label, result, report, skipped_before)
+        outcomes = self._engine.run(plans)
+        for plan in plans:
+            result = report.results[plan.label]
+            skipped_before = dict(report.schedules_skipped)
+            self._merge_loop(state, plan, outcomes[plan.label], result)
+            report.add_loop_cost(result.cost)
+            if cache is not None:
+                self._store_cached(
+                    plan.label,
+                    result,
                     report,
+                    skipped_before,
+                    outcomes[plan.label],
                 )
-                if cache is not None:
-                    self._store_cached(
-                        plan.label,
-                        report.results[plan.label],
-                        report,
-                        skipped_before,
-                        outcomes[plan.label],
-                    )
-        if self.tiering:
-            with self._stage(report, "tiering"):
-                self._assign_tiers(report)
 
     # -- tiering stage -------------------------------------------------------
 
-    def _assign_tiers(self, report: DcaReport) -> None:
+    def _assign_tiers(self, state: _Analysis) -> None:
         """Assign a parallelization tier to every loop (see
         :mod:`repro.analysis.sccdag` for the tier vocabulary).
 
@@ -605,7 +593,7 @@ class DcaAnalyzer:
         SEQUENTIAL.  Tiers are recomputed from the fresh dependence
         profile on every run — cache replays never carry them.
         """
-        profiler = self._dep_profiler
+        report, profiler = state.report, state.profiler
         forests = {
             name: build_loop_forest(func)
             for name, func in self.module.functions.items()
@@ -631,9 +619,7 @@ class DcaAnalyzer:
             if result.verdict not in (NON_COMMUTATIVE, RUNTIME_FAULT):
                 result.tier = TIER_SEQUENTIAL
                 continue
-            deps = (
-                profiler.deps_for(label) if profiler is not None else None
-            )
+            deps = profiler.deps_for(label)
             if deps is None:
                 result.tier = TIER_SEQUENTIAL
                 continue
@@ -654,7 +640,9 @@ class DcaAnalyzer:
             for tier, n in sorted(report.tier_counts().items()):
                 self._obs.count(f"dca.tier.{tier}", n)
 
-    def _apply_static_verdict(self, label: str, result: LoopResult) -> bool:
+    def _apply_static_verdict(
+        self, state: _Analysis, label: str, result: LoopResult
+    ) -> bool:
         """Resolve a loop from its static proof, skipping permutation
         testing.  Applies only when the proof's preconditions hold for
         this workload: the loop must have a payload to permute (else the
@@ -665,12 +653,11 @@ class DcaAnalyzer:
         strict policy — under the eventual policy the difference may
         never become observable.
         """
-        if not self.static_filter:
-            return False
-        verdict = self.static_verdicts.get(label)
+        verdict = state.static_verdicts.get(label)
         if verdict is None or not verdict.is_proven or verdict.payload_empty:
             return False
-        if self._profiled_trips.get(label, 0) < 2:
+        max_trip = state.profiler.max_trips.get(label, 0)
+        if max_trip < 2:
             return False
         if verdict.verdict == PROVEN_COMMUTATIVE:
             result.verdict = COMMUTATIVE
@@ -684,7 +671,7 @@ class DcaAnalyzer:
         else:
             result.decided_by = DECIDED_STATIC
         result.reason = verdict.headline()
-        result.max_trip = self._profiled_trips.get(label, 0)
+        result.max_trip = max_trip
         return True
 
     # -- per-loop testing ----------------------------------------------------------
@@ -696,12 +683,7 @@ class DcaAnalyzer:
             )
 
     def _plan_loop(
-        self,
-        label: str,
-        spec: VerifySpec,
-        golden: Dict[str, List],
-        result: LoopResult,
-        report: DcaReport,
+        self, state: _Analysis, label: str, result: LoopResult
     ) -> Optional[LoopPlan]:
         """Build the loop's schedule work units (identity first).
 
@@ -709,12 +691,13 @@ class DcaAnalyzer:
         is final and no executions are planned.
         """
         n_schedules = 1 + len(self.schedules.testing_schedules())
+        spec = state.specs[label]
         try:
             instrumented = build_test_module(
                 self.module,
                 label,
                 spec,
-                memory_flow=(self.memory_flow or {}).get(label),
+                memory_flow=state.memory_flow.get(label),
             )
         except OutlineError as exc:
             if exc.reason == "empty-payload":
@@ -722,7 +705,7 @@ class DcaAnalyzer:
             else:
                 result.verdict = UNTESTABLE
             result.reason = exc.reason
-            self._skip_schedules(report, "untestable", n_schedules)
+            self._skip_schedules(state.report, "untestable", n_schedules)
             return None
 
         strict = self.liveout_policy == "strict"
@@ -730,9 +713,7 @@ class DcaAnalyzer:
         #: rehydrates a private module copy.
         module_blob = pickle.dumps(instrumented.module)
         global_names = sorted(self.module.globals)
-        plan = LoopPlan(
-            label=label, expected_invocations=self._golden_counts[label]
-        )
+        plan = LoopPlan(label=label, expected_invocations=result.invocations)
         schedules = [IdentitySchedule()] + list(
             self.schedules.testing_schedules()
         )
@@ -747,13 +728,13 @@ class DcaAnalyzer:
                     spec=spec,
                     module_blob=module_blob,
                     global_names=global_names,
-                    golden=list(golden.get(label, [])) if strict else None,
-                    golden_outcome=None if strict else self._golden_outcome,
+                    golden=(
+                        list(state.golden.get(label, [])) if strict else None
+                    ),
+                    golden_outcome=None if strict else state.golden_outcome,
                     liveout_policy=self.liveout_policy,
                     rtol=self.rtol,
-                    max_steps=getattr(
-                        self, "_test_step_budget", self.max_steps
-                    ),
+                    max_steps=state.step_budget,
                     measure_time=self._measure_time,
                     obs_enabled=self._obs.enabled,
                     inject_fault=self.fault_injection.get(
@@ -765,9 +746,10 @@ class DcaAnalyzer:
         return plan
 
     def _consume_outcome(
-        self, outcome: ScheduleOutcome, result: LoopResult, report: DcaReport
+        self, state: _Analysis, outcome: ScheduleOutcome, result: LoopResult
     ) -> None:
-        """Fold one consumed execution into the loop/report accounting.
+        """Fold one consumed execution into the loop's cost record (the
+        report totals take the whole record once the loop is merged).
 
         Only *consumed* outcomes count: the process backend may have
         speculatively executed schedules past a loop's first failure,
@@ -775,24 +757,12 @@ class DcaAnalyzer:
         backend's short-circuit.
         """
         cost = result.cost
-        report.executions += 1
-        report.schedule_executions += 1
         cost.schedule_executions += 1
+        cost.interp_instructions += outcome.steps
+        add_counters(cost, outcome)
         self._obs.count("dca.schedule_executions")
         cost.schedule_times_ms[outcome.schedule_name] = outcome.wall_ms
         cost.schedule_cpu_times_ms[outcome.schedule_name] = outcome.cpu_ms
-        cost.interp_instructions += outcome.steps
-        cost.snapshots_taken += outcome.snapshots_taken
-        cost.snapshot_nodes += outcome.snapshot_nodes
-        cost.snapshot_bytes += outcome.snapshot_bytes
-        cost.verify_comparisons += outcome.verify_comparisons
-        cost.mismatches += outcome.mismatches
-        report.interp_instructions += outcome.steps
-        report.snapshots_taken += outcome.snapshots_taken
-        report.snapshot_nodes += outcome.snapshot_nodes
-        report.snapshot_bytes += outcome.snapshot_bytes
-        report.verify_comparisons += outcome.verify_comparisons
-        report.mismatches += outcome.mismatches
         if outcome.snapshot_digest:
             result.schedule_digests[outcome.schedule_name] = (
                 outcome.snapshot_digest
@@ -801,15 +771,16 @@ class DcaAnalyzer:
             result.mismatch_detail = dict(outcome.mismatch_report)
         if outcome.obs is not None:
             pid = outcome.obs.get("pid")
-            lane = self._lane_by_pid.setdefault(pid, len(self._lane_by_pid) + 1)
+            lanes = state.lane_by_pid
+            lane = lanes.setdefault(pid, len(lanes) + 1)
             self._obs.absorb(outcome.obs, lane=lane)
 
     def _merge_loop(
         self,
+        state: _Analysis,
         plan: LoopPlan,
         outcomes: List[ScheduleOutcome],
         result: LoopResult,
-        report: DcaReport,
     ) -> None:
         """Derive the loop's verdict from its outcomes, in task order.
 
@@ -817,7 +788,7 @@ class DcaAnalyzer:
         gate, vacuous check, first-failure short-circuit — regardless of
         how many schedules the backend actually executed.
         """
-        label = plan.label
+        report, label = state.report, plan.label
         expected = plan.expected_invocations
         n_testing = len(plan.tasks) - 1
 
@@ -832,7 +803,7 @@ class DcaAnalyzer:
 
         with loop_span():
             identity = outcomes[0]
-            self._consume_outcome(identity, result, report)
+            self._consume_outcome(state, identity, result)
             identity_faulted = identity.status not in ("ok", "mismatch")
             if identity_faulted or identity.violations or not identity.outcome_ok:
                 result.verdict = SPLIT_MISMATCH
@@ -865,7 +836,7 @@ class DcaAnalyzer:
                     outcome.status = "fault"
                     outcome.error = "schedule was never executed"
                 name = outcome.schedule_name
-                self._consume_outcome(outcome, result, report)
+                self._consume_outcome(state, outcome, result)
                 result.schedules_tested.append(name)
                 if outcome.status not in ("ok", "mismatch"):
                     result.verdict = RUNTIME_FAULT

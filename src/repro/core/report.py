@@ -37,6 +37,23 @@ _STATIC_PROVENANCES = frozenset({DECIDED_STATIC, DECIDED_STATIC_SPECS})
 #: Version-1 output stays byte-identical to pre-tiering releases.
 REPORT_SCHEMA_VERSION = 2
 
+#: Snapshot/verification counters every cost record shares by name: the
+#: runtime of one execution, a schedule outcome, a :class:`LoopCost` and
+#: the :class:`DcaReport` totals.
+COST_COUNTERS = (
+    "snapshots_taken",
+    "snapshot_nodes",
+    "snapshot_bytes",
+    "verify_comparisons",
+    "mismatches",
+)
+
+
+def add_counters(target, source) -> None:
+    """Add ``source``'s :data:`COST_COUNTERS` into ``target``."""
+    for name in COST_COUNTERS:
+        setattr(target, name, getattr(target, name) + getattr(source, name))
+
 
 @dataclass
 class LoopCost:
@@ -312,8 +329,9 @@ class DcaReport:
     schedule_executions: int = 0
     #: Whether the static pre-screen ran for this report.
     static_filter: bool = False
-    #: Wall milliseconds per pipeline stage (selection/profile/static/
-    #: golden/dynamic), measured by the analyzer's injectable clock.
+    #: Wall milliseconds per pipeline stage, in run order (selection/
+    #: profile/static/golden/dynamic/tiering; static and tiering only
+    #: when enabled), measured by the analyzer's injectable clock.
     stage_times_ms: Dict[str, float] = field(default_factory=dict)
     #: Interpreter instructions retired across all executions.
     interp_instructions: int = 0
@@ -357,6 +375,13 @@ class DcaReport:
 
     def loop(self, label: str) -> LoopResult:
         return self.results[label]
+
+    def add_loop_cost(self, cost: LoopCost) -> None:
+        """Fold one decided loop's schedule executions into the totals."""
+        self.executions += cost.schedule_executions
+        self.schedule_executions += cost.schedule_executions
+        self.interp_instructions += cost.interp_instructions
+        add_counters(self, cost)
 
     def commutative_loops(self) -> List[LoopResult]:
         return [r for r in self.results.values() if r.is_commutative]

@@ -70,6 +70,7 @@ from repro.core.liveout import (
     capture,
     snapshots_equal,
 )
+from repro.core.report import add_counters
 from repro.core.runtime import CommutativityMismatch, DcaRuntime
 from repro.core.schedules import Schedule
 from repro.interp.codegen import (
@@ -393,11 +394,7 @@ def execute_task(
         outcome.invocation_count = runtime.invocation_count(task.label)
         outcome.max_trip = runtime.max_trip_count(task.label)
         outcome.violations = len(runtime.violations)
-        outcome.snapshots_taken = runtime.snapshots_taken
-        outcome.snapshot_nodes = runtime.snapshot_nodes
-        outcome.snapshot_bytes = runtime.snapshot_bytes
-        outcome.verify_comparisons = runtime.verify_comparisons
-        outcome.mismatches = runtime.mismatches
+        add_counters(outcome, runtime)
         outcome.snapshot_digest = runtime.snapshot_content_digest()
         outcome.mismatch_report = runtime.first_mismatch_report()
     outcome.status = FAULT if fault else (MISMATCH if mismatch else OK)
