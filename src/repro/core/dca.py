@@ -71,7 +71,6 @@ from repro.analysis.sccdag import (
     partition_stages,
 )
 from repro.analysis.specs import SpecRegistry, default_registry
-from repro.core.liveout import snapshot_digest
 from repro.core.instrument import (
     VerifySpec,
     build_observe_module,
@@ -373,7 +372,13 @@ class DcaAnalyzer:
 
     def _golden(self, state: _Analysis) -> None:
         """Verify specs for every testable loop, then the golden (observe)
-        run of all of them at once."""
+        run of all of them at once.
+
+        The golden runtime keeps every live-out snapshot, each with its
+        content digest memoized at capture.  Replays compare digests
+        first, in process or in a worker (the memo travels with the
+        pickled snapshot), and fall back to the rtol comparison only
+        when the digests differ."""
         report = state.report
         #: One module-wide equivalence annotation shared by every loop's
         #: VerifySpec: canonicalization keys on struct *types*, and a
@@ -395,13 +400,6 @@ class DcaAnalyzer:
         executor, value = self._run_program(report, observe, runtime=runtime)
         add_counters(report, runtime)
         state.golden = runtime.snapshots
-        # Prepay golden digests: every test execution digests its own
-        # snapshots anyway (snapshot_content_digest), so rt_verify can
-        # compare content digests first and fall back to the
-        # rtol-tolerant structural comparison only when they differ.
-        for snaps in state.golden.values():
-            for snap in snaps:
-                snapshot_digest(snap)
         state.golden_outcome = program_outcome(
             executor, value, sorted(self.module.globals), self._chain_slots
         )

@@ -258,12 +258,16 @@ def snapshot_digest(snapshot: Snapshot) -> str:
     for cheap cross-process identity checks and mismatch reports, never a
     substitute for the rtol comparison.
 
-    The digest is memoized on the snapshot: golden snapshots get
-    re-digested by every schedule's ``snapshot_content_digest()`` and by
-    every mismatch report, and a frozen ``Snapshot`` never changes, so
-    the sha256 is computed once.  (``object.__setattr__`` bypasses the
-    frozen-dataclass guard; ``_digest`` is not a field, so equality,
-    hashing and pickling are unaffected.)
+    The digest is memoized on the snapshot: a golden snapshot is digested
+    once, when the golden run captures it, and every replay's
+    digest-first compare and mismatch report then reads the memo.  A
+    frozen ``Snapshot`` never changes, so the memo cannot go stale.
+    (``object.__setattr__`` bypasses the frozen-dataclass guard;
+    ``_digest`` is not a field, so equality and hashing ignore it.)  The
+    memo is part of the instance ``__dict__`` and so travels in the
+    pickle: golden snapshots shipped to worker processes inside a
+    ``ScheduleTask`` arrive digested, and a worker's compare costs no
+    re-hash of the reference.
     """
     cached = snapshot.__dict__.get("_digest")
     if cached is not None:

@@ -8,8 +8,13 @@ services the ``rt_*`` intrinsics:
 * ``rt_iterator_permute`` — freezes the buffer and applies the schedule's
   permutation;
 * ``rt_iterator_next`` / ``rt_iterator_get`` — drive the dispatch loop;
-* ``rt_verify`` — captures the live-out snapshot; in test mode, compares
-  it online against the golden reference and aborts on the first mismatch.
+* ``rt_verify`` — captures the live-out snapshot and keeps its content
+  digest.  The golden (observe) run also keeps the snapshot itself, the
+  reference every replay compares against.  In test mode the snapshot
+  is compared online against the golden one (digests first, then the
+  rtol-tolerant structural comparison) and dropped right after, so a
+  replay holds one digest per invocation and no snapshots; the first
+  mismatch aborts the replay.
 
 Invocation states are kept per loop label as a *stack*, so re-entrant
 invocations (recursive callers, a payload reaching the same loop again)
@@ -93,7 +98,10 @@ class DcaRuntime(RuntimeHooks):
         #: When False, rt_verify only counts invocations (eventual policy).
         self.capture_snapshots = capture_snapshots
 
-        #: Completed live-out snapshots per label, in completion order.
+        #: Content digests of the completed live-out snapshots per label,
+        #: in completion order (every mode that captures).
+        self.digests: Dict[str, List[str]] = {}
+        #: The snapshots themselves, kept by the golden run only.
         self.snapshots: Dict[str, List[Snapshot]] = {}
         #: Completed invocations per label (independent of snapshotting).
         self.invocations: Dict[str, int] = {}
@@ -236,68 +244,66 @@ class DcaRuntime(RuntimeHooks):
             metrics.counter("dca.snapshots").inc()
             metrics.histogram("dca.snapshot.nodes").observe(snap.size())
             metrics.histogram("dca.snapshot.bytes").observe(snap.approx_bytes())
-        done = self.snapshots.setdefault(label, [])
+        digest = snapshot_digest(snap)
+        done = self.digests.setdefault(label, [])
         index = len(done)
-        done.append(snap)
-        if self.golden is not None:
-            self.verify_comparisons += 1
-            if self._obs.enabled:
-                self._obs.metrics.counter("dca.verify.comparisons").inc()
-            reference = self.golden.get(label, [])
-            if index < len(reference):
-                ref = reference[index]
-                # Digest-first: when the golden snapshot's content digest
-                # is already cached (the analyzer prepays it), compare it
-                # against this snapshot's digest — which the end-of-run
-                # snapshot_content_digest() needs anyway, so the hash is
-                # prepaid, not extra.  Equal digests imply equal content;
-                # differing digests still get the rtol-tolerant
-                # structural comparison (float roundoff).
-                refd = ref.__dict__.get("_digest")
-                ok = (
-                    refd is not None and refd == snapshot_digest(snap)
-                ) or snapshots_equal(ref, snap, rtol=self.rtol)
-            else:
-                ok = False
-            if not ok:
-                # All bookkeeping for the completed snapshot happens
-                # before the fail-fast abort: a mismatch must not lose
-                # the comparison/snapshot cost it just paid.
-                self.mismatches += 1
-                self.violations.append(Violation(label, index))
-                if self._mismatch_report is None:
-                    expected = (
-                        reference[index] if index < len(reference) else None
-                    )
-                    self._mismatch_report = {
-                        "loop": label,
-                        "invocation": index,
-                        "kind": (
-                            "liveout-divergence"
-                            if expected is not None
-                            else "extra-invocation"
-                        ),
-                        "expected_digest": (
-                            snapshot_digest(expected) if expected else ""
-                        ),
-                        "actual_digest": snapshot_digest(snap),
-                        "expected_objects": (
-                            expected.size() if expected else 0
-                        ),
-                        "actual_objects": snap.size(),
-                    }
-                if self._obs.enabled:
-                    self._obs.metrics.counter("dca.verify.mismatches").inc()
-                    self._obs.event(
-                        "warning",
-                        "mismatch",
-                        f"live-out mismatch for {label} (invocation {index})",
-                        provenance="dynamic",
-                        loop=label,
-                        invocation=index,
-                    )
-                if self.fail_fast:
-                    raise CommutativityMismatch(label, index)
+        done.append(digest)
+        if self.golden is None:
+            # The golden run keeps its snapshots: they are the reference
+            # every replay compares against.  A replay's snapshot is
+            # dropped when this call returns; a mismatch report keeps
+            # only its digest and object count.
+            self.snapshots.setdefault(label, []).append(snap)
+            return
+        self.verify_comparisons += 1
+        if self._obs.enabled:
+            self._obs.metrics.counter("dca.verify.comparisons").inc()
+        reference = self.golden.get(label, [])
+        expected = reference[index] if index < len(reference) else None
+        # Digest-first: equal digests imply equal content; differing
+        # digests still get the rtol-tolerant structural comparison
+        # (float roundoff).  The golden digest is memoized on the
+        # snapshot, and the memo survives pickling into workers.
+        if expected is not None and (
+            snapshot_digest(expected) == digest
+            or snapshots_equal(expected, snap, rtol=self.rtol)
+        ):
+            return
+        # All bookkeeping for the completed snapshot happens before the
+        # fail-fast abort: a mismatch must not lose the comparison/
+        # snapshot cost it just paid.
+        self.mismatches += 1
+        self.violations.append(Violation(label, index))
+        if self._mismatch_report is None:
+            self._mismatch_report = {
+                "loop": label,
+                "invocation": index,
+                "kind": (
+                    "liveout-divergence"
+                    if expected is not None
+                    else "extra-invocation"
+                ),
+                "expected_digest": (
+                    snapshot_digest(expected) if expected is not None else ""
+                ),
+                "actual_digest": digest,
+                "expected_objects": (
+                    expected.size() if expected is not None else 0
+                ),
+                "actual_objects": snap.size(),
+            }
+        if self._obs.enabled:
+            self._obs.metrics.counter("dca.verify.mismatches").inc()
+            self._obs.event(
+                "warning",
+                "mismatch",
+                f"live-out mismatch for {label} (invocation {index})",
+                provenance="dynamic",
+                loop=label,
+                invocation=index,
+            )
+        if self.fail_fast:
+            raise CommutativityMismatch(label, index)
 
     # -- results ---------------------------------------------------------------
 
@@ -311,19 +317,20 @@ class DcaRuntime(RuntimeHooks):
     def snapshot_content_digest(self) -> str:
         """Content hash over every snapshot this execution captured.
 
-        Labels and per-label snapshots fold in deterministic order, so
-        two executions producing identical live-out content — regardless
-        of which process ran them — get identical digests.  Workers ship
-        this hex string back instead of the snapshots themselves.
-        Empty when no snapshots were captured (eventual policy).
+        Folds the per-capture digests, labels and per-label digests in
+        deterministic order, so two executions producing identical
+        live-out content — regardless of which process ran them — get
+        identical digests.  Workers ship this hex string back instead of
+        the snapshots themselves.  Empty when no snapshots were captured
+        (eventual policy).
         """
-        if not self.snapshots:
+        if not self.digests:
             return ""
         h = hashlib.sha256()
-        for label in sorted(self.snapshots):
+        for label in sorted(self.digests):
             h.update(label.encode("utf-8"))
-            for snap in self.snapshots[label]:
-                h.update(snapshot_digest(snap).encode("ascii"))
+            for digest in self.digests[label]:
+                h.update(digest.encode("ascii"))
         return h.hexdigest()
 
     def first_mismatch_report(self) -> Optional[Dict[str, object]]:

@@ -161,7 +161,8 @@ class ScheduleTask:
     module_blob: bytes
     #: Sorted global names of the module (eventual-policy outcome roots).
     global_names: List[str]
-    #: Golden live-out snapshots for this loop (strict policy only).
+    #: Golden live-out snapshots for this loop (strict policy only), each
+    #: pickled with its memoized digest for the digest-first compare.
     golden: Optional[List[Snapshot]] = None
     #: Golden program outcome ``(stdout, return, globals snapshot)``
     #: (eventual policy only).

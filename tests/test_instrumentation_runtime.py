@@ -1,5 +1,8 @@
 """Instrumentation passes and DCA runtime unit tests."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro import compile_program, run_program
@@ -12,6 +15,7 @@ from repro.core.instrument import (
     build_test_module,
     compute_verify_spec,
 )
+from repro.core.liveout import Snapshot, snapshot_digest
 from repro.core.runtime import CommutativityMismatch, DcaRuntime
 from repro.core.schedules import IdentitySchedule, ReverseSchedule
 from repro.interp.interpreter import Interpreter
@@ -187,6 +191,8 @@ def test_capture_disabled_still_counts_invocations():
     Interpreter(observed, runtime=runtime).run()
     assert runtime.invocation_count("main.L0") == 1
     assert "main.L0" not in runtime.snapshots
+    assert runtime.digests == {}
+    assert runtime.snapshot_content_digest() == ""
 
 
 def test_permutation_cache_shared_across_invocations():
@@ -205,3 +211,147 @@ def test_permutation_cache_shared_across_invocations():
         rt._record("main.L0", (i,))
     rt._permute("main.L0")
     assert sorted(rt._active["main.L0"][-1].order) == list(range(3))
+
+
+NESTED = """
+func void main() {
+  int[] a = new int[4];
+  for (int r = 0; r < 3; r = r + 1) {
+    for (int i = 0; i < 4; i = i + 1) { a[i] = a[i] + i * r; }
+  }
+  print(a[3]);
+}
+"""
+
+
+def golden_and_test_module(source, label):
+    module = compile_program(source)
+    specs = specs_for(module, labels=(label,))
+    golden_rt = DcaRuntime(specs)
+    Interpreter(build_observe_module(module, specs), runtime=golden_rt).run()
+    return golden_rt, build_test_module(module, label, specs[label]), specs
+
+
+def held_snapshots(value, seen=None):
+    """Snapshots reachable from ``value`` through containers and objects."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    if isinstance(value, Snapshot):
+        return 1
+    if isinstance(value, dict):
+        items = list(value.keys()) + list(value.values())
+    elif isinstance(value, (list, tuple, set)):
+        items = list(value)
+    elif hasattr(value, "__dict__"):
+        items = list(vars(value).values())
+    else:
+        return 0
+    return sum(held_snapshots(v, seen) for v in items)
+
+
+def test_replay_keeps_one_digest_per_invocation_and_no_snapshot():
+    golden_rt, inst, specs = golden_and_test_module(NESTED, "main.L1")
+    assert golden_rt.invocation_count("main.L1") == 3
+    assert len(golden_rt.snapshots["main.L1"]) == 3  # the reference stays
+    test_rt = DcaRuntime(
+        specs=specs, schedule=ReverseSchedule(), golden=golden_rt.snapshots
+    )
+    Interpreter(inst.module, runtime=test_rt).run()
+    assert not test_rt.violations
+    assert test_rt.snapshots == {}
+    own = {k: v for k, v in vars(test_rt).items() if k != "golden"}
+    assert held_snapshots(own) == 0
+    assert len(test_rt.digests["main.L1"]) == test_rt.invocation_count("main.L1")
+    assert test_rt.digests == golden_rt.digests
+    assert test_rt.snapshots_taken == 3 and test_rt.verify_comparisons == 3
+
+
+def test_content_digest_folds_the_golden_runs_digests():
+    module = compile_program(SOURCE)
+    specs = specs_for(module)
+    golden_rt = DcaRuntime(specs)
+    Interpreter(build_observe_module(module, specs), runtime=golden_rt).run()
+    h = hashlib.sha256()
+    for label in sorted(golden_rt.snapshots):
+        h.update(label.encode("utf-8"))
+        for snap in golden_rt.snapshots[label]:
+            h.update(snapshot_digest(snap).encode("ascii"))
+    assert golden_rt.snapshot_content_digest() == h.hexdigest()
+    assert golden_rt.digests == {
+        label: [snapshot_digest(s) for s in snaps]
+        for label, snaps in golden_rt.snapshots.items()
+    }
+
+
+FLOAT_SUM = """
+func void main() {
+  float s = 0.0;
+  for (int i = 0; i < 3; i = i + 1) { s = s + to_float(i + 1) / 10.0; }
+  print(s);
+}
+"""
+
+
+def test_float_roundoff_passes_on_rtol_after_digests_differ():
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit.
+    golden_rt, inst, specs = golden_and_test_module(FLOAT_SUM, "main.L0")
+    test_rt = DcaRuntime(
+        specs=specs, schedule=ReverseSchedule(), golden=golden_rt.snapshots
+    )
+    Interpreter(inst.module, runtime=test_rt).run()
+    assert test_rt.digests["main.L0"] != golden_rt.digests["main.L0"]
+    assert not test_rt.violations
+    assert test_rt.verify_comparisons == 1 and test_rt.mismatches == 0
+    assert test_rt.first_mismatch_report() is None
+
+
+def test_mismatch_report_has_digests_and_object_counts():
+    source = """
+    func void main() {
+      int[] out = new int[5];
+      int run = 0;
+      for (int i = 0; i < 5; i = i + 1) { run = run + 2; out[i] = run * (i + 1); }
+      print(out[0], out[4]);
+    }
+    """
+    golden_rt, inst, specs = golden_and_test_module(source, "main.L0")
+    test_rt = DcaRuntime(
+        specs=specs, schedule=ReverseSchedule(), golden=golden_rt.snapshots
+    )
+    with pytest.raises(CommutativityMismatch):
+        Interpreter(inst.module, runtime=test_rt).run()
+    expected = golden_rt.snapshots["main.L0"][0]
+    assert test_rt.first_mismatch_report() == {
+        "loop": "main.L0",
+        "invocation": 0,
+        "kind": "liveout-divergence",
+        "expected_digest": snapshot_digest(expected),
+        "actual_digest": test_rt.digests["main.L0"][0],
+        "expected_objects": expected.size(),
+        "actual_objects": 1,  # the `out` array
+    }
+    assert expected.size() == 1
+    assert test_rt.mismatches == 1 and test_rt.snapshots == {}
+
+
+def test_golden_digest_memo_survives_pickling(monkeypatch):
+    """Worker replays get their golden snapshots by pickle; the digest
+    memo must come along, so the digest-first compare re-hashes only the
+    replay's own capture, never the reference."""
+    golden_rt, inst, specs = golden_and_test_module(NESTED, "main.L1")
+    shipped = pickle.loads(pickle.dumps(golden_rt.snapshots))
+    for ours, theirs in zip(golden_rt.snapshots["main.L1"], shipped["main.L1"]):
+        assert theirs is not ours
+        assert theirs.__dict__["_digest"] == snapshot_digest(ours)
+
+    hashes = []
+    real_sha256 = hashlib.sha256
+    monkeypatch.setattr(
+        hashlib, "sha256", lambda *a: hashes.append(1) or real_sha256(*a)
+    )
+    test_rt = DcaRuntime(specs=specs, schedule=ReverseSchedule(), golden=shipped)
+    Interpreter(inst.module, runtime=test_rt).run()
+    assert not test_rt.violations
+    assert len(hashes) == test_rt.invocation_count("main.L1") == 3
