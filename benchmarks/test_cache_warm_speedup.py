@@ -19,6 +19,7 @@ import time
 
 from conftest import analyze_suite, format_table
 
+import repro.obs as obs
 from repro.cache import AnalysisCache
 
 MIN_SKIP_FRACTION = 0.90
@@ -30,10 +31,10 @@ def _zero():
 
 
 def test_cache_zero_drift(tmp_path, capsys):
-    uncached = analyze_suite(clock=_zero)
-    with AnalysisCache(str(tmp_path)) as cache:
-        cold = analyze_suite(cache=cache, clock=_zero)
-        warm = analyze_suite(cache=cache, clock=_zero)
+    with obs.disabled(clock=_zero), AnalysisCache(str(tmp_path)) as cache:
+        uncached = analyze_suite()
+        cold = analyze_suite(cache=cache)
+        warm = analyze_suite(cache=cache)
 
     rows = []
     drifted = []

@@ -26,6 +26,7 @@ import time
 
 from conftest import analyze_suite, format_table
 
+import repro.obs as obs
 from repro.core.schedules import ScheduleConfig
 
 MIN_SPEEDUP = 5.0
@@ -38,8 +39,9 @@ def _zero():
 
 
 def test_codegen_backend_zero_drift(capsys):
-    interp = analyze_suite(exec_backend="interp", clock=_zero)
-    codegen = analyze_suite(exec_backend="codegen", clock=_zero)
+    with obs.disabled(clock=_zero):
+        interp = analyze_suite(exec_backend="interp")
+        codegen = analyze_suite(exec_backend="codegen")
     rows = []
     for name, report in interp.items():
         other = codegen[name]
@@ -65,11 +67,12 @@ def test_codegen_backend_wall_speedup(capsys, tmp_path, monkeypatch):
     engine._CODEGEN_BLOB_CACHE.clear()
 
     def run(exec_backend):
-        return analyze_suite(
-            exec_backend=exec_backend, clock=_zero,
-            schedules=ScheduleConfig.default(n_random=GATE_RANDOM_SCHEDULES),
-            static_filter=False, liveout_policy="eventual",
-        )
+        with obs.disabled(clock=_zero):
+            return analyze_suite(
+                exec_backend=exec_backend,
+                schedules=ScheduleConfig.default(n_random=GATE_RANDOM_SCHEDULES),
+                static_filter=False, liveout_policy="eventual",
+            )
 
     # Warm both paths (pyc, analysis caches, codegen disk artifacts)
     # before timing.  The warmup must use the gate config: with the

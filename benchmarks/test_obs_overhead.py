@@ -1,9 +1,12 @@
 """Observability overhead — disabled hooks must be (near) free.
 
-Every instrumentation site in the pipeline guards on the observability
-context's ``enabled`` flag (or receives the shared no-op span), so a
-disabled context should cost one attribute check on the execution hot
-path.  This harness verifies that claim empirically on a PLDS subset:
+Every per-execution instrumentation site in the pipeline guards on the
+observability context's ``enabled`` flag, so a disabled context should
+cost one attribute check on the execution hot path.  Spans are coarse
+(per stage, loop, schedule): a disabled context hands out a span that
+only reads the clock, since that span's duration is the recorded stage
+or schedule time.  This harness verifies the claim empirically on a
+PLDS subset:
 
 * **baseline** — the pipeline with the per-execution hooks surgically
   removed (``DcaRuntime.handle_intrinsic`` without the intrinsic tally

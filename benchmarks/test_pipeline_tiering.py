@@ -22,6 +22,7 @@ from typing import Dict, Tuple
 
 import pytest
 
+import repro.obs as obs
 from repro.benchsuite import ALL_BENCHMARKS
 from repro.core import DcaAnalyzer
 from repro.parallel import ParallelSimulator
@@ -120,9 +121,9 @@ def test_tiering_off_is_zero_drift(monkeypatch):
             rtol=bench.rtol,
             liveout_policy=bench.liveout_policy,
             specs=False,
-            clock=_zero,
         )
-        report = analyzer.analyze()
+        with obs.disabled(clock=_zero):
+            report = analyzer.analyze()
         got = {
             "report_sha256": hashlib.sha256(
                 report.to_json().encode()

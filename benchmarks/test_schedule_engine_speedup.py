@@ -21,6 +21,8 @@ import pytest
 
 from conftest import analyze_suite, format_table
 
+import repro.obs as obs
+
 
 JOBS = 4
 MIN_SPEEDUP = 1.8
@@ -31,8 +33,9 @@ def _zero():
 
 
 def test_process_backend_zero_drift(capsys):
-    serial = analyze_suite(clock=_zero)
-    process = analyze_suite(backend="process", jobs=JOBS, clock=_zero)
+    with obs.disabled(clock=_zero):
+        serial = analyze_suite()
+        process = analyze_suite(backend="process", jobs=JOBS)
     rows = []
     for name, report in serial.items():
         other = process[name]

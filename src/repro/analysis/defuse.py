@@ -51,9 +51,6 @@ class ReachingDefs:
         """Definition sites of ``reg`` that may reach the use at ``site``."""
         return self._reaching_at_use.get((site, reg), frozenset())
 
-    def defs_of(self, reg: Reg) -> Set[Site]:
-        return set(self.def_sites.get(reg, set()))
-
     # -- computation ------------------------------------------------------------
 
     def _compute(self) -> None:

@@ -70,9 +70,6 @@ class Liveness:
                     self.live_in[name] = newin
                     changed = True
 
-    def live_at_entry(self, block: str) -> Set[Reg]:
-        return set(self.live_in[block])
-
     def live_at_exit(self, block: str) -> Set[Reg]:
         return set(self.live_out[block])
 

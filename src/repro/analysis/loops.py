@@ -47,9 +47,6 @@ class Loop:
             node = node.parent
         return depth
 
-    def contains_block(self, name: str) -> bool:
-        return name in self.blocks
-
     def exit_edges(self, func: Function) -> List[Tuple[str, str]]:
         """Edges leaving the loop as ``(from_block, to_block)`` pairs."""
         edges = []
@@ -79,9 +76,6 @@ class LoopForest:
     def loop(self, label: str) -> Loop:
         return self.loops[label]
 
-    def top_level(self) -> List[Loop]:
-        return [l for l in self.loops.values() if l.parent is None]
-
     def loop_chain(self, block: str) -> List[Loop]:
         """Loops containing ``block``, outermost first."""
         chain: List[Loop] = []
@@ -91,14 +85,6 @@ class LoopForest:
             loop = loop.parent
         chain.reverse()
         return chain
-
-    def source_loops(self) -> List[Loop]:
-        """Loops corresponding to source constructs, in label order."""
-        return [
-            self.loops[label]
-            for label in self.func.loops
-            if label in self.loops
-        ]
 
     # -- construction ------------------------------------------------------------
 

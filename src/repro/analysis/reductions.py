@@ -90,9 +90,6 @@ class LoopIdioms:
     def carried_of_class(self, classes) -> List[Reg]:
         return [r for r, c in self.scalars.items() if c in classes]
 
-    def unknown_carried(self) -> List[Reg]:
-        return self.carried_of_class({CARRIED_UNKNOWN})
-
 
 def _is_loop_invariant(
     op: Operand, loop: Loop, defs_in_loop: Set[Reg]

@@ -8,7 +8,6 @@ configured for *maximum detection capability* (§V-A Configuration).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -93,20 +92,19 @@ def build_context(
     costs: Dict[str, Dict[str, float]] = {}
     if run_profile:
         profile = DynamicDepProfiler(module)
-        start = time.perf_counter()
-        executor = create_executor(
-            module,
-            observers=[profile],
-            max_steps=max_steps,
-            exec_backend=exec_backend,
-        )
-        with obs.current().span("baseline.profile", entry=entry):
+        with obs.current().span("baseline.profile", entry=entry) as span:
+            executor = create_executor(
+                module,
+                observers=[profile],
+                max_steps=max_steps,
+                exec_backend=exec_backend,
+            )
             executor.run(entry, list(args or []))
         profiled_steps = executor.steps
         costs["profile"] = {
             "executions": 1,
             "instructions": profiled_steps,
-            "wall_ms": (time.perf_counter() - start) * 1000.0,
+            "wall_ms": span.dur_ms,
         }
 
     ctx = DetectionContext(
@@ -131,8 +129,7 @@ class Detector:
     def detect(self, ctx: DetectionContext) -> Dict[str, DetectionResult]:
         active = obs.current()
         results = {}
-        start = time.perf_counter()
-        with active.span("baseline.detect", detector=self.name):
+        with active.span("baseline.detect", detector=self.name) as span:
             for label in ctx.all_labels():
                 parallel, reason = self.classify_loop(ctx, label)
                 results[label] = DetectionResult(
@@ -142,7 +139,7 @@ class Detector:
         ctx.costs[self.name] = {
             "loops": len(results),
             "parallel": sum(1 for r in results.values() if r.parallel),
-            "wall_ms": (time.perf_counter() - start) * 1000.0,
+            "wall_ms": span.dur_ms,
         }
         if active.enabled:
             active.metrics.counter(
@@ -152,9 +149,6 @@ class Detector:
 
     def classify_loop(self, ctx: DetectionContext, label: str):
         raise NotImplementedError
-
-    def parallel_labels(self, ctx: DetectionContext) -> List[str]:
-        return [l for l, r in self.detect(ctx).items() if r.parallel]
 
 
 def combine_static(

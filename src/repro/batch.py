@@ -277,35 +277,31 @@ def analyze_program_spec(
     from repro.api import AnalysisSession
 
     outcome = ProgramOutcome(path=spec.path, index=index)
-    start = time.perf_counter()
-    try:
-        with open(spec.path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        # The batch records one aggregate ledger row itself; per-program
-        # sessions must not each append an "analyze" row on top.
-        program_config = _program_config(config, spec).replace(
-            ledger_dir="off"
-        )
-        with AnalysisSession(program_config) as session:
-            with obs.current().span("batch.program", path=spec.path):
+    with obs.current().span("batch.program", path=spec.path) as span:
+        try:
+            with open(spec.path, "r", encoding="utf-8") as fh:
+                source = fh.read()
+            # The batch records one aggregate ledger row itself;
+            # per-program sessions must not each append an "analyze" row
+            # on top.
+            program_config = _program_config(config, spec).replace(
+                ledger_dir="off"
+            )
+            with AnalysisSession(program_config) as session:
                 report = session.analyze(source, source_path=spec.path)
-        outcome.report = report.to_dict()
-        outcome.loops = len(report.results)
-        outcome.commutative = len(report.commutative_loops())
-        outcome.schedule_executions = report.schedule_executions
-        outcome.cache_hits = report.cache.hits
-        outcome.cache_misses = report.cache.misses
-    except MiniCError as exc:
-        outcome.status = STATUS_PARSE_ERROR
-        outcome.error = str(exc)
-    except OSError as exc:
-        outcome.status = STATUS_PARSE_ERROR
-        outcome.error = str(exc)
-    except Exception as exc:  # runtime fault, step-budget blowout, ...
-        outcome.status = STATUS_FAULT
-        outcome.error = repr(exc)
-    finally:
-        outcome.wall_ms = (time.perf_counter() - start) * 1000.0
+            outcome.report = report.to_dict()
+            outcome.loops = len(report.results)
+            outcome.commutative = len(report.commutative_loops())
+            outcome.schedule_executions = report.schedule_executions
+            outcome.cache_hits = report.cache.hits
+            outcome.cache_misses = report.cache.misses
+        except (MiniCError, OSError) as exc:
+            outcome.status = STATUS_PARSE_ERROR
+            outcome.error = str(exc)
+        except Exception as exc:  # runtime fault, step-budget blowout, ...
+            outcome.status = STATUS_FAULT
+            outcome.error = repr(exc)
+    outcome.wall_ms = span.dur_ms
     return outcome
 
 

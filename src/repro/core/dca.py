@@ -2,9 +2,10 @@
 
 ``DcaAnalyzer.analyze`` runs one program + workload through a fixed list
 of named stages.  Each stage is a method over one per-analysis state
-record (``_Analysis``); the stage loop alone times each stage into
-``DcaReport.stage_times_ms`` and opens its ``dca.<name>`` span, so all
-analysis work is booked to exactly one stage:
+record (``_Analysis``); the stage loop alone opens each stage's
+``dca.<name>`` span and books that span's duration to
+``DcaReport.stage_times_ms``, so all analysis work is booked to exactly
+one stage:
 
 1. ``selection`` — every source loop is a candidate unless it (or a
    callee) performs I/O (§IV-E).
@@ -46,10 +47,9 @@ accounting are deliberately excluded from serialization).
 from __future__ import annotations
 
 import pickle
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import repro.obs as obs
 from repro.analysis.commutativity import (
@@ -163,7 +163,6 @@ class DcaAnalyzer:
         liveout_policy: str = "strict",
         static_filter: bool = True,
         specs=None,
-        clock: Optional[Callable[[], float]] = None,
         backend: Optional[str] = None,
         jobs: Optional[int] = None,
         engine: Optional[ScheduleEngine] = None,
@@ -209,16 +208,15 @@ class DcaAnalyzer:
         self._chain_slots: Dict[str, int] = (
             self.specs.chain_slots(module) if self.specs is not None else {}
         )
-        #: Injectable monotonic clock (seconds) for stage/schedule timing.
-        #: Injecting a clock also zeroes worker-side timing, making the
-        #: full report byte-identical across schedule backends.
-        self._clock = clock or time.perf_counter
-        self._measure_time = clock is None
+        # Stage and schedule times are span durations on the clock of the
+        # observability context current at ``analyze``: inject one
+        # (``obs.disabled(clock=...)``) for deterministic reports,
+        # byte-identical across backends.
         #: Schedule-execution backend (serial in-process by default; see
         #: :mod:`repro.core.schedule_engine` for the process backend and
         #: the ``REPRO_SCHEDULE_BACKEND`` / ``REPRO_SCHEDULE_JOBS``
         #: environment fallbacks).
-        self._engine = engine or create_engine(backend, jobs, clock=clock)
+        self._engine = engine or create_engine(backend, jobs)
         #: Execution backend for every run of the analysis — profile,
         #: golden and schedule replays: ``interp`` or ``codegen`` (see
         #: :mod:`repro.interp.compiler` and the ``REPRO_EXEC_BACKEND``
@@ -267,10 +265,9 @@ class DcaAnalyzer:
             stages.append(("tiering", self._assign_tiers))
         with self._obs.span("dca.analyze", entry=self.entry):
             for name, stage in stages:
-                start = self._clock()
-                with self._obs.span(f"dca.{name}"):
+                with self._obs.span(f"dca.{name}") as span:
                     stage(state)
-                report.stage_times_ms[name] = (self._clock() - start) * 1000.0
+                report.stage_times_ms[name] = span.dur_ms
         self._emit_verdict_events(report)
         return report
 
@@ -733,7 +730,7 @@ class DcaAnalyzer:
                     liveout_policy=self.liveout_policy,
                     rtol=self.rtol,
                     max_steps=state.step_budget,
-                    measure_time=self._measure_time,
+                    measure_time=self._obs.measures_time,
                     obs_enabled=self._obs.enabled,
                     inject_fault=self.fault_injection.get(
                         (label, schedule.name)

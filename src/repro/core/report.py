@@ -74,13 +74,13 @@ class LoopCost:
     snapshot_bytes: int = 0
     verify_comparisons: int = 0
     mismatches: int = 0
-    #: schedule name -> wall milliseconds for that execution.  Under the
-    #: process backend this is the worker-measured wall time, so the
-    #: per-loop totals stay meaningful while the coordinator overlaps
-    #: executions.
+    #: schedule name -> wall milliseconds for that execution: the
+    #: duration of its ``dca.schedule`` span.  Under the process backend
+    #: the span runs in the worker, so the per-loop totals stay
+    #: meaningful while the coordinator overlaps executions.
     schedule_times_ms: Dict[str, float] = field(default_factory=dict)
-    #: schedule name -> CPU milliseconds for that execution (process
-    #: time of whichever process ran it).  Comparing the wall and CPU
+    #: schedule name -> CPU milliseconds for that execution (CPU time of
+    #: the thread that ran it).  Comparing the wall and CPU
     #: columns shows where parallel workers spent real compute versus
     #: waiting.
     schedule_cpu_times_ms: Dict[str, float] = field(default_factory=dict)
@@ -331,7 +331,7 @@ class DcaReport:
     static_filter: bool = False
     #: Wall milliseconds per pipeline stage, in run order (selection/
     #: profile/static/golden/dynamic/tiering; static and tiering only
-    #: when enabled), measured by the analyzer's injectable clock.
+    #: when enabled): each is the duration of its ``dca.<stage>`` span.
     stage_times_ms: Dict[str, float] = field(default_factory=dict)
     #: Interpreter instructions retired across all executions.
     interp_instructions: int = 0

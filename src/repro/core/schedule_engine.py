@@ -43,10 +43,13 @@ task (everything up to and including a loop's first failure).  The
 process backend may speculatively execute schedules the serial backend
 would have skipped; the analyzer discards those at merge time, so
 reports, ``decided_by`` provenance and counters are identical.  Wall
-and CPU times are the only nondeterministic fields; injecting a clock
-into the analyzer zeroes them (workers then run with a zero clock),
-which makes the full JSON report byte-identical across backends — the
-invariant the differential fuzz harness and
+and CPU times are the only nondeterministic fields.  A replay's wall
+time is the duration of its ``dca.schedule`` span, on the clock of the
+observability context; its CPU time is the executing thread's.  Running
+the analysis under an injected zero clock (``obs.disabled(clock=...)``)
+zeroes both (workers then run with a zero clock), which makes the full
+JSON report byte-identical across backends — the invariant the
+differential fuzz harness and
 ``benchmarks/test_schedule_engine_speedup.py`` enforce.
 """
 
@@ -170,7 +173,8 @@ class ScheduleTask:
     liveout_policy: str = "strict"
     rtol: float = 1e-9
     max_steps: Optional[int] = None
-    #: False → workers report 0.0 wall/cpu ms (deterministic reports).
+    #: False → workers run on a zero clock and report 0.0 wall/cpu ms
+    #: (the coordinator's context clock was injected).
     measure_time: bool = True
     #: Record worker-local spans/metrics/events and ship them back.
     obs_enabled: bool = False
@@ -310,24 +314,21 @@ def program_outcome(executor, result: object, global_names, chain_slots=None):
 
 
 def execute_task(
-    task: ScheduleTask,
-    clock: Optional[Callable[[], float]] = None,
-    cpu_clock: Optional[Callable[[], float]] = None,
-    obs_ctx=None,
-    in_process: bool = False,
+    task: ScheduleTask, obs_ctx=None, in_process: bool = False
 ) -> ScheduleOutcome:
     """Run one schedule execution and summarize it.
+
+    Wall time is the ``dca.schedule`` span's duration; CPU time is this
+    thread's alone (other threads of a serving process do not count),
+    zeroed when the context's clock was injected.
 
     Faults (MiniC runtime errors, injected OOMs, any unexpected
     exception) are converted into a ``fault`` outcome — a schedule that
     crashes must fault its loop, not the analyzer.
     """
-    if clock is None:
-        clock = time.perf_counter if task.measure_time else _zero_clock
-    if cpu_clock is None:
-        cpu_clock = time.process_time if task.measure_time else _zero_clock
     if obs_ctx is None:
         obs_ctx = obs.current()
+    cpu_clock = time.thread_time if obs_ctx.measures_time else _zero_clock
 
     outcome = ScheduleOutcome(
         label=task.label, schedule_name=task.schedule_name, index=task.index
@@ -358,7 +359,6 @@ def execute_task(
         interp = Interpreter(module, runtime=runtime, max_steps=task.max_steps)
     mismatch = False
     fault = False
-    start = clock()
     cpu_start = cpu_clock()
     try:
         with obs_ctx.span(
@@ -389,7 +389,7 @@ def execute_task(
                     )
             sp.set(instructions=interp.steps, mismatch=mismatch, fault=fault)
     finally:
-        outcome.wall_ms = (clock() - start) * 1000.0
+        outcome.wall_ms = sp.dur_ms
         outcome.cpu_ms = (cpu_clock() - cpu_start) * 1000.0
         outcome.steps = interp.steps
         outcome.invocation_count = runtime.invocation_count(task.label)
@@ -451,14 +451,6 @@ class SerialScheduleEngine(ScheduleEngine):
     name = "serial"
     emits_loop_spans = True
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._clock = clock or time.perf_counter
-        #: A fake clock means a deterministic run: CPU time is zeroed so
-        #: reports stay reproducible.
-        self._cpu_clock = (
-            time.process_time if self._clock is time.perf_counter else _zero_clock
-        )
-
     def run(self, plans: Sequence[LoopPlan]) -> Dict[str, List[ScheduleOutcome]]:
         ctx = obs.current()
         results: Dict[str, List[ScheduleOutcome]] = {}
@@ -466,21 +458,13 @@ class SerialScheduleEngine(ScheduleEngine):
             outcomes = [cancelled_outcome(task) for task in plan.tasks]
             with ctx.span("dca.loop", loop=plan.label):
                 identity = execute_task(
-                    plan.tasks[0],
-                    clock=self._clock,
-                    cpu_clock=self._cpu_clock,
-                    obs_ctx=ctx,
-                    in_process=True,
+                    plan.tasks[0], obs_ctx=ctx, in_process=True
                 )
                 outcomes[0] = identity
                 if should_test(plan, identity):
                     for i in range(1, len(plan.tasks)):
                         outcome = execute_task(
-                            plan.tasks[i],
-                            clock=self._clock,
-                            cpu_clock=self._cpu_clock,
-                            obs_ctx=ctx,
-                            in_process=True,
+                            plan.tasks[i], obs_ctx=ctx, in_process=True
                         )
                         outcomes[i] = outcome
                         if outcome_fails(outcome, plan.expected_invocations):
@@ -767,11 +751,10 @@ def resolve_schedule_backend(
 def create_engine(
     backend: Optional[str] = None,
     jobs: Optional[int] = None,
-    clock: Optional[Callable[[], float]] = None,
 ) -> ScheduleEngine:
     """Build a schedule engine from explicit settings or the environment
     (see :func:`resolve_schedule_backend` for the resolution order)."""
     backend, jobs = resolve_schedule_backend(backend, jobs)
     if backend == "serial":
-        return SerialScheduleEngine(clock=clock)
+        return SerialScheduleEngine()
     return ProcessScheduleEngine(jobs=jobs)

@@ -45,16 +45,14 @@ def create_executor(
     module: Module,
     runtime: Optional[RuntimeHooks] = None,
     observers=None,
-    profiler=None,
     max_steps: Optional[int] = None,
     exec_backend: Optional[str] = None,
 ):
     """Build an executor for ``module`` honouring the fallback rules.
 
     The codegen backend is used only when it can be *exactly* faithful:
-    no profiler and no observer that wants call events (an enabled obs
-    context does not matter).  Loop/memory observers run on codegen's
-    profiled lowering.  Everything else — including a module codegen
+    no observer that wants call events (an enabled obs context does not
+    matter).  Loop/memory observers run on codegen's profiled lowering.  Everything else — including a module codegen
     rejects — gets the tree-walking interpreter.  ``exec_backend=None``
     defers to ``REPRO_EXEC_BACKEND``, then ``interp``.
     """
@@ -67,8 +65,6 @@ def create_executor(
     if backend == "codegen":
         if observers and any(o.wants_calls for o in observers):
             ctx.count("exec.fallback.observers")
-        elif profiler is not None:
-            ctx.count("exec.fallback.profiler")
         else:
             try:
                 program = compile_module_codegen(
@@ -90,9 +86,5 @@ def create_executor(
                 )
     ctx.count("exec.backend.interp")
     return Interpreter(
-        module,
-        runtime=runtime,
-        observers=observers,
-        profiler=profiler,
-        max_steps=max_steps,
+        module, runtime=runtime, observers=observers, max_steps=max_steps
     )

@@ -191,12 +191,6 @@ class Interpreter:
             return ""
         return "\n".join(self.output) + "\n"
 
-    def current_loop_iteration(self, label: str) -> Optional[LoopCtx]:
-        for ctx in reversed(self.loop_stack):
-            if ctx.label == label:
-                return ctx
-        return None
-
     # -- loop tracking ----------------------------------------------------------
 
     def _block_chains(self, func: Function) -> Dict[str, Tuple[str, ...]]:

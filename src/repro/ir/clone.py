@@ -7,8 +7,6 @@ transformations always run on a fresh clone of the pristine module.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.ir.function import BasicBlock, Function, GlobalVar, LoopInfoMeta, Module
 
 
@@ -41,23 +39,3 @@ def clone_module(module: Module) -> Module:
         new.add_function(clone_function(func))
     return new
 
-
-def rename_blocks(func: Function, mapping: Optional[Dict[str, str]] = None) -> None:
-    """Utility for tests: consistently rename blocks (and branch targets)."""
-    if not mapping:
-        return
-    from repro.ir.instructions import Branch, Jump
-
-    func.blocks = {mapping.get(n, n): b for n, b in func.blocks.items()}
-    func.block_order = [mapping.get(n, n) for n in func.block_order]
-    func.entry = mapping.get(func.entry, func.entry)
-    for block in func.blocks.values():
-        block.name = mapping.get(block.name, block.name)
-        term = block.terminator
-        if isinstance(term, Jump):
-            term.target = mapping.get(term.target, term.target)
-        elif isinstance(term, Branch):
-            term.true_target = mapping.get(term.true_target, term.true_target)
-            term.false_target = mapping.get(term.false_target, term.false_target)
-    for meta in func.loops.values():
-        meta.header = mapping.get(meta.header, meta.header)

@@ -96,12 +96,6 @@ class Instr:
     def is_memory_write(self) -> bool:
         return isinstance(self, (SetField, SetIndex, StoreGlobal))
 
-    def has_side_effects(self) -> bool:
-        """Conservative: calls and memory writes."""
-        return self.is_memory_write() or isinstance(
-            self, (Call, CallBuiltin, Intrinsic)
-        )
-
     @staticmethod
     def _subst(op: Operand, mapping: Dict[Reg, Operand]) -> Operand:
         if isinstance(op, Reg) and op in mapping:

@@ -22,9 +22,6 @@ from typing import Dict, Tuple
 class Type:
     """Base class for MiniC types."""
 
-    def is_scalar(self) -> bool:
-        return isinstance(self, (IntType, FloatType, BoolType))
-
     def is_reference(self) -> bool:
         return isinstance(self, (PointerType, ArrayType))
 

@@ -12,10 +12,18 @@ The observability subsystem has three pillars, all dependency-free
 
 One :class:`ObsContext` bundles all three behind a single ``enabled``
 flag.  The module keeps a process-local current context, **disabled by
-default**: every instrumentation site in the pipeline guards on
-``ctx.enabled`` (or receives the shared no-op span), so a disabled
-context costs one attribute check — verified by
+default**: every metric and event site guards on ``ctx.enabled``, so a
+disabled context costs one attribute check — verified by
 ``benchmarks/test_obs_overhead.py``.
+
+The context's clock is the pipeline's one wall clock.  Every recorded
+duration (stage times, schedule replays, batch programs, baseline
+passes) is the duration of the span around the work: an enabled context
+records the span, a disabled one hands out a
+:class:`~repro.obs.tracer.TimedSpan` that only reads the clock.  Injecting
+a clock (``enabled(clock=...)`` / ``disabled(clock=...)``) therefore
+makes every duration deterministic, and also zeroes CPU times and the
+clock of schedule workers (:attr:`ObsContext.measures_time`).
 
 Typical use::
 
@@ -31,11 +39,15 @@ or, scoped (restores the previous context on exit)::
 
     with obs.enabled() as ctx:
         ...
+
+    with obs.disabled(clock=lambda: 0.0):
+        report = DcaAnalyzer(module).analyze()   # every time field is 0.0
 """
 
 from __future__ import annotations
 
 import os
+import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Optional, Tuple
 
@@ -48,7 +60,7 @@ from repro.obs.export import (
 )
 from repro.obs.ledger import LEDGER_DB_NAME, RunLedger
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracer import NULL_SPAN, SpanRecord, Tracer
+from repro.obs.tracer import SpanRecord, TimedSpan, Tracer
 
 __all__ = [
     "Counter",
@@ -58,7 +70,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_SPAN",
     "ObsContext",
     "RunLedger",
     "SEVERITIES",
@@ -66,6 +77,7 @@ __all__ = [
     "Tracer",
     "current",
     "disable",
+    "disabled",
     "enable",
     "enabled",
     "is_enabled",
@@ -81,7 +93,7 @@ __all__ = [
 class ObsContext:
     """Tracer + metrics + events behind one ``enabled`` flag."""
 
-    __slots__ = ("enabled", "tracer", "metrics", "events")
+    __slots__ = ("enabled", "clock", "tracer", "metrics", "events")
 
     def __init__(
         self,
@@ -89,16 +101,25 @@ class ObsContext:
         clock: Optional[Callable[[], float]] = None,
     ):
         self.enabled = enabled
-        self.tracer = Tracer(clock=clock)
+        #: Monotonic seconds; every span of this context reads it.
+        self.clock = clock or time.perf_counter
+        self.tracer = Tracer(clock=self.clock)
         self.metrics = MetricsRegistry()
-        self.events = EventLog(clock=clock)
+        self.events = EventLog(clock=self.clock)
+
+    @property
+    def measures_time(self) -> bool:
+        """False under an injected clock: a deterministic run, whose CPU
+        times read zero and whose schedule workers get a zero clock."""
+        return self.clock is time.perf_counter
 
     # -- guarded fast-path API (no-ops when disabled) --------------------------
 
     def span(self, name: str, **args):
-        """A nested span context manager; the shared no-op when disabled."""
+        """A span context manager that reports its duration on exit;
+        recorded in the tracer only when enabled."""
         if not self.enabled:
-            return NULL_SPAN
+            return TimedSpan(self.clock)
         return self.tracer.span(name, **args)
 
     def count(self, name: str, n=1) -> None:
@@ -204,17 +225,15 @@ def record_in_worker(
 ) -> Tuple[object, Optional[Dict[str, object]]]:
     """Run ``fn()`` in a pool worker; returns ``(result, payload)``.
 
-    Never records into the context a forked worker inherits (it would
-    silently accumulate).  With ``ship``, records into a private context
-    whose :meth:`ObsContext.payload` the coordinator absorbs; else the
-    payload is None."""
-    if not ship:
-        if _current.enabled:
-            disable()
-        return fn(), None
-    ctx = enable(clock=clock)
+    ``fn`` always runs in a fresh context on ``clock``, never in the one
+    a forked worker inherits (it would silently accumulate, and its
+    clock is the coordinator's).  With ``ship`` the context is enabled
+    and its :meth:`ObsContext.payload` is what the coordinator absorbs;
+    else the payload is None."""
+    global _current
+    ctx = _current = ObsContext(enabled=ship, clock=clock)
     try:
-        return fn(), ctx.payload()
+        return fn(), ctx.payload() if ship else None
     finally:
         disable()
 
@@ -225,13 +244,22 @@ def reset() -> None:
 
 
 @contextmanager
+def _installed(ctx: ObsContext):
+    global _current
+    previous, _current = _current, ctx
+    try:
+        yield ctx
+    finally:
+        _current = previous
+
+
 def enabled(clock: Optional[Callable[[], float]] = None):
     """Temporarily install a fresh enabled context; restores the previous
     context on exit (for tests and scoped profiling)."""
-    global _current
-    previous = _current
-    _current = ObsContext(enabled=True, clock=clock)
-    try:
-        yield _current
-    finally:
-        _current = previous
+    return _installed(ObsContext(enabled=True, clock=clock))
+
+
+def disabled(clock: Optional[Callable[[], float]] = None):
+    """Temporarily install a fresh disabled context on ``clock``; restores
+    the previous context on exit (deterministic timings in tests)."""
+    return _installed(ObsContext(enabled=False, clock=clock))

@@ -12,7 +12,11 @@ indented text flame summary.
 
 Time comes from an injectable monotonic clock (seconds as a float,
 default :func:`time.perf_counter`), which keeps every test deterministic:
-inject a fake clock and spans get exact, reproducible durations.
+inject a fake clock and spans get exact, reproducible durations.  Every
+span reports its duration on exit (``dur_us``/``dur_ms``), and a
+:class:`TimedSpan` times without recording anything, which is what a
+disabled observability context hands out: the span around a piece of
+work is the one measure of its wall time, traced or not.
 
 Stdlib-only by design — enforced by ``tools/check_obs_stdlib.py`` in CI.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["NULL_SPAN", "SpanRecord", "Tracer"]
+__all__ = ["SpanRecord", "TimedSpan", "Tracer"]
 
 
 class SpanRecord:
@@ -74,30 +78,41 @@ class SpanRecord:
         return f"<span {self.name!r} {self.dur_us:.1f}us depth={self.depth}>"
 
 
-class _NullSpan:
-    """Shared no-op span handed out by disabled observability contexts."""
+class TimedSpan:
+    """A span that reads ``clock`` on entry and exit and records nothing.
 
-    __slots__ = ()
+    One object per span, so threads timing concurrently share no state.
+    After exit, ``dur_us`` holds the duration in microseconds.
+    """
 
-    def __enter__(self) -> "_NullSpan":
+    __slots__ = ("_clock", "_start", "dur_us")
+
+    def __init__(self, clock: Callable[[], float]):
+        self._clock = clock
+
+    @property
+    def dur_ms(self) -> float:
+        return self.dur_us / 1000.0
+
+    def set(self, **args) -> "TimedSpan":
+        return self
+
+    def __enter__(self) -> "TimedSpan":
+        self._start = self._clock()
         return self
 
     def __exit__(self, *exc) -> bool:
+        self.dur_us = (self._clock() - self._start) * 1e6
         return False
 
-    def set(self, **args) -> "_NullSpan":
-        return self
 
+class _SpanHandle(TimedSpan):
+    """Context manager for one active span, recorded on exit."""
 
-NULL_SPAN = _NullSpan()
-
-
-class _SpanHandle:
-    """Context manager for one active span."""
-
-    __slots__ = ("_tracer", "name", "args", "_sid", "_parent", "_path", "_start")
+    __slots__ = ("_tracer", "name", "args", "_sid", "_parent", "_path")
 
     def __init__(self, tracer: "Tracer", name: str, args: Dict[str, object]):
+        super().__init__(tracer._clock)
         self._tracer = tracer
         self.name = name
         self.args = args
@@ -115,12 +130,11 @@ class _SpanHandle:
         self._parent = stack[-1][0] if stack else None
         self._path = (stack[-1][1] if stack else ()) + (self.name,)
         stack.append((self._sid, self._path))
-        self._start = tracer._clock()
-        return self
+        return super().__enter__()
 
     def __exit__(self, *exc) -> bool:
+        super().__exit__()
         tracer = self._tracer
-        end = tracer._clock()
         tracer._stack.pop()
         tracer.spans.append(
             SpanRecord(
@@ -130,7 +144,7 @@ class _SpanHandle:
                 args=self.args,
                 path=self._path,
                 start_us=(self._start - tracer._epoch) * 1e6,
-                dur_us=(end - self._start) * 1e6,
+                dur_us=self.dur_us,
                 depth=len(self._path) - 1,
             )
         )

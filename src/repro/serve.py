@@ -327,10 +327,6 @@ class AnalysisServer:
         with self._metrics_lock:
             self.metrics.counter(name).inc(n)
 
-    def _observe(self, name: str, value: float) -> None:
-        with self._metrics_lock:
-            self.metrics.histogram(name).observe(value)
-
     def render_metrics(self) -> str:
         """The ``GET /metrics`` adapter over ``render_openmetrics``."""
         with self._metrics_lock:

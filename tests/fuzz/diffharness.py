@@ -46,6 +46,7 @@ from __future__ import annotations
 import difflib
 from typing import Dict, List, Optional
 
+import repro.obs as obs
 from repro.analysis.commutativity import (
     PROVEN_COMMUTATIVE,
     StaticCommutativityAnalysis,
@@ -94,6 +95,14 @@ def _zero() -> float:
     return 0.0
 
 
+def _analyze(source: str, **kwargs):
+    """The static-filter-off DCA report of ``source`` on a zero clock."""
+    with obs.disabled(clock=_zero):
+        return DcaAnalyzer(
+            compile_program(source), static_filter=False, **kwargs
+        ).analyze()
+
+
 def accounting_violation(report) -> Optional[str]:
     """Check the schedule-execution accounting invariant on a report.
 
@@ -129,37 +138,20 @@ def differential_check(
         source = generate_program(seed)
     problems: List[str] = []
 
-    serial = DcaAnalyzer(
-        compile_program(source), static_filter=False, clock=_zero,
-        backend="serial",
-    ).analyze()
-    process = DcaAnalyzer(
-        compile_program(source),
-        static_filter=False,
-        clock=_zero,
-        backend="process",
-        jobs=jobs,
-    ).analyze()
+    serial = _analyze(source, backend="serial")
+    process = _analyze(source, backend="process", jobs=jobs)
     # Exec-backend axis: the codegen backend must reproduce the
     # interpreter's report byte-for-byte, on both schedule backends.
     exec_variants = [
         (
             "codegen-serial",
-            DcaAnalyzer(
-                compile_program(source), static_filter=False, clock=_zero,
-                backend="serial", exec_backend="codegen",
-            ).analyze(),
+            _analyze(source, backend="serial", exec_backend="codegen"),
         ),
         (
             "codegen-process",
-            DcaAnalyzer(
-                compile_program(source),
-                static_filter=False,
-                clock=_zero,
-                backend="process",
-                jobs=jobs,
-                exec_backend="codegen",
-            ).analyze(),
+            _analyze(
+                source, backend="process", jobs=jobs, exec_backend="codegen"
+            ),
         ),
     ]
 
@@ -301,14 +293,8 @@ def specs_soundness_check(
         source = generate_program(seed)
     problems: List[str] = []
 
-    off = DcaAnalyzer(
-        compile_program(source), static_filter=False, clock=_zero,
-        backend="serial", specs=False,
-    ).analyze()
-    on = DcaAnalyzer(
-        compile_program(source), static_filter=False, clock=_zero,
-        backend="serial", specs=True,
-    ).analyze()
+    off = _analyze(source, backend="serial", specs=False)
+    on = _analyze(source, backend="serial", specs=True)
 
     if set(on.results) != set(off.results):
         problems.append(
@@ -364,14 +350,9 @@ def cache_differential_check(
     problems: List[str] = []
 
     def analyze(cache):
-        return DcaAnalyzer(
-            compile_program(source),
-            static_filter=False,
-            clock=_zero,
-            backend="serial",
-            cache=cache,
-            source_text=source,
-        ).analyze()
+        return _analyze(
+            source, backend="serial", cache=cache, source_text=source
+        )
 
     uncached = analyze(None)
     with AnalysisCache(cache_dir) as cache:
@@ -438,14 +419,9 @@ def tiering_differential_check(
     problems: List[str] = []
 
     def analyze(backend: str, exec_backend: str, **kwargs):
-        return DcaAnalyzer(
-            compile_program(source),
-            static_filter=False,
-            clock=_zero,
-            backend=backend,
-            exec_backend=exec_backend,
-            **kwargs,
-        ).analyze()
+        return _analyze(
+            source, backend=backend, exec_backend=exec_backend, **kwargs
+        )
 
     tiered = analyze("serial", "interp", tiering=True)
     j_tiered = tiered.to_json()
@@ -487,10 +463,7 @@ def tiering_differential_check(
 
 def tier_map(source: str) -> Dict[str, Dict[str, object]]:
     """Per-loop {tier, stages} under tiering — corpus tier goldens."""
-    report = DcaAnalyzer(
-        compile_program(source), static_filter=False, clock=_zero,
-        backend="serial", tiering=True,
-    ).analyze()
+    report = _analyze(source, backend="serial", tiering=True)
     out: Dict[str, Dict[str, object]] = {}
     for label in sorted(report.results):
         result = report.results[label]
@@ -507,8 +480,5 @@ def verdict_map(source: str) -> Dict[str, str]:
     goldens.  Specs are pinned off because specs legitimately flip bag
     loops to commutative; the differential harness still runs every
     corpus program under the ambient ``REPRO_SPECS``."""
-    report = DcaAnalyzer(
-        compile_program(source), static_filter=False, clock=_zero,
-        backend="serial", specs=False,
-    ).analyze()
+    report = _analyze(source, backend="serial", specs=False)
     return {label: report.results[label].verdict for label in sorted(report.results)}

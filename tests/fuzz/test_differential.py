@@ -104,6 +104,7 @@ def test_spec_archetypes_only_commutative_under_specs():
     # At least one generated program in the smoke range must contain a
     # loop that byte-exact verification rejects and spec-relaxed
     # verification accepts — the divergence the registry exists for.
+    import repro.obs as obs
     from repro.core.dca import DcaAnalyzer
     from repro.driver import compile_program
 
@@ -116,14 +117,15 @@ def test_spec_archetypes_only_commutative_under_specs():
         if not any(name in header
                    for name in ("bag_insert", "set_insert")):
             continue
-        off = DcaAnalyzer(
-            compile_program(source), static_filter=False, clock=zero,
-            backend="serial", specs=False,
-        ).analyze()
-        on = DcaAnalyzer(
-            compile_program(source), static_filter=False, clock=zero,
-            backend="serial", specs=True,
-        ).analyze()
+        with obs.disabled(clock=zero):
+            off = DcaAnalyzer(
+                compile_program(source), static_filter=False,
+                backend="serial", specs=False,
+            ).analyze()
+            on = DcaAnalyzer(
+                compile_program(source), static_filter=False,
+                backend="serial", specs=True,
+            ).analyze()
         flipped = [
             label for label in off.results
             if not off.results[label].is_commutative

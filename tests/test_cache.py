@@ -12,6 +12,7 @@ import sqlite3
 
 import pytest
 
+import repro.obs as obs
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.cache import AnalysisCache, open_cache
 from repro.cache.keys import SEMANTICS_VERSION
@@ -50,11 +51,11 @@ def cache(tmp_path):
 
 def _analyze(cache, source=PROGRAM, **kwargs):
     defaults = dict(
-        static_filter=False, clock=_zero, backend="serial",
-        cache=cache, source_text=source,
+        static_filter=False, backend="serial", cache=cache, source_text=source,
     )
     defaults.update(kwargs)
-    return DcaAnalyzer(compile_program(source), **defaults).analyze()
+    with obs.disabled(clock=_zero):
+        return DcaAnalyzer(compile_program(source), **defaults).analyze()
 
 
 # ---------------------------------------------------------------------------

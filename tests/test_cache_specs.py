@@ -14,6 +14,7 @@ Three properties:
 
 import pytest
 
+import repro.obs as obs
 from repro.cache import AnalysisCache
 from repro.cache.keys import SEMANTICS_VERSION, fingerprint_description
 from repro.core.dca import DcaAnalyzer
@@ -54,11 +55,12 @@ def cache(tmp_path):
 
 
 def _analyze(cache, specs):
-    return DcaAnalyzer(
-        compile_program(PROGRAM),
-        static_filter=False, clock=_zero, backend="serial",
-        cache=cache, source_text=PROGRAM, specs=specs,
-    ).analyze()
+    with obs.disabled(clock=_zero):
+        return DcaAnalyzer(
+            compile_program(PROGRAM),
+            static_filter=False, backend="serial",
+            cache=cache, source_text=PROGRAM, specs=specs,
+        ).analyze()
 
 
 def test_semantics_version_covers_spec_canonicalization():

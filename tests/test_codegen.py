@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+import repro.obs as obs
 from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.api import AnalysisConfig
 from repro.cli import main as cli_main
@@ -42,7 +43,6 @@ from repro.interp.codegen import (
 from repro.interp.compiler import EXEC_BACKENDS
 from repro.interp.events import Observer
 from repro.interp.interpreter import RuntimeHooks
-from repro.interp.profiler import Profiler
 from repro.settings import SETTINGS, resolve
 
 EXEC_BACKEND_ENV = SETTINGS["exec_backend"].env
@@ -365,8 +365,8 @@ def test_create_executor_codegen_and_fallback():
     assert isinstance(codegen, CodegenExecutor)
     assert codegen.run("main", []) == 42
     # Loop/memory observers run on the profiled lowering; call
-    # observers and profilers need the interpreter's event stream, so
-    # codegen falls back for them.  An enabled obs context does not.
+    # observers need the interpreter's event stream, so codegen falls
+    # back for them.  An enabled obs context does not.
     assert isinstance(
         create_executor(module, observers=[Observer()], exec_backend="codegen"),
         ProfiledCodegenExecutor,
@@ -381,12 +381,6 @@ def test_create_executor_codegen_and_fallback():
         ),
         Interpreter,
     )
-    assert isinstance(
-        create_executor(module, profiler=Profiler(), exec_backend="codegen"),
-        Interpreter,
-    )
-    import repro.obs as obs
-
     with obs.enabled():
         observed = create_executor(module, exec_backend="codegen")
         assert isinstance(observed, CodegenExecutor)
@@ -683,14 +677,13 @@ def test_codegen_analyzer_report_matches_interp():
         return acc;
     }
     """
-    ri = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-        exec_backend="interp",
-    ).analyze()
-    rc = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-        exec_backend="codegen",
-    ).analyze()
+    with obs.disabled(clock=_zero):
+        ri = DcaAnalyzer(
+            compile_program(src), static_filter=False, exec_backend="interp"
+        ).analyze()
+        rc = DcaAnalyzer(
+            compile_program(src), static_filter=False, exec_backend="codegen"
+        ).analyze()
     assert ri.to_json() == rc.to_json()
     # The backend choice is run metadata, never serialized.
     assert "exec_backend" not in ri.to_json()
@@ -701,14 +694,15 @@ def test_codegen_pickles_into_process_workers():
     # Process workers receive the module as a pickled blob and compile
     # codegen programs worker-side; the report must match serial interp.
     src = open(CORPUS[0]).read()
-    serial = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-        backend="serial", exec_backend="interp",
-    ).analyze()
-    process = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-        backend="process", jobs=2, exec_backend="codegen",
-    ).analyze()
+    with obs.disabled(clock=_zero):
+        serial = DcaAnalyzer(
+            compile_program(src), static_filter=False,
+            backend="serial", exec_backend="interp",
+        ).analyze()
+        process = DcaAnalyzer(
+            compile_program(src), static_filter=False,
+            backend="process", jobs=2, exec_backend="codegen",
+        ).analyze()
     assert serial.to_json() == process.to_json()
 
 
@@ -719,20 +713,18 @@ def test_corpus_warm_disk_replay_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path))
     path = next(p for p in CORPUS if "permuted_fault" in p)
     src = open(path).read()
-    interp = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-        exec_backend="interp",
-    ).analyze()
-    cold = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-        exec_backend="codegen",
-    ).analyze()
-    before = dict(codegen_stats())
-    warm = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-        exec_backend="codegen",
-    ).analyze()
-    after = dict(codegen_stats())
+    with obs.disabled(clock=_zero):
+        interp = DcaAnalyzer(
+            compile_program(src), static_filter=False, exec_backend="interp"
+        ).analyze()
+        cold = DcaAnalyzer(
+            compile_program(src), static_filter=False, exec_backend="codegen"
+        ).analyze()
+        before = dict(codegen_stats())
+        warm = DcaAnalyzer(
+            compile_program(src), static_filter=False, exec_backend="codegen"
+        ).analyze()
+        after = dict(codegen_stats())
     assert interp.to_json() == cold.to_json() == warm.to_json()
     assert after["compiles"] == before["compiles"]
     assert after["disk_hits"] > before["disk_hits"]
@@ -742,7 +734,6 @@ def test_profile_falls_back_to_interp_on_corpus_program():
     # --profile runs the requested codegen backend (only call observers
     # and the cost profiler interpret); the session must still produce
     # correct verdicts.
-    import repro.obs as obs
     from repro.api import AnalysisConfig, AnalysisSession
 
     path = CORPUS[0]

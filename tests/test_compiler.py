@@ -22,7 +22,6 @@ from repro.interp import (
 )
 from repro.interp.compiler import EXEC_BACKENDS
 from repro.interp.events import Observer
-from repro.interp.profiler import Profiler
 from repro.settings import SETTINGS, resolve
 
 from test_codegen import FAULT_PROGRAMS
@@ -197,15 +196,12 @@ def test_create_executor_backend_and_fallback(monkeypatch):
     class CallObserver(Observer):
         wants_calls = True
 
-    forced = [
-        dict(observers=[CallObserver()]),
-        dict(profiler=Profiler()),
-    ]
-    for kwargs in forced:
-        for backend in EXEC_BACKENDS:
-            executor = create_executor(module, exec_backend=backend, **kwargs)
-            assert type(executor) is Interpreter
-            assert executor.run("main", []) == 42
+    for backend in EXEC_BACKENDS:
+        executor = create_executor(
+            module, exec_backend=backend, observers=[CallObserver()]
+        )
+        assert type(executor) is Interpreter
+        assert executor.run("main", []) == 42
     # An enabled obs context never forces a fallback: each backend runs
     # itself and publishes the same per-run counters.
     for backend in EXEC_BACKENDS:
@@ -246,14 +242,12 @@ def test_compiled_analyzer_report_matches_interp(monkeypatch):
         return acc;
     }
     """
-    ri = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-        exec_backend="interp",
-    ).analyze()
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
-    rc = DcaAnalyzer(
-        compile_program(src), static_filter=False, clock=_zero,
-    ).analyze()
+    with obs.disabled(clock=_zero):
+        ri = DcaAnalyzer(
+            compile_program(src), static_filter=False, exec_backend="interp"
+        ).analyze()
+        monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
+        rc = DcaAnalyzer(compile_program(src), static_filter=False).analyze()
     assert ri.to_json() == rc.to_json()
     # The backend choice is run metadata, never serialized.
     assert "exec_backend" not in ri.to_json()

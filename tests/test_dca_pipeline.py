@@ -42,12 +42,9 @@ def test_stage_order_and_spans(static_filter, tiering):
         expected.append("tiering")
 
     analyzer = DcaAnalyzer(
-        compile_program(PROGRAM),
-        clock=_zero,
-        static_filter=static_filter,
-        tiering=tiering,
+        compile_program(PROGRAM), static_filter=static_filter, tiering=tiering
     )
-    with obs.enabled() as ctx:
+    with obs.enabled(clock=_zero) as ctx:
         report = analyzer.analyze()
 
     assert list(report.stage_times_ms) == expected
@@ -72,9 +69,10 @@ def test_verify_specs_are_booked_to_golden(monkeypatch):
         return compute(*args, **kwargs)
 
     monkeypatch.setattr(dca, "compute_verify_spec", ticking)
-    report = DcaAnalyzer(
-        compile_program(PROGRAM), clock=lambda: now[0], static_filter=False
-    ).analyze()
+    with obs.disabled(clock=lambda: now[0]):
+        report = DcaAnalyzer(
+            compile_program(PROGRAM), static_filter=False
+        ).analyze()
 
     assert now[0] == len(report.results) == 3
     assert report.stage_times_ms["golden"] == 3000.0
@@ -88,13 +86,12 @@ def test_repeated_analyze_leaks_no_state(tmp_path, tiering):
     instance between ``analyze`` calls."""
     analyzer = DcaAnalyzer(
         compile_program(PROGRAM),
-        clock=_zero,
         static_filter=False,
         tiering=tiering,
         source_text=PROGRAM,
     )
-    plain = analyzer.analyze().to_json()
-    with AnalysisCache(str(tmp_path)) as cache:
+    with obs.disabled(clock=_zero), AnalysisCache(str(tmp_path)) as cache:
+        plain = analyzer.analyze().to_json()
         analyzer.cache = cache
         cold = analyzer.analyze()
         warm = analyzer.analyze()

@@ -122,7 +122,6 @@ def test_observed_codegen_matches_interp(backend, jobs):
             report = DcaAnalyzer(
                 compile_program(PARITY_PROGRAM),
                 static_filter=False,
-                clock=_zero,
                 backend=backend,
                 jobs=jobs,
                 exec_backend=exec_backend,
@@ -142,6 +141,62 @@ def test_observed_codegen_matches_interp(backend, jobs):
     assert interp_counters["interp.intrinsic.rt_verify"] > 0
     assert counters["exec.backend.codegen"] >= 2
     assert not [name for name in counters if name.startswith("exec.fallback.")]
+
+
+# -- one clock: every recorded duration is its span's -------------------------
+
+
+def _span_ms(ctx, name, **args):
+    """The duration of the one recorded ``name`` span whose args include
+    ``args``, from its own ``dur_us``."""
+    (span,) = [
+        s for s in ctx.tracer.spans
+        if s.name == name and args.items() <= s.args.items()
+    ]
+    return span.dur_us / 1000.0
+
+
+def test_stage_and_schedule_times_are_span_durations():
+    with obs.enabled() as ctx:
+        report = DcaAnalyzer(
+            compile_program(PROGRAM), static_filter=False, backend="serial",
+            tiering=True,
+        ).analyze()
+    assert list(report.stage_times_ms) == [
+        "selection", "profile", "golden", "dynamic", "tiering",
+    ]
+    for name, ms in report.stage_times_ms.items():
+        assert ms == _span_ms(ctx, f"dca.{name}")
+    timed = 0
+    for label, result in report.results.items():
+        for schedule, ms in result.cost.schedule_times_ms.items():
+            assert ms == _span_ms(
+                ctx, "dca.schedule", loop=label, schedule=schedule
+            )
+            timed += 1
+    assert timed == report.schedule_executions > 0
+
+
+def test_batch_program_wall_is_its_span(program_file):
+    from repro.batch import ProgramSpec, analyze_program_spec
+
+    config = AnalysisConfig(backend="serial", cache_mode="off")
+    with obs.enabled() as ctx:
+        outcome = analyze_program_spec(config, ProgramSpec(program_file), 0)
+    assert outcome.status == STATUS_OK
+    assert outcome.wall_ms == _span_ms(ctx, "batch.program")
+
+
+def test_baseline_wall_times_are_span_durations():
+    config = AnalysisConfig(cache_mode="off", ledger_dir="off")
+    with obs.enabled() as ctx, AnalysisSession(config) as session:
+        outcome = session.detect(PROGRAM)
+    costs = outcome.costs
+    assert costs["profile"]["wall_ms"] == _span_ms(ctx, "baseline.profile")
+    for name in outcome.detector_names:
+        assert costs[name]["wall_ms"] == _span_ms(
+            ctx, "baseline.detect", detector=name
+        )
 
 
 # -- cache counters reconcile with CacheAccounting -----------------------------

@@ -1,11 +1,12 @@
 """Unit tests for the span tracer (repro.obs.tracer)."""
 
 import json
+import threading
 
 import pytest
 
 import repro.obs as obs
-from repro.obs.tracer import NULL_SPAN, Tracer
+from repro.obs.tracer import Tracer
 
 
 class FakeClock:
@@ -148,17 +149,35 @@ def test_reset_clears_spans(clock):
     assert tracer.to_chrome_trace()["traceEvents"] == []
 
 
-def test_null_span_is_reusable_noop():
-    with NULL_SPAN as handle:
-        assert handle is NULL_SPAN
-        assert handle.set(anything=1) is NULL_SPAN
-    with NULL_SPAN:
-        pass
+def test_disabled_context_times_without_recording():
+    """A disabled context records no span, yet every span it hands out
+    reports its own duration, also with two threads timing at once (the
+    serve daemon analyzes on several threads against one disabled
+    context)."""
+    local = threading.local()
+    local.now = 0.0
+    ctx = obs.ObsContext(enabled=False, clock=lambda: local.now)
+    both_open = threading.Barrier(2, timeout=30)
+    durations = {}
 
+    def timed(name, start, end):
+        local.now = start
+        with ctx.span(name, arg=1) as span:
+            assert span.set(anything=1) is span
+            both_open.wait()
+            local.now = end
+        durations[name] = span.dur_ms
 
-def test_disabled_context_hands_out_null_span():
-    ctx = obs.ObsContext(enabled=False)
-    assert ctx.span("anything") is NULL_SPAN
+    threads = [
+        threading.Thread(target=timed, args=("a", 0.0, 1.0)),
+        threading.Thread(target=timed, args=("b", 10.0, 13.0)),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert durations == {"a": 1000.0, "b": 3000.0}
     assert ctx.tracer.spans == []
 
 

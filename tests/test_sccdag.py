@@ -42,10 +42,6 @@ from repro.parallel.machine import (
 from repro.settings import resolve
 
 
-def zero() -> float:
-    return 0.0
-
-
 #: Scalar recurrence (sequential SCC) feeding an elementwise store
 #: (parallel SCC): the canonical 2+-SCC pipelinable loop.
 CURSOR = """
@@ -311,9 +307,7 @@ def test_tier_display():
 
 
 def test_tiering_assigns_pipeline_tier():
-    report = DcaAnalyzer(
-        compile_program(CURSOR), clock=zero, tiering=True
-    ).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
     result = report.loop("main.L1")
     assert result.verdict == "non-commutative"
     assert result.tier == TIER_PIPELINE
@@ -322,9 +316,7 @@ def test_tiering_assigns_pipeline_tier():
 
 
 def test_tiering_assigns_doall_and_reduction():
-    report = DcaAnalyzer(
-        compile_program(ELEMENTWISE), clock=zero, tiering=True
-    ).analyze()
+    report = DcaAnalyzer(compile_program(ELEMENTWISE), tiering=True).analyze()
     assert report.loop("main.L1").tier == TIER_DOALL
     assert report.loop("main.L2").tier == TIER_REDUCTION
     assert report.loop("main.L1").pipeline_plan is None
@@ -342,9 +334,7 @@ func void main() {
   }
 }
 """
-    report = DcaAnalyzer(
-        compile_program(src), clock=zero, tiering=True
-    ).analyze()
+    report = DcaAnalyzer(compile_program(src), tiering=True).analyze()
     result = report.loop("main.L0")
     assert result.verdict == "excluded-io"
     assert result.tier == TIER_SEQUENTIAL
@@ -353,7 +343,7 @@ func void main() {
 
 def test_tiering_off_leaves_tiers_unset(monkeypatch):
     monkeypatch.delenv("REPRO_TIERING", raising=False)
-    report = DcaAnalyzer(compile_program(CURSOR), clock=zero).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR)).analyze()
     assert report.tiering is False
     assert all(r.tier is None for r in report.results.values())
 
@@ -366,7 +356,6 @@ def test_max_pipeline_stages_validated():
 def test_max_pipeline_stages_bounds_plan():
     report = DcaAnalyzer(
         compile_program(CURSOR),
-        clock=zero,
         tiering=True,
         max_pipeline_stages=2,
     ).analyze()
@@ -375,9 +364,7 @@ def test_max_pipeline_stages_bounds_plan():
 
 
 def test_tier_counts_and_stage_timing():
-    report = DcaAnalyzer(
-        compile_program(CURSOR), clock=zero, tiering=True
-    ).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
     counts = report.tier_counts()
     assert sum(counts.values()) == len(report.results)
     assert "tiering" in report.stage_times_ms
@@ -387,9 +374,7 @@ def test_tier_counts_and_stage_timing():
 
 
 def test_tiered_report_serializes_schema_2():
-    report = DcaAnalyzer(
-        compile_program(CURSOR), clock=zero, tiering=True
-    ).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
     data = report.to_dict()
     assert data["report_schema_version"] == REPORT_SCHEMA_VERSION
     assert "tier_counts" in data
@@ -405,9 +390,7 @@ def test_tiered_report_serializes_schema_2():
 
 
 def test_untiered_report_has_no_schema_marker():
-    report = DcaAnalyzer(
-        compile_program(CURSOR), clock=zero, tiering=False
-    ).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), tiering=False).analyze()
     data = report.to_dict()
     assert "report_schema_version" not in data
     assert "tier_counts" not in data
@@ -415,18 +398,14 @@ def test_untiered_report_has_no_schema_marker():
 
 
 def test_cache_payload_stays_schema_1():
-    report = DcaAnalyzer(
-        compile_program(CURSOR), clock=zero, tiering=True
-    ).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
     payload = report.loop("main.L1").to_payload()
     assert isinstance(payload["verdict"], str)
     assert "tier" not in payload
 
 
 def test_summary_renders_tier_tags():
-    report = DcaAnalyzer(
-        compile_program(CURSOR), clock=zero, tiering=True
-    ).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
     text = report.summary()
     assert "[PIPELINE(stages=" in text
 
@@ -481,9 +460,7 @@ def test_simulator_uses_pipeline_plan():
     from repro.parallel import ParallelSimulator
 
     module = compile_program(CURSOR)
-    report = DcaAnalyzer(
-        compile_program(CURSOR), clock=zero, tiering=True
-    ).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
     plan = report.loop("main.L1").pipeline_plan
     sim = ParallelSimulator(module)
     speedup = sim.simulate(

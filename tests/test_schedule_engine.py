@@ -3,10 +3,10 @@
 The engine's contract (see ``repro.core.schedule_engine``) is that the
 process backend is *indistinguishable* from the serial backend in every
 report field — verdicts, provenance, reasons, counters, digests — with
-timing zeroed by an injected clock.  These tests pin that contract on
-the example programs, exercise the fault-injection hook on both
-backends, and check the schedule-execution accounting invariant the
-``--json`` metrics section exposes.
+timing zeroed by an injected observability clock.  These tests pin that
+contract on the example programs, exercise the fault-injection hook on
+both backends, and check the schedule-execution accounting invariant
+the ``--json`` metrics section exposes.
 """
 
 import glob
@@ -16,6 +16,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.core.schedule_engine import (
     ScheduleOutcome,
     SerialScheduleEngine,
     create_engine,
+    execute_task,
     outcome_fails,
     should_test,
 )
@@ -73,11 +75,11 @@ def _zero():
 
 def _analyze(source, **kwargs):
     kwargs.setdefault("static_filter", False)
-    kwargs.setdefault("clock", _zero)
     # Pin the backend so ambient REPRO_SCHEDULE_* vars (e.g. the CI
     # process-backend job) cannot flip the "serial" side of a comparison.
     kwargs.setdefault("backend", "serial")
-    return DcaAnalyzer(compile_program(source), **kwargs).analyze()
+    with obs.disabled(clock=_zero):
+        return DcaAnalyzer(compile_program(source), **kwargs).analyze()
 
 
 # -- engine construction -------------------------------------------------------
@@ -207,10 +209,10 @@ def test_mismatch_detail_populated_and_identical():
 
 def test_work_units_pickle_round_trip():
     module = compile_program(REDUCTION_SRC)
-    analyzer = DcaAnalyzer(module, static_filter=False, clock=_zero)
+    analyzer = DcaAnalyzer(module, static_filter=False)
     report = analyzer.analyze()
     # Rebuild a plan the way the analyzer does and round-trip it.
-    analyzer2 = DcaAnalyzer(compile_program(REDUCTION_SRC), static_filter=False, clock=_zero)
+    analyzer2 = DcaAnalyzer(compile_program(REDUCTION_SRC), static_filter=False)
     captured = {}
     original_run = analyzer2._engine.run
 
@@ -228,6 +230,55 @@ def test_work_units_pickle_round_trip():
             t.schedule_name for t in plan.tasks
         ]
     assert report.schedule_executions > 0
+
+
+#: One loop long enough that its identity replay under the interpreter
+#: takes well over 150 ms next to a spinning thread.
+LONG_LOOP_SRC = """
+func void main() {
+  int[] a = new int[6000];
+  for (int i = 0; i < 6000; i = i + 1) { a[i] = i * 3 % 7 + i / 5; }
+  print(a[1]);
+}
+"""
+
+
+def test_schedule_cpu_time_counts_only_its_own_thread():
+    """``repro serve`` replays schedules on several threads of one
+    process: a replay's CPU time must not absorb another thread's."""
+    analyzer = DcaAnalyzer(
+        compile_program(LONG_LOOP_SRC),
+        static_filter=False,
+        backend="serial",
+        exec_backend="interp",
+        schedules=ScheduleConfig.identity_only(),
+    )
+    plans = []
+    run = analyzer._engine.run
+
+    def spy(planned):
+        plans.extend(planned)
+        return run(planned)
+
+    analyzer._engine.run = spy
+    analyzer.analyze()
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            pass
+
+    spinner = threading.Thread(target=spin)
+    spinner.start()
+    try:
+        outcome = execute_task(plans[0].tasks[0], in_process=True)
+    finally:
+        stop.set()
+        spinner.join(timeout=30)
+    assert not spinner.is_alive()
+    assert outcome.status == "ok"
+    assert outcome.wall_ms >= 150.0
+    assert outcome.cpu_ms < 0.75 * outcome.wall_ms
 
 
 # -- faulting workers ----------------------------------------------------------
@@ -370,7 +421,6 @@ def test_obs_aggregates_identical_across_backends():
             DcaAnalyzer(
                 compile_program(REDUCTION_SRC),
                 static_filter=False,
-                clock=_zero,
                 backend=backend,
                 jobs=jobs,
             ).analyze()

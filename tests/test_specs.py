@@ -10,6 +10,7 @@ anything outside it must be rejected or bailed, never silently trusted.
 
 import pytest
 
+import repro.obs as obs
 from repro import compile_program
 from repro.analysis.commutativity import (
     PROVEN_COMMUTATIVE,
@@ -514,10 +515,10 @@ def test_chain_build_loop_proven_with_specs_only():
 
 
 def test_spec_proof_reports_static_specs_provenance():
-    report = DcaAnalyzer(
-        compile_program(BAG_PROGRAM), clock=_zero, backend="serial",
-        specs=True,
-    ).analyze()
+    with obs.disabled(clock=_zero):
+        report = DcaAnalyzer(
+            compile_program(BAG_PROGRAM), backend="serial", specs=True
+        ).analyze()
     assert report.results["main.L0"].decided_by == DECIDED_STATIC_SPECS
     assert report.results["main.L0"].is_commutative
 
