@@ -11,8 +11,9 @@ so their speedup is 1× by construction.
 
 from conftest import format_table
 
+from repro.analysis import build_loop_forest
 from repro.benchsuite import FIG5_BENCHMARKS
-from repro.core import iterator_fraction
+from repro.core import separate
 from repro.parallel import MachineModel, ParallelSimulator
 
 
@@ -27,9 +28,10 @@ def _fig5(dca_reports, detection_contexts):
         fractions = {}
         for label in commutative:
             func = module.functions[report.loop(label).function]
-            fractions[label] = iterator_fraction(
-                func, label, memory_flow=flows.get(label)
-            )
+            loop = build_loop_forest(func).loops[label]
+            fractions[label] = separate(
+                func, loop, flows.get(label)
+            ).iterator_share
         sim = ParallelSimulator(module, model=MachineModel(cores=72))
         sp = sim.simulate(commutative, serial_fractions=fractions)
         kernel = bench.table2.kernel_label

@@ -15,9 +15,11 @@ PLDS subset:
 * **disabled** — the shipped pipeline with observability off (the
   default for every user who never asks for a trace).
 
-Wall time is noisy under CI, so the comparison is paired min-of-N with
-retry rounds: the assertion passes as soon as any round sees the
-disabled/baseline ratio under the 2% budget.
+Wall time is noisy under CI, so the two sides are measured in
+interleaved reps, alternating which side goes first, so that drift hits
+both alike, over every one of ``MAX_ROUNDS`` rounds; the verdict compares
+the minima pooled over all reps.  A lucky single round therefore cannot
+pass the 2% budget on noise.
 
 The harness also runs one benchmark with observability *enabled* and
 reports the per-stage cost so the price of tracing is on the record.
@@ -101,13 +103,10 @@ def _analyze_all(benches, modules):
         ).analyze()
 
 
-def _min_of(n, fn):
-    best = float("inf")
-    for _ in range(n):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _timed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def test_disabled_obs_overhead(benchmark, capsys, monkeypatch):
@@ -115,48 +114,57 @@ def test_disabled_obs_overhead(benchmark, capsys, monkeypatch):
     benches = _subset()
     modules = {b.name: b.compile(fresh=True) for b in benches}
 
-    def measure_round():
-        # Paired: baseline (hooks stripped) vs shipped executors,
-        # interleaved so drift hits both sides alike.
+    def run():
+        _analyze_all(benches, modules)
+
+    def baseline_rep():
+        # The pipeline with the per-execution hooks stripped.
         with monkeypatch.context() as patch:
             patch.setattr(
                 DcaRuntime, "handle_intrinsic", _no_hook_handle_intrinsic
             )
             patch.setattr(Interpreter, "run", _no_hook_run)
             patch.setattr(CodegenExecutor, "run", _no_hook_codegen_run)
-            baseline = _min_of(REPS_PER_ROUND, lambda: _analyze_all(benches, modules))
-        disabled = _min_of(REPS_PER_ROUND, lambda: _analyze_all(benches, modules))
-        return baseline, disabled
+            return _timed(run)
+
+    def measure_round():
+        # Interleaved reps, alternating which side goes first.
+        baseline, disabled = [], []
+        sides = [(baseline, baseline_rep), (disabled, lambda: _timed(run))]
+        for rep in range(REPS_PER_ROUND):
+            for times, measure in sides if rep % 2 else sides[::-1]:
+                times.append(measure())
+        return min(baseline), min(disabled)
 
     # Warm-up pass (imports, caches, branch predictors).
-    _analyze_all(benches, modules)
+    run()
 
-    rounds = []
-    for _ in range(MAX_ROUNDS):
-        baseline, disabled = benchmark.pedantic(
-            measure_round, rounds=1, iterations=1
-        ) if not rounds else measure_round()
-        ratio = disabled / baseline
-        rounds.append((baseline, disabled, ratio))
-        if ratio < 1.0 + MAX_OVERHEAD:
-            break
+    rounds = [benchmark.pedantic(measure_round, rounds=1, iterations=1)]
+    rounds += [measure_round() for _ in range(MAX_ROUNDS - 1)]
+    baseline = min(b for b, _ in rounds)
+    disabled = min(d for _, d in rounds)
+    ratio = disabled / baseline
 
+    rows = [
+        (i + 1, f"{b:.4f}", f"{d:.4f}", f"{(d / b - 1.0) * 100:+.2f}%")
+        for i, (b, d) in enumerate(rounds)
+    ]
+    rows.append(
+        ("pooled", f"{baseline:.4f}", f"{disabled:.4f}",
+         f"{(ratio - 1.0) * 100:+.2f}%")
+    )
     table = format_table(
-        ("Round", "Baseline(s)", "Disabled(s)", "Overhead"),
-        [
-            (i + 1, f"{b:.4f}", f"{d:.4f}", f"{(r - 1.0) * 100:+.2f}%")
-            for i, (b, d, r) in enumerate(rounds)
-        ],
+        ("Round", "Baseline(s)", "Disabled(s)", "Overhead"), rows
     )
     with capsys.disabled():
         print("\n== Disabled-observability overhead "
               f"(PLDS subset: {', '.join(SUBSET_NAMES)}) ==")
         print(table)
 
-    best = min(r for _, _, r in rounds)
-    assert best < 1.0 + MAX_OVERHEAD, (
-        f"disabled observability costs {(best - 1.0) * 100:.2f}% "
-        f"(budget {MAX_OVERHEAD * 100:.0f}%) across {len(rounds)} rounds"
+    assert ratio < 1.0 + MAX_OVERHEAD, (
+        f"disabled observability costs {(ratio - 1.0) * 100:.2f}% "
+        f"(budget {MAX_OVERHEAD * 100:.0f}%) on the minima of "
+        f"{len(rounds) * REPS_PER_ROUND} interleaved reps per side"
     )
 
 

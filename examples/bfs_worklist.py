@@ -20,8 +20,9 @@ from repro.baselines import (
     PollyDetector,
     build_context,
 )
+from repro.analysis import build_loop_forest
 from repro.benchsuite import by_name
-from repro.core import DcaAnalyzer, iterator_fraction
+from repro.core import DcaAnalyzer, separate
 
 KERNEL = "main.L3"  # the top-down step (paper Fig. 2, lines 9-23)
 
@@ -33,10 +34,10 @@ def main() -> None:
     print("== Iterator/payload separation of the top-down step ==")
     ctx = build_context(bench.compile(fresh=True))
     flows = ctx.profile.memory_flow_edges()
-    frac_static = iterator_fraction(module.functions["main"], KERNEL)
-    frac_guided = iterator_fraction(
-        module.functions["main"], KERNEL, memory_flow=flows.get(KERNEL)
-    )
+    main = module.functions["main"]
+    loop = build_loop_forest(main).loops[KERNEL]
+    frac_static = separate(main, loop).iterator_share
+    frac_guided = separate(main, loop, flows.get(KERNEL)).iterator_share
     print(f"  iterator share, register slice only : {frac_static:.0%}")
     print(f"  iterator share, profile-guided      : {frac_guided:.0%}")
     print("  (the difference is pop() joining the iterator through the")

@@ -9,9 +9,10 @@ sequential iterator (linearization) phase.
 Run:  python examples/plds_speedup.py
 """
 
+from repro.analysis import build_loop_forest
 from repro.baselines import build_context
 from repro.benchsuite import by_name
-from repro.core import DcaAnalyzer, iterator_fraction
+from repro.core import DcaAnalyzer, separate
 from repro.parallel import MachineModel, ParallelSimulator
 
 
@@ -25,14 +26,11 @@ def main() -> None:
 
     ctx = build_context(bench.compile(fresh=True))
     flows = ctx.profile.memory_flow_edges()
-    fractions = {
-        label: iterator_fraction(
-            module.functions[report.loop(label).function],
-            label,
-            memory_flow=flows.get(label),
-        )
-        for label in commutative
-    }
+    fractions = {}
+    for label in commutative:
+        func = module.functions[report.loop(label).function]
+        loop = build_loop_forest(func).loops[label]
+        fractions[label] = separate(func, loop, flows.get(label)).iterator_share
     for label, frac in fractions.items():
         print(f"  {label}: {frac:.0%} of the body is the (serial) iterator")
 

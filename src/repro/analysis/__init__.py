@@ -15,7 +15,7 @@ from repro.analysis.commutativity import (
     StaticCommutativityAnalysis,
     StaticLoopVerdict,
 )
-from repro.analysis.defuse import DefUseGraph, ReachingDefs
+from repro.analysis.defuse import ReachingDefs
 from repro.analysis.diagnostics import (
     Diagnostic,
     DiagnosticEngine,
@@ -23,7 +23,13 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.analysis.liveness import Liveness, LoopLiveness
-from repro.analysis.loops import Loop, LoopForest, build_loop_forest, invalidate_loops
+from repro.analysis.loops import (
+    Loop,
+    LoopForest,
+    build_loop_forest,
+    function_analyses,
+    invalidate_loops,
+)
 from repro.analysis.postdom import ControlDependence, PostDominators
 from repro.analysis.purity import EffectAnalysis, FunctionEffects
 from repro.analysis.reductions import LoopIdioms, classify_loop
@@ -40,7 +46,6 @@ __all__ = [
     "AffineContext",
     "ArrayAccess",
     "ControlDependence",
-    "DefUseGraph",
     "Diagnostic",
     "DiagnosticEngine",
     "DynamicDepProfiler",
@@ -71,6 +76,7 @@ __all__ = [
     "cross_iteration_dependence",
     "diagnostic_from_static",
     "dominates",
+    "function_analyses",
     "invalidate_loops",
     "partition_stages",
     "reverse_postorder",

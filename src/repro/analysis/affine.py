@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.defuse import ReachingDefs
-from repro.analysis.loops import Loop, LoopForest
+from repro.analysis.loops import Loop, function_analyses
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BinOp,
@@ -74,21 +73,21 @@ class ArrayAccess:
 class AffineContext:
     """Affine reasoning scoped to one tested loop (and its nested loops)."""
 
-    def __init__(self, func: Function, loop: Loop, forest: LoopForest):
+    def __init__(self, func: Function, loop: Loop):
         self.func = func
         self.loop = loop
-        self.reaching = ReachingDefs(func)
+        self.reaching = function_analyses(func).reaching
         #: iv reg -> (owning loop label, step or None)
         self.ivs: Dict[Reg, Tuple[str, Optional[int]]] = {}
         self._defs_in_loop: Set[Reg] = set()
         for name in loop.blocks:
             for instr in func.blocks[name].instrs:
                 self._defs_in_loop.update(instr.defs())
-        self._collect_ivs(forest)
+        self._collect_ivs()
 
     # -- induction variables -----------------------------------------------
 
-    def _collect_ivs(self, forest: LoopForest) -> None:
+    def _collect_ivs(self) -> None:
         nest = [self.loop]
         stack = list(self.loop.children)
         while stack:

@@ -48,10 +48,8 @@ from repro.analysis.affine import (
     cross_iteration_dependence,
 )
 from repro.analysis.alias import PointsTo
-from repro.analysis.defuse import ReachingDefs
-from repro.analysis.liveness import Liveness, LoopLiveness
-from repro.analysis.loops import Loop, LoopForest, build_loop_forest
-from repro.analysis.postdom import ControlDependence
+from repro.analysis.liveness import LoopLiveness
+from repro.analysis.loops import Loop, build_loop_forest
 from repro.analysis.purity import EffectAnalysis
 from repro.analysis.reductions import (
     CARRIED_UNKNOWN,
@@ -62,6 +60,7 @@ from repro.analysis.reductions import (
     REDUCTION_MINMAX_COND,
     REDUCTION_MUL,
     classify_loop,
+    conditional_blocks,
 )
 from repro.analysis.specs import (
     AnnotationReport,
@@ -189,7 +188,9 @@ class StaticCommutativityAnalysis:
 
     Shares one points-to graph and one effect analysis across all loops;
     per-function analyses (reaching defs, control dependence, liveness)
-    are computed once per function.
+    come from the function's memo
+    (:func:`repro.analysis.loops.function_analyses`), so each is computed
+    once per function.
     """
 
     def __init__(self, module: Module, specs: Optional[SpecRegistry] = None):
@@ -216,18 +217,11 @@ class StaticCommutativityAnalysis:
             return self.verdicts
         for func in self.module.functions.values():
             forest = build_loop_forest(func)
-            if not any(label in forest.loops for label in func.loops):
-                continue
-            reaching = ReachingDefs(func)
-            controldep = ControlDependence(func)
-            liveness = Liveness(func)
             for label, meta in func.loops.items():
-                if label not in forest.loops:
-                    continue
-                self.verdicts[label] = self._classify(
-                    func, forest, forest.loops[label], meta,
-                    reaching, controldep, liveness,
-                )
+                if label in forest.loops:
+                    self.verdicts[label] = self._classify(
+                        func, forest.loops[label], meta
+                    )
         self._analyzed = True
         return self.verdicts
 
@@ -238,16 +232,7 @@ class StaticCommutativityAnalysis:
 
     # -- per-loop classification ----------------------------------------------
 
-    def _classify(
-        self,
-        func: Function,
-        forest: LoopForest,
-        loop: Loop,
-        meta,
-        reaching: ReachingDefs,
-        controldep: ControlDependence,
-        liveness: Liveness,
-    ) -> StaticLoopVerdict:
+    def _classify(self, func: Function, loop: Loop, meta) -> StaticLoopVerdict:
         # Imported lazily: repro.core imports repro.analysis at package
         # init, so a module-level import here would be circular.
         from repro.core.iterator_recognition import separate
@@ -276,7 +261,7 @@ class StaticCommutativityAnalysis:
             )
             return verdict
 
-        sep = separate(func, loop, reaching, controldep)
+        sep = separate(func, loop)
         verdict.payload_empty = sep.payload_is_empty
         if sep.has_return:
             verdict.evidence.append(
@@ -289,17 +274,15 @@ class StaticCommutativityAnalysis:
             return verdict
 
         idioms = classify_loop(func, loop)
-        ll = LoopLiveness(func, forest, liveness)
-        live_out_scalars = ll.live_out_scalars(loop)
-        actx = AffineContext(func, loop, forest)
+        live_out_scalars = LoopLiveness(func).live_out_scalars(loop)
+        actx = AffineContext(func, loop)
         tested_ivs = actx.tested_ivs()
         iv_steps = {reg: step for reg, (_l, step) in actx.ivs.items()}
-        conditional_blocks = self._conditional_blocks(func, loop, controldep)
 
         # ---- loop-carried race: scalar output race on a live-out --------
         race = self._scalar_output_race(
             func, loop, sep, idioms, live_out_scalars, actx, tested_ivs,
-            iv_steps, conditional_blocks,
+            iv_steps, conditional_blocks(func, loop),
         )
         if race is not None:
             verdict.verdict = PROVEN_NONCOMMUTATIVE
@@ -396,22 +379,6 @@ class StaticCommutativityAnalysis:
                     if eff is None or eff.does_io:
                         return f"{name}[{idx}]"
         return None
-
-    @staticmethod
-    def _conditional_blocks(
-        func: Function, loop: Loop, controldep: ControlDependence
-    ) -> Set[str]:
-        """Blocks executing conditionally *within* an iteration."""
-        exit_blocks = {
-            name
-            for name in loop.blocks
-            if any(s not in loop.blocks for s in func.blocks[name].successors())
-        }
-        return {
-            name
-            for name in loop.blocks
-            if (controldep.controlling_blocks(name) & loop.blocks) - exit_blocks
-        }
 
     def _def_sites(
         self, func: Function, loop: Loop, reg: Reg

@@ -1,9 +1,10 @@
-"""Reaching definitions and def-use chains at instruction granularity.
+"""Reaching definitions at instruction granularity.
 
 Instruction sites are ``(block_name, index)`` pairs.  The analysis is a
-standard forward may-reach data flow over the non-SSA register IR; the
-def-use graph it induces is the substrate of the generalized iterator
-recognition in :mod:`repro.core.iterator_recognition`.
+standard forward may-reach data flow over the non-SSA register IR; its
+use-to-def chains are the data edges of the generalized iterator
+recognition in :mod:`repro.core.iterator_recognition`.  Build it through
+:func:`repro.analysis.loops.function_analyses`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from repro.ir.instructions import Instr, Reg
 
 __all__ = [
     "DefSite",
-    "DefUseGraph",
     "ReachingDefs",
     "Site",
 ]
@@ -146,34 +146,3 @@ class ReachingDefs:
                     )
                 for reg in instr.defs():
                     current[reg] = {site}
-
-
-class DefUseGraph:
-    """Instruction-level def→use edges derived from reaching definitions."""
-
-    def __init__(self, func: Function, reaching: ReachingDefs = None):
-        self.func = func
-        self.reaching = reaching or ReachingDefs(func)
-        #: def site -> set of use sites
-        self.users: Dict[Site, Set[Site]] = {}
-        #: use site -> set of def sites feeding it
-        self.sources: Dict[Site, Set[Site]] = {}
-        self._build()
-
-    def _build(self) -> None:
-        for block in self.func.ordered_blocks():
-            for idx, instr in enumerate(block.instrs):
-                use_site = (block.name, idx)
-                for reg in instr.uses():
-                    for def_site in self.reaching.reaching(use_site, reg):
-                        if def_site == ("", -1):
-                            continue  # parameter pseudo-definition
-                        self.users.setdefault(def_site, set()).add(use_site)
-                        self.sources.setdefault(use_site, set()).add(def_site)
-
-    def sites(self) -> List[Site]:
-        out: List[Site] = []
-        for block in self.func.ordered_blocks():
-            for idx in range(len(block.instrs)):
-                out.append((block.name, idx))
-        return out

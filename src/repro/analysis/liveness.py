@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.analysis.loops import Loop, LoopForest
+from repro.analysis.loops import Loop, function_analyses
 from repro.ir.function import Function
 from repro.ir.instructions import Reg
 from repro.lang.types import Type
@@ -77,11 +77,9 @@ class Liveness:
 class LoopLiveness:
     """Loop-scoped live-in/live-out classification used by DCA."""
 
-    def __init__(self, func: Function, forest: LoopForest,
-                 liveness: Optional[Liveness] = None):
+    def __init__(self, func: Function):
         self.func = func
-        self.forest = forest
-        self.liveness = liveness or Liveness(func)
+        self.liveness = function_analyses(func).liveness
 
     # -- helpers ---------------------------------------------------------------
 

@@ -1,24 +1,38 @@
-"""Natural-loop detection and the loop forest.
+"""Natural-loop detection, the loop forest, and the per-function memo.
 
 A natural loop is identified by a back edge ``latch -> header`` where the
 header dominates the latch.  Loops sharing a header are merged.  The forest
 records nesting, exit edges, and the mapping back to the stable source-level
 loop labels assigned during lowering (``<function>.L<n>``); loops created by
 transformations (e.g. DCA dispatch loops) receive anonymous labels.
+
+:func:`function_analyses` is the one owner of a function's CFG analyses:
+its loop forest, reaching definitions, liveness and control dependence
+live in one memo on the ``Function``, each built on first use.
+Transformation passes call :func:`invalidate_loops` after rewriting a
+CFG, which drops all four at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import compute_dominators, dominates, reverse_postorder
+from repro.analysis.defuse import ReachingDefs
+from repro.analysis.postdom import ControlDependence
 from repro.ir.function import Function
 
+if TYPE_CHECKING:
+    from repro.analysis.liveness import Liveness
+
 __all__ = [
+    "FunctionAnalyses",
     "Loop",
     "LoopForest",
     "build_loop_forest",
+    "function_analyses",
     "invalidate_loops",
 ]
 
@@ -162,21 +176,50 @@ class LoopForest:
                 loop.parent.children.append(loop)
 
 
-def build_loop_forest(func: Function) -> LoopForest:
-    """Compute (or fetch a cached) loop forest for ``func``.
+class FunctionAnalyses:
+    """The CFG analyses of one function, each built on first use.
 
-    The forest is cached on the function object and invalidated by callers
-    that mutate the CFG (transformation passes call ``invalidate_loops``).
+    Valid while the function's CFG is unchanged; see
+    :func:`invalidate_loops`.
     """
-    cached = getattr(func, "_loop_forest", None)
-    if cached is not None:
-        return cached
-    forest = LoopForest(func)
-    func._loop_forest = forest  # type: ignore[attr-defined]
-    return forest
+
+    def __init__(self, func: Function):
+        self.func = func
+
+    @cached_property
+    def forest(self) -> LoopForest:
+        return LoopForest(self.func)
+
+    @cached_property
+    def reaching(self) -> ReachingDefs:
+        return ReachingDefs(self.func)
+
+    @cached_property
+    def liveness(self) -> Liveness:
+        # Imported here: repro.analysis.liveness imports this module.
+        from repro.analysis.liveness import Liveness
+
+        return Liveness(self.func)
+
+    @cached_property
+    def controldep(self) -> ControlDependence:
+        return ControlDependence(self.func)
+
+
+def function_analyses(func: Function) -> FunctionAnalyses:
+    """The memo of ``func``'s analyses, kept on the function object."""
+    memo = func.__dict__.get("_analyses")
+    if memo is None:
+        memo = FunctionAnalyses(func)
+        func._analyses = memo  # type: ignore[attr-defined]
+    return memo
+
+
+def build_loop_forest(func: Function) -> LoopForest:
+    """The (memoized) loop forest of ``func``."""
+    return function_analyses(func).forest
 
 
 def invalidate_loops(func: Function) -> None:
-    """Drop the cached loop forest after a CFG mutation."""
-    if hasattr(func, "_loop_forest"):
-        del func._loop_forest
+    """Drop every memoized analysis of ``func`` after a CFG mutation."""
+    func.__dict__.pop("_analyses", None)

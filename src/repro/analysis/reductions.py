@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.loops import Loop
+from repro.analysis.loops import Loop, function_analyses
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BinOp,
@@ -48,6 +48,7 @@ __all__ = [
     "REDUCTION_MUL",
     "SIMPLE_REDUCTIONS",
     "classify_loop",
+    "conditional_blocks",
 ]
 
 #: Scalar classifications.
@@ -106,10 +107,7 @@ def _carried_regs(func: Function, loop: Loop) -> Tuple[Set[Reg], Set[Reg]]:
     flows around the back edge: approximated as *live into the header* and
     both defined and used inside the loop.
     """
-    from repro.analysis.liveness import Liveness
-
-    liveness = Liveness(func)
-    header_live = liveness.live_in[loop.header]
+    header_live = function_analyses(func).liveness.live_in[loop.header]
     defs: Set[Reg] = set()
     uses: Set[Reg] = set()
     for name in loop.blocks:
@@ -120,25 +118,27 @@ def _carried_regs(func: Function, loop: Loop) -> Tuple[Set[Reg], Set[Reg]]:
     return carried, defs
 
 
-def classify_loop(func: Function, loop: Loop) -> LoopIdioms:
-    """Classify the carried scalars and histogram updates of ``loop``."""
-    from repro.analysis.postdom import ControlDependence
-
-    result = LoopIdioms(label=loop.label)
-    carried, defs_in_loop = _carried_regs(func, loop)
-    controldep = ControlDependence(func)
-    # Blocks that execute conditionally *within* an iteration: control
-    # dependent on an in-loop branch other than the loop's own exits.
+def conditional_blocks(func: Function, loop: Loop) -> Set[str]:
+    """Blocks that execute conditionally *within* an iteration: control
+    dependent on an in-loop branch other than the loop's own exits."""
+    controldep = function_analyses(func).controldep
     exit_blocks = {
         name
         for name in loop.blocks
         if any(s not in loop.blocks for s in func.blocks[name].successors())
     }
-    conditional_blocks = {
+    return {
         name
         for name in loop.blocks
         if (controldep.controlling_blocks(name) & loop.blocks) - exit_blocks
     }
+
+
+def classify_loop(func: Function, loop: Loop) -> LoopIdioms:
+    """Classify the carried scalars and histogram updates of ``loop``."""
+    result = LoopIdioms(label=loop.label)
+    carried, defs_in_loop = _carried_regs(func, loop)
+    conditional = conditional_blocks(func, loop)
 
     # Gather def sites and use sites per carried register.
     def_sites: Dict[Reg, List[Tuple[str, int]]] = {r: [] for r in carried}
@@ -155,7 +155,7 @@ def classify_loop(func: Function, loop: Loop) -> LoopIdioms:
     for reg in carried:
         result.scalars[reg] = _classify_scalar(
             func, loop, reg, def_sites[reg], use_sites[reg], defs_in_loop,
-            conditional_blocks,
+            conditional,
         )
 
     _find_histograms(func, loop, defs_in_loop, result)

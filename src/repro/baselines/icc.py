@@ -77,7 +77,7 @@ class IccDetector(Detector):
             if klass not in self._OK_SCALARS:
                 return False, f"loop-carried scalar {reg} is {klass}"
 
-        actx = AffineContext(func, loop, ctx.forests[func.name])
+        actx = AffineContext(func, loop)
         accesses = actx.collect_accesses()
         if accesses is None:
             return False, "unresolvable array base"

@@ -60,7 +60,7 @@ class PollyDetector(Detector):
             if klass != INDUCTION:
                 return False, f"loop-carried scalar {reg} is {klass}"
 
-        actx = AffineContext(func, loop, ctx.forests[func.name])
+        actx = AffineContext(func, loop)
         accesses = actx.collect_accesses()
         if accesses is None:
             return False, "unresolvable array base"

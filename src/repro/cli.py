@@ -369,7 +369,7 @@ def _batch_via_server(args: argparse.Namespace) -> int:
     match the local path: 0 all ok, 1 any failure/skip, 2 usage error.
     """
     from repro.batch import discover_programs, load_manifest
-    from repro.serve import ServeClient
+    from repro.serve import REQUEST_CONFIG_FIELDS, ServeClient
 
     specs = discover_programs(args.paths)
     if args.manifest:
@@ -386,15 +386,12 @@ def _batch_via_server(args: argparse.Namespace) -> int:
         if spec.args is not None:
             entry["args"] = list(spec.args)
         programs.append(entry)
-    local = _config_from_args(args)
+    # Forward every per-request field the user set; the rest take the
+    # server's defaults.
     config = {
-        "entry": local.entry,
-        "rtol": local.rtol,
-        "liveout_policy": local.liveout_policy,
-        "static_filter": local.static_filter,
+        name: value for name, value in vars(args).items()
+        if name in REQUEST_CONFIG_FIELDS and value is not None
     }
-    if args.specs is not None:
-        config["specs"] = args.specs
 
     client = ServeClient(args.server)
     jsonl_handle = open(args.jsonl, "w") if args.jsonl else None

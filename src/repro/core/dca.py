@@ -58,7 +58,7 @@ from repro.analysis.commutativity import (
     StaticLoopVerdict,
 )
 from repro.analysis.dynamic_deps import DynamicDepProfiler
-from repro.analysis.loops import build_loop_forest
+from repro.analysis.loops import build_loop_forest, invalidate_loops
 from repro.analysis.purity import EffectAnalysis
 from repro.analysis.reductions import COMPLEX_REDUCTIONS, classify_loop
 from repro.analysis.sccdag import (
@@ -268,6 +268,12 @@ class DcaAnalyzer:
                 with self._obs.span(f"dca.{name}") as span:
                     stage(state)
                 report.stage_times_ms[name] = span.dur_ms
+        # The stages share each function's analyses through its memo
+        # (repro.analysis.loops.function_analyses).  The module can
+        # outlive the analysis, e.g. in the codegen compile memo, so the
+        # memos end here instead of living on with it.
+        for func in self.module.functions.values():
+            invalidate_loops(func)
         self._emit_verdict_events(report)
         return report
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.liveness import Liveness, LoopLiveness
+from repro.analysis.liveness import LoopLiveness
 from repro.analysis.loops import build_loop_forest, invalidate_loops
 from repro.analysis.purity import EffectAnalysis
+from repro.core.iterator_recognition import separate
 from repro.core.payload import OutlineResult, outline_payload, sanitize
 from repro.ir.clone import clone_module
 from repro.ir.function import Function, Module
@@ -100,9 +101,8 @@ def compute_verify_spec(
     effects: EffectAnalysis,
 ) -> VerifySpec:
     """Derive the live-out specification of a loop on the pristine module."""
-    forest = build_loop_forest(func)
-    loop = forest.loops[label]
-    ll = LoopLiveness(func, forest)
+    loop = build_loop_forest(func).loops[label]
+    ll = LoopLiveness(func)
     spec = VerifySpec(label=label, function=func.name)
     spec.scalar_regs = ll.live_out_scalars(loop)
     spec.ref_regs = ll.live_out_refs(loop)
@@ -200,10 +200,18 @@ class TestInstrumentation:
 def build_test_module(
     module: Module, label: str, spec: VerifySpec, memory_flow=None
 ) -> TestInstrumentation:
-    """Build the split (record → permute → dispatch → verify) variant."""
+    """Build the split (record → permute → dispatch → verify) variant.
+
+    The iterator/payload separation is computed on the pristine function,
+    whose analyses stay memoized across loops; only the clone is rewritten.
+    """
+    pristine = module.functions[spec.function]
+    separation = separate(
+        pristine, build_loop_forest(pristine).loops[label], memory_flow
+    )
     test = clone_module(module)
     func = test.functions[spec.function]
-    outline = outline_payload(test, func, label, memory_flow=memory_flow)
+    outline = outline_payload(test, func, label, separation=separation)
 
     forest = build_loop_forest(func)
     loop = forest.loops[label]

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set
 
-from repro.analysis.defuse import ReachingDefs, Site
-from repro.analysis.loops import Loop
-from repro.analysis.postdom import ControlDependence
+from repro.analysis.defuse import Site
+from repro.analysis.loops import Loop, function_analyses
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Reg, Ret
 
@@ -48,14 +47,15 @@ class IteratorSeparation:
     def payload_is_empty(self) -> bool:
         return not self.payload_sites
 
+    @property
+    def iterator_share(self) -> float:
+        """Share of the loop's sites in the iterator slice: the part of
+        each iteration that stays sequential under DCA's
+        linearize-then-dispatch code generation."""
+        return len(self.iterator_sites) / len(self.all_sites)
 
-def separate(
-    func: Function,
-    loop: Loop,
-    reaching: ReachingDefs,
-    controldep: ControlDependence,
-    memory_flow=None,
-) -> IteratorSeparation:
+
+def separate(func: Function, loop: Loop, memory_flow=None) -> IteratorSeparation:
     """Split ``loop`` into iterator and payload sites.
 
     ``memory_flow`` is an optional set of same-invocation dynamic flow
@@ -66,6 +66,8 @@ def separate(
     e.g. ``pop(frontier)`` updating ``frontier->size``), the writer joins
     the iterator — the profile-guided part of the recognition.
     """
+    analyses = function_analyses(func)
+    reaching, controldep = analyses.reaching, analyses.controldep
     result = IteratorSeparation(loop)
     loop_blocks = loop.blocks
 
@@ -152,27 +154,3 @@ def separate(
     result.iter_value_regs = sorted(consumed, key=lambda r: r.name)
     return result
 
-
-def iterator_fraction(func: Function, label: str, memory_flow=None) -> float:
-    """Static share of a loop's body belonging to the iterator slice.
-
-    Used by the parallel executor: in DCA's linearize-then-dispatch code
-    generation the iterator runs sequentially, so only the payload share
-    of each iteration parallelizes.  Returns 0.0 when the loop is unknown
-    or has no sites.
-    """
-    from repro.analysis.defuse import ReachingDefs
-    from repro.analysis.loops import build_loop_forest
-    from repro.analysis.postdom import ControlDependence
-
-    forest = build_loop_forest(func)
-    if label not in forest.loops:
-        return 0.0
-    loop = forest.loops[label]
-    sep = separate(
-        func, loop, ReachingDefs(func), ControlDependence(func), memory_flow
-    )
-    total = len(sep.all_sites)
-    if total == 0:
-        return 0.0
-    return len(sep.iterator_sites) / total

@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.defuse import ReachingDefs
-from repro.analysis.liveness import Liveness
-from repro.analysis.loops import LoopForest, build_loop_forest, invalidate_loops
-from repro.analysis.postdom import ControlDependence
+from repro.analysis.loops import (
+    build_loop_forest,
+    function_analyses,
+    invalidate_loops,
+)
 from repro.core.iterator_recognition import IteratorSeparation, separate
 from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import (
@@ -281,6 +282,9 @@ def outline_payload(
 
     ``module`` gains the payload function and the env struct type.  Raises
     :class:`OutlineError` when the loop shape is unsupported.
+    ``separation`` may come from an unmodified copy of ``func`` (sites
+    are ``(block, index)`` pairs, which cloning preserves); it is
+    computed here when omitted.
     """
     forest = build_loop_forest(func)
     if label not in forest.loops:
@@ -288,9 +292,7 @@ def outline_payload(
     loop = forest.loops[label]
 
     if separation is None:
-        reaching = ReachingDefs(func)
-        controldep = ControlDependence(func)
-        separation = separate(func, loop, reaching, controldep, memory_flow)
+        separation = separate(func, loop, memory_flow)
 
     if separation.has_return:
         raise OutlineError("return-in-loop", label)
@@ -333,7 +335,7 @@ def outline_payload(
         func, region, loop_blocks
     )
 
-    liveness = Liveness(func)
+    liveness = function_analyses(func).liveness
     uses_in_region, defs_in_region = _region_reg_sets(func, region)
     live_into_entry = liveness.live_in[entry]
     live_at_exit = liveness.live_in[exit_target]

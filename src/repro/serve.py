@@ -392,6 +392,15 @@ class AnalysisServer:
             self._pending -= 1
             self._slots.notify_all()
 
+    async def _land(self, flight: _Flight, status: int, body: bytes) -> None:
+        """Retire ``flight``: drop its coalescing keys, free its admission
+        slot, and hand ``(status, body)`` to every request waiting on it."""
+        for key in flight.keys:
+            self._flights.pop(key, None)
+        await self._release_slot()
+        if not flight.future.done():
+            flight.future.set_result((status, body))
+
     # -- the worker loop ---------------------------------------------------
 
     async def _worker(self) -> None:
@@ -404,11 +413,7 @@ class AnalysisServer:
             except Exception as exc:  # executor torn down, etc.
                 status = 500
                 body = _json_bytes({"status": "error", "error": repr(exc)})
-            for key in job.flight.keys:
-                self._flights.pop(key, None)
-            await self._release_slot()
-            if not job.flight.future.done():
-                job.flight.future.set_result((status, body))
+            await self._land(job.flight, status, body)
 
     def _execute_job(self, job: _Job) -> Tuple[int, bytes]:
         """Worker-thread body: run the analysis, serialise once."""
@@ -556,11 +561,7 @@ class AnalysisServer:
                 body = _json_bytes(
                     {"status": "parse-error", "error": str(exc)}
                 )
-                for key in flight.keys:
-                    self._flights.pop(key, None)
-                await self._release_slot()
-                if not flight.future.done():
-                    flight.future.set_result((status, body))
+                await self._land(flight, status, body)
                 return status, body, []
 
             digest = module_workload_digest(
@@ -570,13 +571,11 @@ class AnalysisServer:
             existing = self._flights.get(dkey)
             if existing is not None and existing is not flight:
                 # Same module via different source text: join the
-                # earlier flight, dissolve ours.
-                for key in flight.keys:
-                    self._flights.pop(key, None)
-                await self._release_slot()
+                # earlier flight, then land ours with its answer.  Until
+                # then ours keeps its admission slot and its source key,
+                # so duplicates of our source text join ours.
                 joined = await self._join_flight(existing)
-                if not flight.future.done():
-                    flight.future.set_result((joined[0], joined[1]))
+                await self._land(flight, joined[0], joined[1])
                 return joined
             flight.keys.append(dkey)
             self._flights[dkey] = flight
@@ -594,13 +593,9 @@ class AnalysisServer:
             self._seq += 1
             self._queue.put_nowait((priority, self._seq, job))
         except Exception as exc:
-            for key in flight.keys:
-                self._flights.pop(key, None)
-            await self._release_slot()
             status = 500
             body = _json_bytes({"status": "error", "error": repr(exc)})
-            if not flight.future.done():
-                flight.future.set_result((status, body))
+            await self._land(flight, status, body)
             return status, body, []
 
         status, body = await asyncio.shield(flight.future)

@@ -2,7 +2,11 @@
 
 from repro import compile_program
 from repro.analysis.cfg import compute_dominators, dominates, reverse_postorder
-from repro.analysis.loops import build_loop_forest, invalidate_loops
+from repro.analysis.loops import (
+    build_loop_forest,
+    function_analyses,
+    invalidate_loops,
+)
 from repro.analysis.postdom import ControlDependence, PostDominators
 
 
@@ -105,6 +109,23 @@ def test_loop_forest_cache_and_invalidation():
     assert build_loop_forest(func) is first
     invalidate_loops(func)
     assert build_loop_forest(func) is not first
+
+
+def test_function_analyses_memo_and_invalidation():
+    func = main_func("int x = 3; while (x > 0) { x = x - 1; }")
+
+    def built(memo):
+        return (memo.forest, memo.reaching, memo.liveness, memo.controldep)
+
+    memo = function_analyses(func)
+    first = built(memo)
+    assert function_analyses(func) is memo
+    assert all(a is b for a, b in zip(built(memo), first))
+    assert build_loop_forest(func) is memo.forest
+    invalidate_loops(func)
+    assert function_analyses(func) is not memo
+    fresh = built(function_analyses(func))
+    assert all(a is not b for a, b in zip(fresh, first))
 
 
 def test_postdominators_exit_blocks():

@@ -7,10 +7,18 @@ piece of analysis work must be booked to exactly one stage (the run
 ledger's ``wall_ms`` is the sum of the stage times).
 """
 
+import json
+import pickle
+from pathlib import Path
+
 import pytest
 
 import repro.core.dca as dca
 import repro.obs as obs
+from repro.analysis.defuse import ReachingDefs
+from repro.analysis.liveness import Liveness
+from repro.analysis.postdom import ControlDependence
+from repro.benchsuite import by_name
 from repro.cache import AnalysisCache
 from repro.core.dca import DcaAnalyzer
 from repro.driver import compile_program
@@ -25,6 +33,9 @@ func void main() {
   print(s);
 }
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _zero() -> float:
@@ -98,3 +109,66 @@ def test_repeated_analyze_leaks_no_state(tmp_path, tiering):
     assert cold.cache.stores > 0 and warm.cache.hits > 0
     assert cold.to_json() == plain
     assert warm.to_json() == plain
+
+
+def test_pristine_functions_build_each_analysis_once(monkeypatch):
+    """One tiered ``analyze`` of a multi-loop suite program: the static
+    prover, verify specs, iterator separation and tiering all read the
+    pristine function's one memo, so each pristine function builds at
+    most one ``ReachingDefs``, ``Liveness`` and ``ControlDependence``;
+    only the rewritten clones build their own.  The schedule replays'
+    module blobs carry no memo."""
+    built = []
+
+    def counting(init):
+        def wrapped(self, func):
+            built.append((type(self), func))
+            init(self, func)
+
+        return wrapped
+
+    for cls in (ReachingDefs, Liveness, ControlDependence):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    bench = by_name("em3d")
+    analyzer = DcaAnalyzer(
+        bench.compile(fresh=True), rtol=bench.rtol, tiering=True
+    )
+    plans = []
+
+    def capture(batch, run=analyzer._engine.run):
+        plans.extend(batch)
+        return run(batch)
+
+    monkeypatch.setattr(analyzer._engine, "run", capture)
+    report = analyzer.analyze()
+
+    assert report.tier_counts() and plans
+    for func in analyzer.module.functions.values():
+        for cls in (ReachingDefs, Liveness, ControlDependence):
+            assert sum(1 for c, f in built if c is cls and f is func) <= 1
+    pristine = {id(f) for f in analyzer.module.functions.values()}
+    assert any(id(f) not in pristine for _c, f in built), (
+        "the outliner rebuilds liveness on each rewritten clone"
+    )
+    for plan in plans:
+        module = pickle.loads(plan.tasks[0].module_blob)
+        for func in module.functions.values():
+            assert "_analyses" not in vars(func)
+
+
+@pytest.mark.parametrize("name", ["histogram", "pointer_chase"])
+def test_tiering_off_report_matches_pre_tiering_golden(name):
+    """Schema compatibility: a tiering-off (and specs-off) ``--json``
+    report is byte-identical to the pre-tiering golden, whatever
+    ``REPRO_*`` environment the suite runs under."""
+    golden = (ROOT / "benchmarks" / "goldens" / f"pre_tiering_{name}.json")
+    source = (ROOT / "examples" / f"{name}.mc").read_text()
+    with obs.disabled(clock=_zero):
+        report = DcaAnalyzer(
+            compile_program(source), tiering=False, specs=False
+        ).analyze()
+    got = report.to_json() + "\n"
+    assert got == golden.read_text(), (
+        f"{name}: tiering-off report drifted from the pre-tiering golden"
+    )
+    assert "report_schema_version" not in json.loads(got)

@@ -218,8 +218,7 @@ def test_alias_through_struct_fields():
 def affine_ctx(source, label="main.L0"):
     module = compile_program(source)
     func = module.functions["main"]
-    forest = build_loop_forest(func)
-    return AffineContext(func, forest.loops[label], forest), func
+    return AffineContext(func, build_loop_forest(func).loops[label]), func
 
 
 def test_affine_subscripts_collected():

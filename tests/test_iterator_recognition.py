@@ -1,11 +1,9 @@
 """Iterator/payload separation tests (incl. profile-guided memory flow)."""
 
 from repro import compile_program
-from repro.analysis.defuse import ReachingDefs
 from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.analysis.loops import build_loop_forest
-from repro.analysis.postdom import ControlDependence
-from repro.core.iterator_recognition import iterator_fraction, separate
+from repro.core.iterator_recognition import separate
 from repro.interp.interpreter import Interpreter
 from repro.ir.instructions import Reg
 
@@ -21,7 +19,7 @@ def separation_for(source, label, profile=False):
     func = module.functions[func_name]
     forest = build_loop_forest(func)
     loop = forest.loops[label]
-    sep = separate(func, loop, ReachingDefs(func), ControlDependence(func), flow)
+    sep = separate(func, loop, flow)
     return func, sep
 
 
@@ -163,7 +161,7 @@ def test_return_in_loop_is_exit_edge():
     loop = forest.loops["find.L0"]
     # The `return` block cannot reach the latch, so it sits *outside* the
     # natural loop: the loop sees it as a plain exit edge.
-    sep = separate(func, loop, ReachingDefs(func), ControlDependence(func))
+    sep = separate(func, loop)
     assert not sep.has_return
     ret_blocks = [
         b.name for b in func.ordered_blocks()
@@ -172,9 +170,7 @@ def test_return_in_loop_is_exit_edge():
     assert all(name not in loop.blocks for name in ret_blocks)
 
 
-def test_iterator_fraction_bounds():
-    module = compile_program(ARRAY_LOOP)
-    func = module.functions["main"]
-    frac = iterator_fraction(func, "main.L0")
-    assert 0.0 < frac < 1.0
-    assert iterator_fraction(func, "main.L99") == 0.0
+def test_iterator_share_bounds():
+    _func, sep = separation_for(ARRAY_LOOP, "main.L0")
+    assert 0.0 < sep.iterator_share < 1.0
+    assert sep.iterator_share == len(sep.iterator_sites) / len(sep.all_sites)

@@ -1,7 +1,7 @@
 """Liveness, loop live-in/live-out and reaching-definitions tests."""
 
 from repro import compile_program
-from repro.analysis.defuse import DefUseGraph, ReachingDefs
+from repro.analysis.defuse import ReachingDefs
 from repro.analysis.liveness import Liveness, LoopLiveness
 from repro.analysis.loops import build_loop_forest
 from repro.ir.instructions import Reg
@@ -13,8 +13,7 @@ def main_func(body, decls=""):
 
 
 def loop_liveness(func):
-    forest = build_loop_forest(func)
-    return LoopLiveness(func, forest), forest
+    return LoopLiveness(func), build_loop_forest(func)
 
 
 def test_dead_value_not_live():
@@ -114,12 +113,3 @@ def test_loop_carried_def_reaches_header_use():
             outside = sites - in_loop
             assert in_loop and outside
 
-
-def test_defuse_graph_edges():
-    func = main_func("int a = 1; int b = a + 2; print(b);")
-    graph = DefUseGraph(func)
-    # Every use site appears in `sources`.
-    assert graph.sources
-    for use_site, def_sites in graph.sources.items():
-        for def_site in def_sites:
-            assert use_site in graph.users[def_site]

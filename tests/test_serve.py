@@ -8,6 +8,7 @@ temp-dir cache/ledger, so tests are hermetic and parallel-safe.
 
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -280,6 +281,42 @@ class TestCoalescing:
         assert analyses == 1
         assert coalesced == k - 1
 
+    def test_same_module_from_other_source_joins_flight(
+        self, client, server, monkeypatch
+    ):
+        """Two source texts that compile to one module digest: the later
+        request dissolves its own flight into the earlier one, so one
+        analysis runs and one response is a coalesced join."""
+        before = server.metrics.value("serve.analyses", 0)
+        joins = server.metrics.value("serve.coalesced", 0)
+        execute = server._execute_job
+
+        def held(job):
+            # Hold the leader's analysis until the other request joined.
+            deadline = time.monotonic() + 30
+            while (
+                server.metrics.value("serve.coalesced", 0) == joins
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            return execute(job)
+
+        monkeypatch.setattr(server, "_execute_job", held)
+        with ThreadPoolExecutor(2) as pool:
+            results = list(
+                pool.map(
+                    lambda source: client.request(
+                        "POST", "/v1/analyze", {"source": source}
+                    ),
+                    (GOOD, GOOD + "\n\n"),
+                )
+            )
+        assert [status for status, _, _ in results] == [200, 200]
+        assert len({body for _, _, body in results}) == 1
+        coalesced = [h.get("X-Repro-Coalesced") for _, h, _ in results]
+        assert coalesced.count("1") == 1
+        assert server.metrics.value("serve.analyses", 0) - before == 1
+
     def test_different_configs_do_not_coalesce(self, client, server):
         before = server.metrics.value("serve.analyses", 0)
         with ThreadPoolExecutor(2) as pool:
@@ -532,6 +569,30 @@ class TestServeCli:
         ]
         assert len(lines) == 1
         assert lines[0]["status"] == "ok"
+
+    def test_batch_server_forwards_request_config_flags(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Every per-request flag the user set reaches the daemon —
+        tiering and the pipeline-stage bound included."""
+        from repro.cli import main
+
+        sent = []
+
+        def fake_batch(self, programs, config=None, fail_fast=False):
+            sent.append(config)
+            yield {"type": "summary", "programs": 1, "ok": 1, "failed": 0}
+
+        monkeypatch.setattr(ServeClient, "batch", fake_batch)
+        (tmp_path / "good.mc").write_text(GOOD)
+        code = main(
+            ["batch", str(tmp_path / "good.mc"), "--server",
+             "http://127.0.0.1:1", "--tiering", "--max-pipeline-stages", "3"]
+        )
+        assert code == 0
+        assert sent == [
+            {"entry": "main", "tiering": True, "max_pipeline_stages": 3}
+        ]
 
     def test_batch_server_rejects_trace(self, tmp_path, capsys):
         from repro.cli import main
