@@ -20,6 +20,7 @@ from repro.baselines import (
     build_context,
 )
 from repro.benchsuite import ALL_BENCHMARKS, NPB_BENCHMARKS, PLDS_BENCHMARKS
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
 
 
@@ -35,8 +36,12 @@ def dca_reports() -> Dict[str, object]:
     for bench in ALL_BENCHMARKS:
         module = bench.compile(fresh=True)
         analyzer = DcaAnalyzer(
-            module, rtol=bench.rtol, liveout_policy=bench.liveout_policy,
-            specs=False,
+            module,
+            AnalysisConfig(
+                rtol=bench.rtol,
+                liveout_policy=bench.liveout_policy,
+                specs=False,
+            ),
         )
         reports[bench.name] = analyzer.analyze()
     return reports
@@ -62,18 +67,20 @@ def detectors():
     }
 
 
-def analyze_suite(**analyzer_kwargs) -> Dict[str, object]:
+def analyze_suite(cache=None, **config) -> Dict[str, object]:
     """DCA reports for every benchmark, from fresh module objects.
 
     Each benchmark runs under its own ``rtol`` and liveout policy unless
-    ``analyzer_kwargs`` overrides them; every other keyword goes to
-    :class:`~repro.core.DcaAnalyzer` as is.
+    ``config`` overrides them; every other keyword is an
+    :class:`~repro.api.AnalysisConfig` field.
     """
     reports = {}
     for bench in ALL_BENCHMARKS:
-        kwargs = {"rtol": bench.rtol, "liveout_policy": bench.liveout_policy}
-        kwargs.update(analyzer_kwargs)
-        analyzer = DcaAnalyzer(bench.compile(fresh=True), **kwargs)
+        fields = {"rtol": bench.rtol, "liveout_policy": bench.liveout_policy}
+        fields.update(config)
+        analyzer = DcaAnalyzer(
+            bench.compile(fresh=True), AnalysisConfig(**fields), cache=cache
+        )
         reports[bench.name] = analyzer.analyze()
     return reports
 

@@ -18,6 +18,7 @@ Also measures the cost (extra executions) of each policy.
 from conftest import format_table
 
 from repro import compile_program
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
 
 _PROGRAMS = {
@@ -90,7 +91,8 @@ def _ablate():
             # Static pre-screen off: the ablation compares the *dynamic*
             # live-out comparison policies, so every loop must reach it.
             report = DcaAnalyzer(
-                module, liveout_policy=policy, static_filter=False
+                module,
+                AnalysisConfig(liveout_policy=policy, static_filter=False),
             ).analyze()
             result = report.loop(_TARGETS[name])
             verdicts.append(

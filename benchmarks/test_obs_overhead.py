@@ -33,6 +33,7 @@ from conftest import format_table
 
 import repro.obs as obs
 from repro.benchsuite import PLDS_BENCHMARKS
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
 from repro.core.instrument import RT_GET, RT_NEXT, RT_PERMUTE, RT_RECORD, RT_VERIFY
 from repro.core.runtime import DcaRuntime
@@ -97,9 +98,11 @@ def _analyze_all(benches, modules):
     for bench in benches:
         DcaAnalyzer(
             modules[bench.name],
-            entry=bench.entry,
-            rtol=bench.rtol,
-            liveout_policy=bench.liveout_policy,
+            AnalysisConfig(
+                entry=bench.entry,
+                rtol=bench.rtol,
+                liveout_policy=bench.liveout_policy,
+            ),
         ).analyze()
 
 
@@ -176,9 +179,11 @@ def test_enabled_obs_cost_on_record(capsys):
     with obs.enabled() as ctx:
         report = DcaAnalyzer(
             module,
-            entry=bench.entry,
-            rtol=bench.rtol,
-            liveout_policy=bench.liveout_policy,
+            AnalysisConfig(
+                entry=bench.entry,
+                rtol=bench.rtol,
+                liveout_policy=bench.liveout_policy,
+            ),
         ).analyze()
         spans = len(ctx.tracer.spans)
         instructions = ctx.metrics.value("interp.instructions")

@@ -24,6 +24,7 @@ import pytest
 
 import repro.obs as obs
 from repro.benchsuite import ALL_BENCHMARKS
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
 from repro.parallel import ParallelSimulator
 
@@ -44,10 +45,12 @@ def tiered_reports() -> Dict[str, object]:
     for bench in ALL_BENCHMARKS:
         analyzer = DcaAnalyzer(
             bench.compile(fresh=True),
-            rtol=bench.rtol,
-            liveout_policy=bench.liveout_policy,
-            specs=False,
-            tiering=True,
+            AnalysisConfig(
+                rtol=bench.rtol,
+                liveout_policy=bench.liveout_policy,
+                specs=False,
+                tiering=True,
+            ),
         )
         reports[bench.name] = analyzer.analyze()
     return reports
@@ -118,9 +121,11 @@ def test_tiering_off_is_zero_drift(monkeypatch):
     for bench in ALL_BENCHMARKS:
         analyzer = DcaAnalyzer(
             bench.compile(fresh=True),
-            rtol=bench.rtol,
-            liveout_policy=bench.liveout_policy,
-            specs=False,
+            AnalysisConfig(
+                rtol=bench.rtol,
+                liveout_policy=bench.liveout_policy,
+                specs=False,
+            ),
         )
         with obs.disabled(clock=_zero):
             report = analyzer.analyze()
@@ -128,7 +133,7 @@ def test_tiering_off_is_zero_drift(monkeypatch):
             "report_sha256": hashlib.sha256(
                 report.to_json().encode()
             ).hexdigest(),
-            "config_fingerprint": analyzer.config_fingerprint(),
+            "config_fingerprint": analyzer.config.fingerprint(),
             "workload_digest": analyzer.workload_digest(),
         }
         want = goldens[bench.name]

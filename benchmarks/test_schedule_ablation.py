@@ -21,6 +21,7 @@ claim at micro scale.
 from conftest import format_table
 
 from repro import compile_program
+from repro.api import AnalysisConfig
 from repro.core import (
     DcaAnalyzer,
     EvenOddSchedule,
@@ -97,7 +98,8 @@ def _ablate():
             # Static pre-screen off: this ablation measures what the
             # *dynamic* schedules alone can observe.
             report = DcaAnalyzer(
-                module, schedules=config, static_filter=False
+                module,
+                AnalysisConfig(schedules=config, static_filter=False),
             ).analyze()
             target = report.loop("main.L0")
             verdicts.append("comm" if target.is_commutative else "CAUGHT")

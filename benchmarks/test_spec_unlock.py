@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.benchsuite import ALL_BENCHMARKS, by_name
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
 from repro.core.report import DECIDED_STATIC_SPECS
 
@@ -27,8 +28,10 @@ def _specs_on_report(name):
     bench = by_name(name)
     module = bench.compile(fresh=True)
     return DcaAnalyzer(
-        module, rtol=bench.rtol, liveout_policy=bench.liveout_policy,
-        specs=True,
+        module,
+        AnalysisConfig(
+            rtol=bench.rtol, liveout_policy=bench.liveout_policy, specs=True,
+        ),
     ).analyze()
 
 

@@ -20,6 +20,7 @@ dynamic oracle.
 from conftest import format_table
 
 from repro.benchsuite import NPB_BENCHMARKS, PLDS_BENCHMARKS
+from repro.api import AnalysisConfig
 from repro.core import (
     COMMUTATIVE,
     DECIDED_STATIC,
@@ -35,10 +36,12 @@ _REFUTES_COMMUTATIVE = {NON_COMMUTATIVE, RUNTIME_FAULT, SPLIT_MISMATCH}
 def _run(bench, static_filter):
     analyzer = DcaAnalyzer(
         bench.compile(fresh=True),
-        entry=bench.entry,
-        rtol=bench.rtol,
-        liveout_policy=bench.liveout_policy,
-        static_filter=static_filter,
+        AnalysisConfig(
+            entry=bench.entry,
+            rtol=bench.rtol,
+            liveout_policy=bench.liveout_policy,
+            static_filter=static_filter,
+        ),
     )
     return analyzer.analyze()
 

@@ -22,6 +22,7 @@ from repro.baselines import (
 )
 from repro.analysis import build_loop_forest
 from repro.benchsuite import by_name
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer, separate
 
 KERNEL = "main.L3"  # the top-down step (paper Fig. 2, lines 9-23)
@@ -44,7 +45,9 @@ def main() -> None:
     print("   frontier->size memory dependence)\n")
 
     print("== DCA on the whole program ==")
-    report = DcaAnalyzer(bench.compile(fresh=True), rtol=bench.rtol).analyze()
+    report = DcaAnalyzer(
+        bench.compile(fresh=True), AnalysisConfig(rtol=bench.rtol)
+    ).analyze()
     for label in sorted(report.results):
         result = report.results[label]
         marker = " <= the paper's claim" if label == KERNEL else ""

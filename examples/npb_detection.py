@@ -18,6 +18,7 @@ from repro.baselines import (
     build_context,
 )
 from repro.benchsuite import by_name
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
 
 
@@ -27,8 +28,7 @@ def main() -> None:
 
     report = DcaAnalyzer(
         bench.compile(fresh=True),
-        rtol=bench.rtol,
-        liveout_policy=bench.liveout_policy,
+        AnalysisConfig(rtol=bench.rtol, liveout_policy=bench.liveout_policy),
     ).analyze()
     ctx = build_context(bench.compile(fresh=True))
 

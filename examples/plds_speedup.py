@@ -12,6 +12,7 @@ Run:  python examples/plds_speedup.py
 from repro.analysis import build_loop_forest
 from repro.baselines import build_context
 from repro.benchsuite import by_name
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer, separate
 from repro.parallel import MachineModel, ParallelSimulator
 
@@ -20,7 +21,9 @@ def main() -> None:
     bench = by_name("treeadd")
     module = bench.compile(fresh=True)
 
-    report = DcaAnalyzer(bench.compile(fresh=True), rtol=bench.rtol).analyze()
+    report = DcaAnalyzer(
+        bench.compile(fresh=True), AnalysisConfig(rtol=bench.rtol)
+    ).analyze()
     commutative = report.commutative_labels()
     print(f"DCA found commutative: {', '.join(commutative)}")
 

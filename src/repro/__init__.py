@@ -35,10 +35,11 @@ analysis and evaluation infrastructure:
 Typical use::
 
     from repro import compile_program
+    from repro.api import AnalysisConfig
     from repro.core import DcaAnalyzer
 
     module = compile_program(source_code)
-    report = DcaAnalyzer(module).analyze()
+    report = DcaAnalyzer(module, AnalysisConfig(rtol=1e-7)).analyze()
     for loop in report.commutative_loops():
         print(loop.qualified_name)
 """

@@ -96,11 +96,16 @@ class LoopDeps:
     shared_locations: int = 0
 
     def cross_iteration_edges(self, kind: Optional[str] = None) -> List[DepEdge]:
-        return [
-            e
-            for e in self.edges
-            if not e.same_iteration and (kind is None or e.kind == kind)
-        ]
+        """Cross-iteration edges in site order (not the hash order of
+        :attr:`edges`), so a detector's first reported edge is stable."""
+        return sorted(
+            (
+                e
+                for e in self.edges
+                if not e.same_iteration and (kind is None or e.kind == kind)
+            ),
+            key=lambda e: (e.kind, e.writer, e.reader),
+        )
 
     def flow_edges_same_invocation(self) -> Set[Tuple[Site, Site]]:
         """(writer, reader) flow pairs — iterator-recognition input."""

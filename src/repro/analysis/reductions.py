@@ -152,7 +152,7 @@ def classify_loop(func: Function, loop: Loop) -> LoopIdioms:
                 if r in carried:
                     use_sites[r].append((name, idx))
 
-    for reg in carried:
+    for reg in sorted(carried, key=lambda r: r.name):
         result.scalars[reg] = _classify_scalar(
             func, loop, reg, def_sites[reg], use_sites[reg], defs_in_loop,
             conditional,

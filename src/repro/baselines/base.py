@@ -9,7 +9,7 @@ configured for *maximum detection capability* (§V-A Configuration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.analysis.alias import PointsTo
@@ -19,6 +19,7 @@ from repro.analysis.purity import EffectAnalysis
 from repro.analysis.reductions import LoopIdioms, classify_loop
 from repro.interp.compiler import create_executor
 from repro.ir.function import Function, Module
+from repro.ir.instructions import Instr
 
 
 @dataclass
@@ -56,6 +57,20 @@ class DetectionContext:
 
     def function_of(self, label: str) -> Function:
         return self.module.functions[self.loop_functions[label]]
+
+    def loop_instructions(
+        self, label: str
+    ) -> Iterator[Tuple[str, int, Instr]]:
+        """``(block, index, instruction)`` for every instruction of the
+        loop, in program block order.  Detectors report the first
+        blocker they meet, so the walk must not follow the order of the
+        loop's block set, which string hashing changes per process."""
+        func = self.function_of(label)
+        blocks = self.loop(label).blocks
+        for name in func.block_order:
+            if name in blocks:
+                for idx, instr in enumerate(func.blocks[name].instrs):
+                    yield name, idx, instr
 
     def all_labels(self) -> List[str]:
         return sorted(self.loop_functions)

@@ -43,15 +43,13 @@ class DiscoPopDetector(Detector):
         deps = ctx.profile.deps_for(label)
 
         func = ctx.function_of(label)
-        loop = ctx.loop(label)
-        for name in loop.blocks:
-            for instr in func.blocks[name].instrs:
-                if isinstance(instr, Call) and instr.func in ctx.effects.effects:
-                    callee = ctx.effects.of(instr.func)
-                    if callee.writes_heap or callee.globals_written or callee.does_io:
-                        return False, (
-                            f"CU barrier: call to {instr.func} with side effects"
-                        )
+        for _name, _idx, instr in ctx.loop_instructions(label):
+            if isinstance(instr, Call) and instr.func in ctx.effects.effects:
+                callee = ctx.effects.of(instr.func)
+                if callee.writes_heap or callee.globals_written or callee.does_io:
+                    return False, (
+                        f"CU barrier: call to {instr.func} with side effects"
+                    )
 
         idioms = ctx.idioms[label]
         for reg, klass in idioms.scalars.items():

@@ -46,31 +46,27 @@ class IccDetector(Detector):
         loop = ctx.loop(label)
 
         defs_in_loop = set()
-        for name in loop.blocks:
-            for instr in func.blocks[name].instrs:
-                defs_in_loop.update(instr.defs())
+        for _name, _idx, instr in ctx.loop_instructions(label):
+            defs_in_loop.update(instr.defs())
 
-        for name in loop.blocks:
-            for instr in func.blocks[name].instrs:
-                if isinstance(instr, Call):
-                    if instr.func not in ctx.effects.effects:
-                        return False, f"unknown callee {instr.func}"
-                    callee = ctx.effects.of(instr.func)
-                    if not callee.is_pure or callee.reads_heap or callee.globals_read:
-                        return False, (
-                            f"call to impure function {instr.func} defeats analysis"
-                        )
-                elif isinstance(instr, CallBuiltin):
-                    if not builtin_is_pure(instr.func):
-                        return False, "side-effecting builtin in loop"
-                elif isinstance(instr, (SetField, NewStruct, NewArray, StoreGlobal)):
-                    return False, f"unanalyzable memory write: {instr}"
-                elif isinstance(instr, GetField):
-                    base = instr.obj
-                    if isinstance(base, Reg) and base in defs_in_loop:
-                        return False, (
-                            f"load through loop-varying pointer {base}"
-                        )
+        for _name, _idx, instr in ctx.loop_instructions(label):
+            if isinstance(instr, Call):
+                if instr.func not in ctx.effects.effects:
+                    return False, f"unknown callee {instr.func}"
+                callee = ctx.effects.of(instr.func)
+                if not callee.is_pure or callee.reads_heap or callee.globals_read:
+                    return False, (
+                        f"call to impure function {instr.func} defeats analysis"
+                    )
+            elif isinstance(instr, CallBuiltin):
+                if not builtin_is_pure(instr.func):
+                    return False, "side-effecting builtin in loop"
+            elif isinstance(instr, (SetField, NewStruct, NewArray, StoreGlobal)):
+                return False, f"unanalyzable memory write: {instr}"
+            elif isinstance(instr, GetField):
+                base = instr.obj
+                if isinstance(base, Reg) and base in defs_in_loop:
+                    return False, f"load through loop-varying pointer {base}"
 
         idioms = ctx.idioms[label]
         for reg, klass in idioms.scalars.items():

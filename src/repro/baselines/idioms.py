@@ -31,8 +31,6 @@ class IdiomsDetector(Detector):
     name = "idioms"
 
     def classify_loop(self, ctx: DetectionContext, label: str) -> Tuple[bool, str]:
-        func = ctx.function_of(label)
-        loop = ctx.loop(label)
         idioms = ctx.idioms[label]
 
         has_reduction = bool(idioms.histograms) or any(
@@ -45,15 +43,14 @@ class IdiomsDetector(Detector):
             if klass != INDUCTION and klass not in COMPLEX_REDUCTIONS:
                 return False, f"loop-carried scalar {reg} is {klass}"
 
-        for name in loop.blocks:
-            for idx, instr in enumerate(func.blocks[name].instrs):
-                if isinstance(instr, Call):
-                    return False, f"call to {instr.func} breaks the constraint match"
-                if isinstance(instr, CallBuiltin) and not builtin_is_pure(instr.func):
-                    return False, "side-effecting builtin in loop"
-                if isinstance(instr, (SetField, StoreGlobal)):
-                    return False, f"write outside the idiom: {instr}"
-                if isinstance(instr, SetIndex):
-                    if (name, idx) not in idioms.histogram_sites:
-                        return False, f"array write outside the idiom at {name}:{idx}"
+        for name, idx, instr in ctx.loop_instructions(label):
+            if isinstance(instr, Call):
+                return False, f"call to {instr.func} breaks the constraint match"
+            if isinstance(instr, CallBuiltin) and not builtin_is_pure(instr.func):
+                return False, "side-effecting builtin in loop"
+            if isinstance(instr, (SetField, StoreGlobal)):
+                return False, f"write outside the idiom: {instr}"
+            if isinstance(instr, SetIndex):
+                if (name, idx) not in idioms.histogram_sites:
+                    return False, f"array write outside the idiom at {name}:{idx}"
         return True, "reduction/histogram idiom matched"

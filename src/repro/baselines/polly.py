@@ -46,14 +46,13 @@ class PollyDetector(Detector):
         func = ctx.function_of(label)
         loop = ctx.loop(label)
 
-        for name in loop.blocks:
-            for instr in func.blocks[name].instrs:
-                if isinstance(instr, Call):
-                    return False, f"call to {instr.func} breaks the SCoP"
-                if isinstance(instr, CallBuiltin) and not builtin_is_pure(instr.func):
-                    return False, "side-effecting builtin breaks the SCoP"
-                if isinstance(instr, self._SCOP_BREAKERS):
-                    return False, f"non-affine memory operation: {instr}"
+        for _name, _idx, instr in ctx.loop_instructions(label):
+            if isinstance(instr, Call):
+                return False, f"call to {instr.func} breaks the SCoP"
+            if isinstance(instr, CallBuiltin) and not builtin_is_pure(instr.func):
+                return False, "side-effecting builtin breaks the SCoP"
+            if isinstance(instr, self._SCOP_BREAKERS):
+                return False, f"non-affine memory operation: {instr}"
 
         idioms = ctx.idioms[label]
         for reg, klass in idioms.scalars.items():

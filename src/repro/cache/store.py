@@ -431,9 +431,12 @@ class AnalysisCache:
         recorded configuration (restricted to that loop); the fresh
         verdict, invocation/trip counts, tested schedules, and snapshot
         content digests must match the cached payload field-for-field.
+        An entry whose recorded configuration does not rebuild to its
+        fingerprint (e.g. a spec registry other than the built-in one)
+        is reported unverifiable, never re-analyzed under another one.
         """
-        from repro.core.dca import DcaAnalyzer  # local: avoid cycle
-        from repro.core.schedules import ScheduleConfig, schedule_from_name
+        from repro.core.config import AnalysisConfig  # local: avoid cycle
+        from repro.core.dca import DcaAnalyzer
         from repro.driver import compile_program
 
         with self._lock:
@@ -459,41 +462,25 @@ class AnalysisCache:
         for (digest, loop_id, fingerprint, payload_json, source, entry,
              args_json, desc_json) in rows:
             payload = json.loads(payload_json)
-            desc = json.loads(desc_json)
             checked += 1
-            # Restore the recorded spec setting explicitly: entries
-            # written without specs must replay byte-exact (never pick
-            # up REPRO_SPECS from the environment), and spec-relaxed
-            # entries need the same registry re-activated.  Only the
-            # built-in registry is reconstructible from its digest.
-            specs: object = False
-            if "specs" in desc:
-                from repro.analysis.specs import default_registry
-                registry = default_registry()
-                if registry.digest() != desc["specs"]:
+            try:
+                # The exact recorded config: specs and tiering come from
+                # the description, never from the environment.
+                config = AnalysisConfig.from_description(
+                    json.loads(desc_json),
+                    entry=entry,
+                    args=tuple(json.loads(args_json)),
+                )
+                if config.fingerprint() != fingerprint:
                     unverifiable.append(
                         {"module": digest, "loop": loop_id,
-                         "error": "unknown spec registry digest"}
+                         "error": "recorded config cannot be rebuilt"}
                     )
                     continue
-                specs = registry
-            try:
-                schedules = ScheduleConfig(
-                    [schedule_from_name(n) for n in desc["schedules"]]
-                )
-                analyzer = DcaAnalyzer(
+                fresh = DcaAnalyzer(
                     compile_program(source),
-                    entry=entry,
-                    args=json.loads(args_json),
-                    schedules=schedules,
-                    rtol=float(desc["rtol"]),
-                    max_steps=desc["max_steps"],
-                    candidate_labels=[loop_id],
-                    liveout_policy=desc["liveout_policy"],
-                    static_filter=desc["static_filter"],
-                    specs=specs,
-                )
-                fresh = analyzer.analyze().results.get(loop_id)
+                    config.replace(candidate_labels=(loop_id,)),
+                ).analyze().results.get(loop_id)
             except Exception as exc:
                 unverifiable.append(
                     {"module": digest, "loop": loop_id, "error": repr(exc)}

@@ -1,5 +1,7 @@
 """DCA orchestration (paper Fig. 3).
 
+``DcaAnalyzer(module, config)`` takes every setting from one
+:class:`~repro.core.config.AnalysisConfig`, resolved once.
 ``DcaAnalyzer.analyze`` runs one program + workload through a fixed list
 of named stages.  Each stage is a method over one per-analysis state
 record (``_Analysis``); the stage loop alone opens each stage's
@@ -49,7 +51,7 @@ from __future__ import annotations
 import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import repro.obs as obs
 from repro.analysis.commutativity import (
@@ -62,7 +64,6 @@ from repro.analysis.loops import build_loop_forest, invalidate_loops
 from repro.analysis.purity import EffectAnalysis
 from repro.analysis.reductions import COMPLEX_REDUCTIONS, classify_loop
 from repro.analysis.sccdag import (
-    DEFAULT_MAX_PIPELINE_STAGES,
     TIER_DOALL,
     TIER_PIPELINE,
     TIER_REDUCTION,
@@ -79,11 +80,8 @@ from repro.core.instrument import (
     loop_does_io,
 )
 from repro.core.payload import OutlineError
-from repro.cache.keys import (
-    config_fingerprint,
-    fingerprint_description,
-    module_workload_digest,
-)
+from repro.cache.keys import module_workload_digest
+from repro.core.config import AnalysisConfig
 from repro.core.report import (
     COMMUTATIVE,
     COMMUTATIVE_VACUOUS,
@@ -107,16 +105,14 @@ from repro.core.schedule_engine import (
     CANCELLED,
     WORKER_LOST,
     LoopPlan,
-    ScheduleEngine,
     ScheduleOutcome,
     ScheduleTask,
     create_engine,
     program_outcome,
 )
-from repro.core.schedules import IdentitySchedule, ScheduleConfig
+from repro.core.schedules import IdentitySchedule
 from repro.interp.compiler import create_executor
 from repro.ir.function import Module
-from repro.settings import resolve
 
 
 @dataclass
@@ -146,6 +142,8 @@ class _Analysis:
     step_budget: Optional[int] = None
     #: Chrome-trace lane per worker pid (assigned in merge order).
     lane_by_pid: Dict[int, int] = field(default_factory=dict)
+    #: ``(fingerprint, description)`` of the config, when a cache is on.
+    cache_key: Optional[Tuple[str, Dict[str, object]]] = None
 
 
 class DcaAnalyzer:
@@ -154,53 +152,23 @@ class DcaAnalyzer:
     def __init__(
         self,
         module: Module,
-        entry: str = "main",
-        args: Optional[Sequence[object]] = None,
-        schedules: Optional[ScheduleConfig] = None,
-        rtol: float = 1e-9,
-        max_steps: Optional[int] = None,
-        candidate_labels: Optional[Sequence[str]] = None,
-        liveout_policy: str = "strict",
-        static_filter: bool = True,
-        specs=None,
-        backend: Optional[str] = None,
-        jobs: Optional[int] = None,
-        engine: Optional[ScheduleEngine] = None,
-        fault_injection: Optional[Dict[Tuple[str, str], str]] = None,
-        exec_backend: Optional[str] = None,
+        config: Optional[AnalysisConfig] = None,
+        *,
         cache=None,
+        fault_injection: Optional[Dict[Tuple[str, str], str]] = None,
         source_text: Optional[str] = None,
         source_path: Optional[str] = None,
-        tiering: Optional[bool] = None,
-        max_pipeline_stages: int = DEFAULT_MAX_PIPELINE_STAGES,
     ):
         self.module = module
-        self.entry = entry
-        self.args = list(args or [])
-        self.schedules = schedules or ScheduleConfig.default()
-        self.rtol = rtol
-        self.max_steps = max_steps
-        self.candidate_labels = (
-            set(candidate_labels) if candidate_labels is not None else None
-        )
-        if liveout_policy not in ("strict", "eventual"):
-            raise ValueError(f"unknown liveout policy {liveout_policy!r}")
-        #: "strict" compares loop live-outs at every loop exit; "eventual"
-        #: compares only the program's final observable outcome (printed
-        #: output, return value, final global state) — the relaxation that
-        #: lets transient worklist ordering violations pass (paper §I/§III).
-        self.liveout_policy = liveout_policy
-        #: Pre-screen loops with the static commutativity prover: loops
-        #: with a proven static verdict skip permutation testing.
-        self.static_filter = static_filter
+        #: Every setting, resolved once (explicit field > ``REPRO_*``
+        #: variable > default; see :meth:`AnalysisConfig.resolved`).
+        self.config = (config or AnalysisConfig()).resolved()
+        self._schedules = self.config.schedule_config()
         #: Commutativity-spec registry (verification modulo declared
-        #: equivalence; see :mod:`repro.analysis.specs`).  ``None``
-        #: resolves from the ``REPRO_SPECS`` environment (default: off);
-        #: ``True`` selects the built-in registry, ``False`` disables
-        #: specs, a :class:`SpecRegistry` is used as-is.
-        if specs is None or isinstance(specs, bool):
-            specs = default_registry() if resolve("specs", specs) else None
-        self.specs: Optional[SpecRegistry] = specs
+        #: equivalence; see :mod:`repro.analysis.specs`), or None.
+        self.specs: Optional[SpecRegistry] = (
+            default_registry() if self.config.specs else None
+        )
         #: Declared container struct -> link-field slot, restricted to
         #: structs this module actually defines with the exact declared
         #: signature.  Empty whenever specs are off or nothing matches —
@@ -212,18 +180,7 @@ class DcaAnalyzer:
         # observability context current at ``analyze``: inject one
         # (``obs.disabled(clock=...)``) for deterministic reports,
         # byte-identical across backends.
-        #: Schedule-execution backend (serial in-process by default; see
-        #: :mod:`repro.core.schedule_engine` for the process backend and
-        #: the ``REPRO_SCHEDULE_BACKEND`` / ``REPRO_SCHEDULE_JOBS``
-        #: environment fallbacks).
-        self._engine = engine or create_engine(backend, jobs)
-        #: Execution backend for every run of the analysis — profile,
-        #: golden and schedule replays: ``interp`` or ``codegen`` (see
-        #: :mod:`repro.interp.compiler` and the ``REPRO_EXEC_BACKEND``
-        #: environment fallback).  The profiling run takes codegen's
-        #: profiled lowering under ``codegen``, with or without an
-        #: enabled observability context.
-        self.exec_backend = resolve("exec_backend", exec_backend)
+        self._engine = create_engine(self.config.backend, self.config.jobs)
         #: Testing hook: ``{(loop label, schedule name): fault style}``
         #: fires the named fault inside that schedule's execution.
         self.fault_injection = dict(fault_injection or {})
@@ -236,15 +193,6 @@ class DcaAnalyzer:
         #: verify`` can recompile and re-execute cached loops.
         self.source_text = source_text
         self.source_path = source_path
-        #: Parallelization tiering (DOALL/REDUCTION/PIPELINE/SEQUENTIAL
-        #: per loop; see :mod:`repro.analysis.sccdag`).  ``None`` resolves
-        #: from the ``REPRO_TIERING`` environment (default: off).  When
-        #: off, reports and cache keys are byte-identical to tiering-free
-        #: releases.
-        self.tiering = bool(resolve("tiering", tiering))
-        if max_pipeline_stages < 2:
-            raise ValueError("max_pipeline_stages must be >= 2")
-        self.max_pipeline_stages = max_pipeline_stages
         self._workload_digest: Optional[str] = None
         #: Observability context; re-resolved at the start of ``analyze``.
         self._obs = obs.current()
@@ -252,18 +200,18 @@ class DcaAnalyzer:
     def analyze(self) -> DcaReport:
         self._obs = obs.current()
         report = DcaReport(
-            entry=self.entry,
-            static_filter=self.static_filter,
-            tiering=self.tiering,
+            entry=self.config.entry,
+            static_filter=self.config.static_filter,
+            tiering=self.config.tiering,
         )
         state = _Analysis(report)
         stages = [("selection", self._select), ("profile", self._profile)]
-        if self.static_filter:
+        if self.config.static_filter:
             stages.append(("static", self._prescreen))
         stages += [("golden", self._golden), ("dynamic", self._test_loops)]
-        if self.tiering:
+        if self.config.tiering:
             stages.append(("tiering", self._assign_tiers))
-        with self._obs.span("dca.analyze", entry=self.entry):
+        with self._obs.span("dca.analyze", entry=self.config.entry):
             for name, stage in stages:
                 with self._obs.span(f"dca.{name}") as span:
                     stage(state)
@@ -314,8 +262,8 @@ class DcaAnalyzer:
         for func in self.module.functions.values():
             forest = build_loop_forest(func)
             for label, meta in func.loops.items():
-                if self.candidate_labels is not None and (
-                    label not in self.candidate_labels
+                if self.config.candidate_labels is not None and (
+                    label not in self.config.candidate_labels
                 ):
                     continue
                 if label not in forest.loops:
@@ -340,11 +288,11 @@ class DcaAnalyzer:
         one execution; returns ``(executor, return value)``."""
         executor = create_executor(
             module,
-            max_steps=self.max_steps,
-            exec_backend=self.exec_backend,
+            max_steps=self.config.max_steps,
+            exec_backend=self.config.exec_backend,
             **kwargs,
         )
-        value = executor.run(self.entry, self.args)
+        value = executor.run(self.config.entry, list(self.config.args))
         report.executions += 1
         report.interp_instructions += executor.steps
         return executor, value
@@ -397,9 +345,8 @@ class DcaAnalyzer:
                 state.specs[label] = spec
 
         observe = build_observe_module(self.module, state.specs)
-        runtime = DcaRuntime(
-            state.specs, capture_snapshots=(self.liveout_policy == "strict")
-        )
+        strict = self.config.liveout_policy == "strict"
+        runtime = DcaRuntime(state.specs, capture_snapshots=strict)
         executor, value = self._run_program(report, observe, runtime=runtime)
         add_counters(report, runtime)
         state.golden = runtime.snapshots
@@ -412,10 +359,10 @@ class DcaAnalyzer:
         # worklist that never drains).  Budget every test run relative to the
         # golden run so divergence is detected as a runtime fault (§IV-E)
         # instead of spinning forever.
-        if self.max_steps is None:
+        if self.config.max_steps is None:
             state.step_budget = executor.steps * 20 + 200_000
         else:
-            state.step_budget = self.max_steps
+            state.step_budget = self.config.max_steps
 
     # -- persistent cache ------------------------------------------------------
 
@@ -423,46 +370,9 @@ class DcaAnalyzer:
         """Content address of this analyzer's workload (module+entry+args)."""
         if self._workload_digest is None:
             self._workload_digest = module_workload_digest(
-                self.module, self.entry, self.args
+                self.module, self.config.entry, self.config.args
             )
         return self._workload_digest
-
-    def _schedule_names(self) -> List[str]:
-        """Canonical schedule name list: identity (always run first)
-        plus the testing schedules, normalizing presets that do or do
-        not list identity explicitly."""
-        return ["identity"] + [
-            s.name for s in self.schedules.testing_schedules()
-        ]
-
-    def _tiering_fingerprint(self) -> Optional[Dict[str, object]]:
-        """Tiering's fingerprint contribution — ``None`` (key omitted,
-        same as the specs pattern) whenever tiering is off, so
-        tiering-off cache keys match tiering-free releases exactly."""
-        if not self.tiering:
-            return None
-        return {"max_pipeline_stages": self.max_pipeline_stages}
-
-    def _fingerprint_description(self) -> Dict[str, object]:
-        return fingerprint_description(
-            self._schedule_names(),
-            rtol=self.rtol,
-            liveout_policy=self.liveout_policy,
-            static_filter=self.static_filter,
-            max_steps=self.max_steps,
-            candidate_labels=(
-                sorted(self.candidate_labels)
-                if self.candidate_labels is not None
-                else None
-            ),
-            specs=self.specs.digest() if self.specs is not None else None,
-            tiering=self._tiering_fingerprint(),
-        )
-
-    def config_fingerprint(self) -> str:
-        """The verdict-relevant configuration digest — one third of the
-        cache key (see :mod:`repro.cache.keys` for what it covers)."""
-        return config_fingerprint(self._fingerprint_description())
 
     def _apply_cached(
         self,
@@ -488,9 +398,9 @@ class DcaAnalyzer:
 
     def _store_cached(
         self,
+        state: _Analysis,
         label: str,
         result: LoopResult,
-        report: DcaReport,
         skipped_before: Dict[str, int],
         outcomes: Optional[List[ScheduleOutcome]] = None,
     ) -> None:
@@ -502,6 +412,8 @@ class DcaAnalyzer:
         """
         if any(o.status == WORKER_LOST for o in outcomes or []):
             return
+        report = state.report
+        fingerprint, description = state.cache_key
         skipped_delta = {
             reason: count - skipped_before.get(reason, 0)
             for reason, count in report.schedules_skipped.items()
@@ -510,9 +422,9 @@ class DcaAnalyzer:
         stored = self.cache.store(
             self.workload_digest(),
             label,
-            self.config_fingerprint(),
+            fingerprint,
             {"result": result.to_payload(), "skipped": skipped_delta},
-            fingerprint_description=self._fingerprint_description(),
+            fingerprint_description=description,
         )
         if stored:
             report.cache.stores += 1
@@ -525,20 +437,21 @@ class DcaAnalyzer:
         report = state.report
         report.backend = self._engine.name
         report.jobs = self._engine.jobs
-        report.exec_backend = self.exec_backend
+        report.exec_backend = self.config.exec_backend
         cache = self.cache
         if cache is not None:
             report.cache.enabled = True
             digest = self.workload_digest()
-            fingerprint = self.config_fingerprint()
+            state.cache_key = self.config.cache_key()
+            fingerprint = state.cache_key[0]
             cache.register_module(
                 digest,
                 source_text=self.source_text,
                 source_path=self.source_path,
-                entry=self.entry,
-                args=self.args,
+                entry=self.config.entry,
+                args=self.config.args,
             )
-        n_schedules = 1 + len(self.schedules.testing_schedules())
+        n_schedules = 1 + len(self._schedules.testing_schedules())
         plans: List[LoopPlan] = []
         for label in state.specs:
             result = report.results[label]
@@ -563,7 +476,7 @@ class DcaAnalyzer:
                 plans.append(plan)
             elif cache is not None:
                 # Untestable/iterator-only: decided during planning.
-                self._store_cached(label, result, report, skipped_before)
+                self._store_cached(state, label, result, skipped_before)
         outcomes = self._engine.run(plans)
         for plan in plans:
             result = report.results[plan.label]
@@ -572,9 +485,9 @@ class DcaAnalyzer:
             report.add_loop_cost(result.cost)
             if cache is not None:
                 self._store_cached(
+                    state,
                     plan.label,
                     result,
-                    report,
                     skipped_before,
                     outcomes[plan.label],
                 )
@@ -631,7 +544,7 @@ class DcaAnalyzer:
                 idioms,
                 lambda loc, lb=label: profiler.is_privatizable(lb, loc),
             )
-            plan = partition_stages(dag, self.max_pipeline_stages)
+            plan = partition_stages(dag, self.config.max_pipeline_stages)
             if len(plan.stages) >= 2:
                 result.tier = TIER_PIPELINE
                 result.pipeline_plan = plan.to_dict()
@@ -662,7 +575,7 @@ class DcaAnalyzer:
             return False
         if verdict.verdict == PROVEN_COMMUTATIVE:
             result.verdict = COMMUTATIVE
-        elif self.liveout_policy == "strict":
+        elif self.config.liveout_policy == "strict":
             result.verdict = NON_COMMUTATIVE
         else:
             return False
@@ -691,7 +604,7 @@ class DcaAnalyzer:
         Returns ``None`` when the loop cannot be outlined — the verdict
         is final and no executions are planned.
         """
-        n_schedules = 1 + len(self.schedules.testing_schedules())
+        n_schedules = 1 + len(self._schedules.testing_schedules())
         spec = state.specs[label]
         try:
             instrumented = build_test_module(
@@ -709,22 +622,22 @@ class DcaAnalyzer:
             self._skip_schedules(state.report, "untestable", n_schedules)
             return None
 
-        strict = self.liveout_policy == "strict"
+        strict = self.config.liveout_policy == "strict"
         #: One pickle shared by every task of this loop; each execution
         #: rehydrates a private module copy.
         module_blob = pickle.dumps(instrumented.module)
         global_names = sorted(self.module.globals)
         plan = LoopPlan(label=label, expected_invocations=result.invocations)
         schedules = [IdentitySchedule()] + list(
-            self.schedules.testing_schedules()
+            self._schedules.testing_schedules()
         )
         for index, schedule in enumerate(schedules):
             plan.tasks.append(
                 ScheduleTask(
                     label=label,
                     index=index,
-                    entry=self.entry,
-                    args=list(self.args),
+                    entry=self.config.entry,
+                    args=list(self.config.args),
                     schedule=schedule,
                     spec=spec,
                     module_blob=module_blob,
@@ -733,15 +646,15 @@ class DcaAnalyzer:
                         list(state.golden.get(label, [])) if strict else None
                     ),
                     golden_outcome=None if strict else state.golden_outcome,
-                    liveout_policy=self.liveout_policy,
-                    rtol=self.rtol,
+                    liveout_policy=self.config.liveout_policy,
+                    rtol=self.config.rtol,
                     max_steps=state.step_budget,
                     measure_time=self._obs.measures_time,
                     obs_enabled=self._obs.enabled,
                     inject_fault=self.fault_injection.get(
                         (label, schedule.name)
                     ),
-                    exec_backend=self.exec_backend,
+                    exec_backend=self.config.exec_backend,
                 )
             )
         return plan

@@ -158,14 +158,7 @@ def insert_verify_on_exits(func: Function, label: str, spec: VerifySpec) -> int:
             Intrinsic(None, RT_VERIFY, [Const(label)] + list(spec.verify_args()))
         )
         vblock.append(Jump(dst))
-        term = func.blocks[src].instrs[-1]
-        if isinstance(term, Jump):
-            term.target = vname
-        elif isinstance(term, Branch):
-            if term.true_target == dst:
-                term.true_target = vname
-            if term.false_target == dst:
-                term.false_target = vname
+        func.blocks[src].instrs[-1].retarget(dst, vname)
         count += 1
     invalidate_loops(func)
     return count
@@ -228,12 +221,9 @@ def build_test_module(
         rec = func.new_block(mapping[name])
         for instr in src.instrs:
             rec.append(instr.clone())
-        term = rec.instrs[-1]
-        if isinstance(term, Jump):
-            term.target = mapping.get(term.target, term.target)
-        elif isinstance(term, Branch):
-            term.true_target = mapping.get(term.true_target, term.true_target)
-            term.false_target = mapping.get(term.false_target, term.false_target)
+        for target in rec.successors():
+            if target in mapping:
+                rec.instrs[-1].retarget(target, mapping[target])
 
     # Replace the payload call in the recording clone with rt_iterator_record.
     rec_call_block = func.blocks[mapping[outline.call_block]]
@@ -253,14 +243,7 @@ def build_test_module(
     for block in func.ordered_blocks():
         if block.name in loop_blocks or block.name.endswith(suffix):
             continue
-        term = block.instrs[-1]
-        if isinstance(term, Jump) and term.target == header:
-            term.target = mapping[header]
-        elif isinstance(term, Branch):
-            if term.true_target == header:
-                term.true_target = mapping[header]
-            if term.false_target == header:
-                term.false_target = mapping[header]
+        block.instrs[-1].retarget(header, mapping[header])
 
     # --- dispatch chain per exit edge -------------------------------------------
     save_regs = {reg: Reg(f"__save_{san}_{reg.name}") for reg in outline.input_regs}
@@ -304,14 +287,7 @@ def build_test_module(
         d3.append(Jump(dst))
 
         # Redirect the recording clone's exit edge into the dispatch chain.
-        term = func.blocks[mapping[src]].instrs[-1]
-        if isinstance(term, Jump) and term.target == dst:
-            term.target = d0.name
-        elif isinstance(term, Branch):
-            if term.true_target == dst:
-                term.true_target = d0.name
-            if term.false_target == dst:
-                term.false_target = d0.name
+        func.blocks[mapping[src]].instrs[-1].retarget(dst, d0.name)
 
     invalidate_loops(func)
     func.remove_unreachable_blocks()

@@ -389,15 +389,7 @@ def outline_payload(
 
     # Retarget region exits to the epilogue.
     for name in sorted(region):
-        term = moved[name].instrs[-1]
-        if isinstance(term, Jump):
-            if term.target == exit_target:
-                term.target = epilogue_name
-        elif isinstance(term, Branch):
-            if term.true_target == exit_target:
-                term.true_target = epilogue_name
-            if term.false_target == exit_target:
-                term.false_target = epilogue_name
+        moved[name].instrs[-1].retarget(exit_target, epilogue_name)
 
     module.add_function(payload)
 
@@ -417,14 +409,7 @@ def outline_payload(
     for block in func.ordered_blocks():
         if block.name in region or block.name == call_block_name:
             continue
-        term = block.instrs[-1]
-        if isinstance(term, Jump) and term.target == entry:
-            term.target = call_block_name
-        elif isinstance(term, Branch):
-            if term.true_target == entry:
-                term.true_target = call_block_name
-            if term.false_target == entry:
-                term.false_target = call_block_name
+        block.instrs[-1].retarget(entry, call_block_name)
 
     # Remove the moved region blocks from the caller.
     for name in region:

@@ -84,6 +84,10 @@ class Instr:
     def replace_defs(self, mapping: Dict[Reg, Reg]) -> None:
         """Substitute defined registers according to ``mapping`` (in place)."""
 
+    def retarget(self, old: str, new: str) -> None:
+        """Redirect every edge to block ``old`` to block ``new`` (in
+        place); only :class:`Jump` and :class:`Branch` have edges."""
+
     def clone(self) -> "Instr":
         return _copy.copy(self)
 
@@ -488,6 +492,10 @@ class Jump(Instr):
         super().__init__(line)
         self.target = target
 
+    def retarget(self, old: str, new: str) -> None:
+        if self.target == old:
+            self.target = new
+
     def __str__(self) -> str:
         return f"jump {self.target}"
 
@@ -513,6 +521,12 @@ class Branch(Instr):
 
     def replace_uses(self, mapping: Dict[Reg, Operand]) -> None:
         self.cond = self._subst(self.cond, mapping)
+
+    def retarget(self, old: str, new: str) -> None:
+        if self.true_target == old:
+            self.true_target = new
+        if self.false_target == old:
+            self.false_target = new
 
     def __str__(self) -> str:
         return f"branch {_fmt(self.cond)} ? {self.true_target} : {self.false_target}"

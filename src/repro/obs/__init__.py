@@ -30,7 +30,7 @@ Typical use::
     import repro.obs as obs
 
     ctx = obs.enable()
-    report = DcaAnalyzer(module).analyze()
+    report = DcaAnalyzer(module, config).analyze()
     chrome_json = ctx.tracer.to_chrome_trace()
     metrics = ctx.metrics.to_dict()
     obs.disable()
@@ -41,7 +41,7 @@ or, scoped (restores the previous context on exit)::
         ...
 
     with obs.disabled(clock=lambda: 0.0):
-        report = DcaAnalyzer(module).analyze()   # every time field is 0.0
+        report = DcaAnalyzer(module, config).analyze()   # every time is 0.0
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ from repro.analysis.commutativity import (
 from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.analysis.specs import default_registry
 from repro.cache import AnalysisCache
+from repro.api import AnalysisConfig
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import (
     COMMUTATIVE,
@@ -95,11 +96,14 @@ def _zero() -> float:
     return 0.0
 
 
-def _analyze(source: str, **kwargs):
+def _analyze(source: str, cache=None, source_text=None, **config):
     """The static-filter-off DCA report of ``source`` on a zero clock."""
     with obs.disabled(clock=_zero):
         return DcaAnalyzer(
-            compile_program(source), static_filter=False, **kwargs
+            compile_program(source),
+            AnalysisConfig(static_filter=False, **config),
+            cache=cache,
+            source_text=source_text,
         ).analyze()
 
 

@@ -105,6 +105,7 @@ def test_spec_archetypes_only_commutative_under_specs():
     # loop that byte-exact verification rejects and spec-relaxed
     # verification accepts — the divergence the registry exists for.
     import repro.obs as obs
+    from repro.api import AnalysisConfig
     from repro.core.dca import DcaAnalyzer
     from repro.driver import compile_program
 
@@ -119,12 +120,16 @@ def test_spec_archetypes_only_commutative_under_specs():
             continue
         with obs.disabled(clock=zero):
             off = DcaAnalyzer(
-                compile_program(source), static_filter=False,
-                backend="serial", specs=False,
+                compile_program(source),
+                AnalysisConfig(
+                    static_filter=False, backend="serial", specs=False,
+                ),
             ).analyze()
             on = DcaAnalyzer(
-                compile_program(source), static_filter=False,
-                backend="serial", specs=True,
+                compile_program(source),
+                AnalysisConfig(
+                    static_filter=False, backend="serial", specs=True,
+                ),
             ).analyze()
         flipped = [
             label for label in off.results

@@ -118,12 +118,13 @@ def test_fingerprint_ignores_non_verdict_knobs(changes):
 
 
 def test_fingerprint_matches_analyzer_cache_key():
-    # The facade's fingerprint must be the exact key DcaAnalyzer uses,
-    # or cache entries written by one would be invisible to the other.
+    # The analyzer keys the cache with its resolved copy of the session
+    # config; resolving must not change the fingerprint, or entries
+    # written by one would be invisible to the other.
     with AnalysisSession(AnalysisConfig(cache_mode="off")) as session:
         module = session.compile(PROGRAM)
         analyzer = session.analyzer(module)
-        assert session.config.fingerprint() == analyzer.config_fingerprint()
+        assert session.config.fingerprint() == analyzer.config.fingerprint()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
 """Baseline detector envelope tests (the Table I/III discriminators)."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro import compile_program
@@ -185,3 +191,54 @@ def test_statics_reject_indirect_subscripts():
         assert not cls().detect(ctx)["main.L1"].parallel
     # But the dynamics see the writes are disjoint.
     assert DependenceProfilingDetector().detect(ctx)["main.L1"].parallel
+
+
+#: Prints every detector's (verdict, reason) per loop for three suite
+#: programs whose first blocker used to follow hash order: BFS (the
+#: loop's block set), FT (its carried scalars) and IS (its dependence
+#: edges).
+_REASONS_SCRIPT = textwrap.dedent(
+    """
+    import json
+
+    from repro.baselines import (
+        DependenceProfilingDetector, DiscoPopDetector, IccDetector,
+        IdiomsDetector, PollyDetector, build_context,
+    )
+    from repro.benchsuite import by_name
+
+    reasons = {}
+    for name in ("BFS", "FT", "IS"):
+        bench = by_name(name)
+        ctx = build_context(bench.compile(fresh=True), entry=bench.entry)
+        for detector in (
+            DependenceProfilingDetector(), DiscoPopDetector(),
+            IdiomsDetector(), PollyDetector(), IccDetector(),
+        ):
+            for label, res in detector.detect(ctx).items():
+                key = f"{name}:{detector.name}:{label}"
+                reasons[key] = [res.parallel, res.reason]
+    print(json.dumps(reasons, sort_keys=True))
+    """
+)
+
+
+def test_reasons_do_not_depend_on_string_hashing():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+
+    def reasons(seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _REASONS_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-4000:]
+        return json.loads(result.stdout)
+
+    assert reasons(1) == reasons(2)

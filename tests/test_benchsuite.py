@@ -4,6 +4,7 @@ import pytest
 
 from repro import run_program
 from repro.benchsuite import ALL_BENCHMARKS, NPB_BENCHMARKS, PLDS_BENCHMARKS, by_name
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
 
 
@@ -42,7 +43,8 @@ def test_suite_composition():
 def test_plds_kernel_detected_by_dca(bench):
     module = bench.compile(fresh=True)
     report = DcaAnalyzer(
-        module, rtol=bench.rtol, liveout_policy=bench.liveout_policy
+        module,
+        AnalysisConfig(rtol=bench.rtol, liveout_policy=bench.liveout_policy),
     ).analyze()
     kernel = report.loop(bench.table2.kernel_label)
     assert kernel.is_commutative, f"{bench.name}: {kernel.verdict} ({kernel.reason})"
@@ -54,12 +56,12 @@ def test_mcf_latent_dependence_is_input_sensitive():
     mcf = by_name("mcf")
 
     star = mcf.compile(fresh=True)
-    report = DcaAnalyzer(star, rtol=mcf.rtol).analyze()
+    report = DcaAnalyzer(star, AnalysisConfig(rtol=mcf.rtol)).analyze()
     assert report.loop("main.L1").is_commutative
 
     deep = mcf.compile(fresh=True)
     deep.globals["DEEP"].init = 1
-    report_deep = DcaAnalyzer(deep, rtol=mcf.rtol).analyze()
+    report_deep = DcaAnalyzer(deep, AnalysisConfig(rtol=mcf.rtol)).analyze()
     assert not report_deep.loop("main.L1").is_commutative
 
 
@@ -67,7 +69,9 @@ def test_dc_hot_loops_are_io_excluded():
     from repro.core import EXCLUDED_IO
 
     dc = by_name("DC")
-    report = DcaAnalyzer(dc.compile(fresh=True), rtol=dc.rtol).analyze()
+    report = DcaAnalyzer(
+        dc.compile(fresh=True), AnalysisConfig(rtol=dc.rtol)
+    ).analyze()
     excluded = [
         l for l, r in report.results.items() if r.verdict == EXCLUDED_IO
     ]
@@ -78,7 +82,9 @@ def test_mg_has_not_exercised_loop():
     from repro.core import NOT_EXERCISED
 
     mg = by_name("MG")
-    report = DcaAnalyzer(mg.compile(fresh=True), rtol=mg.rtol).analyze()
+    report = DcaAnalyzer(
+        mg.compile(fresh=True), AnalysisConfig(rtol=mg.rtol)
+    ).analyze()
     assert report.loop("main.L9").verdict in (NOT_EXERCISED, "commutative-vacuous")
 
 
@@ -91,5 +97,7 @@ def test_ep_trial_loop_detected_and_hot():
     profiler = Profiler()
     Interpreter(module, profiler=profiler).run()
     assert profiler.coverage("main.L1") > 0.9
-    report = DcaAnalyzer(ep.compile(fresh=True), rtol=ep.rtol).analyze()
+    report = DcaAnalyzer(
+        ep.compile(fresh=True), AnalysisConfig(rtol=ep.rtol)
+    ).analyze()
     assert report.loop("main.L1").is_commutative

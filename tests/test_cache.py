@@ -15,7 +15,7 @@ import pytest
 import repro.obs as obs
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.cache import AnalysisCache, open_cache
-from repro.cache.keys import SEMANTICS_VERSION
+from repro.cache.keys import SEMANTICS_VERSION, config_fingerprint
 from repro.cache.store import CACHE_DB_NAME
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import DECIDED_CACHE, DECIDED_DYNAMIC
@@ -49,13 +49,16 @@ def cache(tmp_path):
         yield store
 
 
-def _analyze(cache, source=PROGRAM, **kwargs):
-    defaults = dict(
-        static_filter=False, backend="serial", cache=cache, source_text=source,
-    )
-    defaults.update(kwargs)
+def _analyze(cache, source=PROGRAM, **config):
+    config.setdefault("static_filter", False)
+    config.setdefault("backend", "serial")
     with obs.disabled(clock=_zero):
-        return DcaAnalyzer(compile_program(source), **defaults).analyze()
+        return DcaAnalyzer(
+            compile_program(source),
+            AnalysisConfig(**config),
+            cache=cache,
+            source_text=source,
+        ).analyze()
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +229,7 @@ def test_statically_decided_loops_bypass_cache(cache):
 def test_fault_injection_disables_cache(cache):
     analyzer = DcaAnalyzer(
         compile_program(PROGRAM),
-        static_filter=False,
+        AnalysisConfig(static_filter=False),
         cache=cache,
         fault_injection={("L0", "reverse"): "raise"},
     )
@@ -256,6 +259,87 @@ def test_verify_passes_on_honest_cache(cache):
     result = cache.verify(sample=10)
     assert result["checked"] == 2
     assert result["ok"] == 2
+    assert result["mismatches"] == []
+
+
+#: Two loops the static pre-screen leaves to the dynamic stage, so
+#: every config below stores entries (pointer writes defeat the prover).
+CHASE_PROGRAM = """
+struct Node { int value; Node* next; }
+func void main() {
+  Node* head = null;
+  for (int i = 0; i < 12; i = i + 1) {
+    Node* n = new Node;
+    n.value = i;
+    n.next = head;
+    head = n;
+  }
+  int total = 0;
+  Node* p = head;
+  while (p != null) {
+    p.value = p.value * 2 + 1;
+    total += p.value;
+    p = p.next;
+  }
+  print(total);
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        {
+            "liveout_policy": "eventual",
+            "static_filter": False,
+            "n_random_schedules": 4,
+            "max_steps": 500_000,
+        },
+        {"specs": True},
+        {"tiering": True},
+        {"candidate_labels": ("main.L1",)},
+    ],
+    ids=["default", "eventual-replay", "specs", "tiering", "labels"],
+)
+def test_verify_replays_exact_recorded_config(tmp_path, monkeypatch, fields):
+    config = AnalysisConfig(cache_dir=str(tmp_path), **fields)
+    resolved = config.resolved()
+    rebuilt = AnalysisConfig.from_description(
+        config.fingerprint_description()
+    )
+    assert rebuilt.fingerprint() == config.fingerprint()
+    with AnalysisSession(config) as session:
+        session.analyze(CHASE_PROGRAM)
+        # The replay takes specs and tiering from the recorded config,
+        # not from the environment.
+        monkeypatch.setenv("REPRO_SPECS", "0" if resolved.specs else "1")
+        monkeypatch.setenv("REPRO_TIERING", "0" if resolved.tiering else "1")
+        result = session.cache.verify(sample=100)
+    assert result["checked"] > 0
+    assert result["ok"] == result["checked"]
+    assert result["mismatches"] == [] and result["unverifiable"] == []
+
+
+def test_verify_never_replays_under_another_config(tmp_path):
+    config = AnalysisConfig(cache_dir=str(tmp_path), specs=True)
+    with AnalysisSession(config) as session:
+        session.analyze(CHASE_PROGRAM)
+        path = session.cache.path
+    # Entries made under a spec registry other than the built-in one:
+    # their config cannot be rebuilt.
+    description = dict(config.fingerprint_description(), specs="0" * 64)
+    fingerprint = config_fingerprint(description)
+    with sqlite3.connect(path) as conn:
+        conn.execute("UPDATE entries SET fingerprint=?", (fingerprint,))
+        conn.execute(
+            "UPDATE fingerprints SET fingerprint=?, description=?",
+            (fingerprint, json.dumps(description, sort_keys=True)),
+        )
+    with AnalysisCache(str(tmp_path)) as cache:
+        result = cache.verify(sample=100)
+    assert result["checked"] > 0 and result["ok"] == 0
+    assert len(result["unverifiable"]) == result["checked"]
     assert result["mismatches"] == []
 
 

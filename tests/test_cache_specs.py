@@ -17,6 +17,7 @@ import pytest
 import repro.obs as obs
 from repro.cache import AnalysisCache
 from repro.cache.keys import SEMANTICS_VERSION, fingerprint_description
+from repro.api import AnalysisConfig
 from repro.core.dca import DcaAnalyzer
 from repro.driver import compile_program
 
@@ -58,8 +59,9 @@ def _analyze(cache, specs):
     with obs.disabled(clock=_zero):
         return DcaAnalyzer(
             compile_program(PROGRAM),
-            static_filter=False, backend="serial",
-            cache=cache, source_text=PROGRAM, specs=specs,
+            AnalysisConfig(static_filter=False, backend="serial", specs=specs),
+            cache=cache,
+            source_text=PROGRAM,
         ).analyze()
 
 

@@ -679,10 +679,12 @@ def test_codegen_analyzer_report_matches_interp():
     """
     with obs.disabled(clock=_zero):
         ri = DcaAnalyzer(
-            compile_program(src), static_filter=False, exec_backend="interp"
+            compile_program(src),
+            AnalysisConfig(static_filter=False, exec_backend="interp"),
         ).analyze()
         rc = DcaAnalyzer(
-            compile_program(src), static_filter=False, exec_backend="codegen"
+            compile_program(src),
+            AnalysisConfig(static_filter=False, exec_backend="codegen"),
         ).analyze()
     assert ri.to_json() == rc.to_json()
     # The backend choice is run metadata, never serialized.
@@ -696,12 +698,19 @@ def test_codegen_pickles_into_process_workers():
     src = open(CORPUS[0]).read()
     with obs.disabled(clock=_zero):
         serial = DcaAnalyzer(
-            compile_program(src), static_filter=False,
-            backend="serial", exec_backend="interp",
+            compile_program(src),
+            AnalysisConfig(
+                static_filter=False, backend="serial", exec_backend="interp",
+            ),
         ).analyze()
         process = DcaAnalyzer(
-            compile_program(src), static_filter=False,
-            backend="process", jobs=2, exec_backend="codegen",
+            compile_program(src),
+            AnalysisConfig(
+                static_filter=False,
+                backend="process",
+                jobs=2,
+                exec_backend="codegen",
+            ),
         ).analyze()
     assert serial.to_json() == process.to_json()
 
@@ -715,14 +724,17 @@ def test_corpus_warm_disk_replay_byte_identical(tmp_path, monkeypatch):
     src = open(path).read()
     with obs.disabled(clock=_zero):
         interp = DcaAnalyzer(
-            compile_program(src), static_filter=False, exec_backend="interp"
+            compile_program(src),
+            AnalysisConfig(static_filter=False, exec_backend="interp"),
         ).analyze()
         cold = DcaAnalyzer(
-            compile_program(src), static_filter=False, exec_backend="codegen"
+            compile_program(src),
+            AnalysisConfig(static_filter=False, exec_backend="codegen"),
         ).analyze()
         before = dict(codegen_stats())
         warm = DcaAnalyzer(
-            compile_program(src), static_filter=False, exec_backend="codegen"
+            compile_program(src),
+            AnalysisConfig(static_filter=False, exec_backend="codegen"),
         ).analyze()
         after = dict(codegen_stats())
     assert interp.to_json() == cold.to_json() == warm.to_json()

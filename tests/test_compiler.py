@@ -11,6 +11,7 @@ seam for every name in ``EXEC_BACKENDS`` and compare everything;
 import pytest
 
 import repro.obs as obs
+from repro.api import AnalysisConfig
 from repro.core.dca import DcaAnalyzer
 from repro.driver import compile_program, run_program
 from repro.interp import (
@@ -244,10 +245,13 @@ def test_compiled_analyzer_report_matches_interp(monkeypatch):
     """
     with obs.disabled(clock=_zero):
         ri = DcaAnalyzer(
-            compile_program(src), static_filter=False, exec_backend="interp"
+            compile_program(src),
+            AnalysisConfig(static_filter=False, exec_backend="interp"),
         ).analyze()
         monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
-        rc = DcaAnalyzer(compile_program(src), static_filter=False).analyze()
+        rc = DcaAnalyzer(
+            compile_program(src), AnalysisConfig(static_filter=False)
+        ).analyze()
     assert ri.to_json() == rc.to_json()
     # The backend choice is run metadata, never serialized.
     assert "exec_backend" not in ri.to_json()

@@ -20,6 +20,7 @@ from repro.analysis.liveness import Liveness
 from repro.analysis.postdom import ControlDependence
 from repro.benchsuite import by_name
 from repro.cache import AnalysisCache
+from repro.api import AnalysisConfig
 from repro.core.dca import DcaAnalyzer
 from repro.driver import compile_program
 
@@ -53,7 +54,8 @@ def test_stage_order_and_spans(static_filter, tiering):
         expected.append("tiering")
 
     analyzer = DcaAnalyzer(
-        compile_program(PROGRAM), static_filter=static_filter, tiering=tiering
+        compile_program(PROGRAM),
+        AnalysisConfig(static_filter=static_filter, tiering=tiering),
     )
     with obs.enabled(clock=_zero) as ctx:
         report = analyzer.analyze()
@@ -82,7 +84,8 @@ def test_verify_specs_are_booked_to_golden(monkeypatch):
     monkeypatch.setattr(dca, "compute_verify_spec", ticking)
     with obs.disabled(clock=lambda: now[0]):
         report = DcaAnalyzer(
-            compile_program(PROGRAM), static_filter=False
+            compile_program(PROGRAM),
+            AnalysisConfig(static_filter=False),
         ).analyze()
 
     assert now[0] == len(report.results) == 3
@@ -97,8 +100,7 @@ def test_repeated_analyze_leaks_no_state(tmp_path, tiering):
     instance between ``analyze`` calls."""
     analyzer = DcaAnalyzer(
         compile_program(PROGRAM),
-        static_filter=False,
-        tiering=tiering,
+        AnalysisConfig(static_filter=False, tiering=tiering),
         source_text=PROGRAM,
     )
     with obs.disabled(clock=_zero), AnalysisCache(str(tmp_path)) as cache:
@@ -131,7 +133,8 @@ def test_pristine_functions_build_each_analysis_once(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     bench = by_name("em3d")
     analyzer = DcaAnalyzer(
-        bench.compile(fresh=True), rtol=bench.rtol, tiering=True
+        bench.compile(fresh=True),
+        AnalysisConfig(rtol=bench.rtol, tiering=True),
     )
     plans = []
 
@@ -165,7 +168,8 @@ def test_tiering_off_report_matches_pre_tiering_golden(name):
     source = (ROOT / "examples" / f"{name}.mc").read_text()
     with obs.disabled(clock=_zero):
         report = DcaAnalyzer(
-            compile_program(source), tiering=False, specs=False
+            compile_program(source),
+            AnalysisConfig(tiering=False, specs=False),
         ).analyze()
     got = report.to_json() + "\n"
     assert got == golden.read_text(), (

@@ -8,6 +8,7 @@ static + dynamic pipeline.
 import pytest
 
 from repro import compile_program
+from repro.api import AnalysisConfig
 from repro.core import (
     COMMUTATIVE,
     COMMUTATIVE_VACUOUS,
@@ -22,7 +23,7 @@ from repro.core import (
 
 def verdict_of(source, label="main.L0", **kwargs):
     module = compile_program(source)
-    report = DcaAnalyzer(module, **kwargs).analyze()
+    report = DcaAnalyzer(module, AnalysisConfig(**kwargs)).analyze()
     return report.loop(label)
 
 
@@ -401,7 +402,9 @@ def test_report_helpers():
     # golden runs execute; without it the dynamic stage adds schedule runs.
     assert report.loop("main.L0").decided_by == "static"
     assert report.executions == 2
-    dynamic = DcaAnalyzer(module, static_filter=False).analyze()
+    dynamic = DcaAnalyzer(
+        module, AnalysisConfig(static_filter=False)
+    ).analyze()
     assert dynamic.loop("main.L0").decided_by == "dynamic"
     assert dynamic.executions >= 3  # profile + golden + identity(+)
     assert dynamic.schedule_executions > 0

@@ -121,10 +121,12 @@ def test_observed_codegen_matches_interp(backend, jobs):
         with obs.enabled(clock=_zero) as ctx:
             report = DcaAnalyzer(
                 compile_program(PARITY_PROGRAM),
-                static_filter=False,
-                backend=backend,
-                jobs=jobs,
-                exec_backend=exec_backend,
+                AnalysisConfig(
+                    static_filter=False,
+                    backend=backend,
+                    jobs=jobs,
+                    exec_backend=exec_backend,
+                ),
             ).analyze()
             counters = ctx.metrics.to_dict()["counters"]
         analysis = {
@@ -159,8 +161,10 @@ def _span_ms(ctx, name, **args):
 def test_stage_and_schedule_times_are_span_durations():
     with obs.enabled() as ctx:
         report = DcaAnalyzer(
-            compile_program(PROGRAM), static_filter=False, backend="serial",
-            tiering=True,
+            compile_program(PROGRAM),
+            AnalysisConfig(
+                static_filter=False, backend="serial", tiering=True,
+            ),
         ).analyze()
     assert list(report.stage_times_ms) == [
         "selection", "profile", "golden", "dynamic", "tiering",

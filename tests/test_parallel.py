@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import compile_program
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
 from repro.parallel import (
     MachineModel,
@@ -99,7 +100,7 @@ func void main() {
 
 def test_simulator_parallelizes_hot_outer_loop():
     module = compile_program(HOT_LOOP)
-    report = DcaAnalyzer(module, rtol=1e-7).analyze()
+    report = DcaAnalyzer(module, AnalysisConfig(rtol=1e-7)).analyze()
     sim = ParallelSimulator(module, model=MachineModel(cores=72))
     sp = sim.simulate(report.commutative_labels())
     assert sp.selection.chosen == ["main.L0"]
@@ -109,7 +110,7 @@ def test_simulator_parallelizes_hot_outer_loop():
 
 def test_speedup_monotone_in_cores():
     module = compile_program(HOT_LOOP)
-    report = DcaAnalyzer(module, rtol=1e-7).analyze()
+    report = DcaAnalyzer(module, AnalysisConfig(rtol=1e-7)).analyze()
     speedups = []
     for cores in (2, 8, 32):
         sim = ParallelSimulator(module, model=MachineModel(cores=cores))
@@ -135,7 +136,7 @@ def test_unprofitable_loop_skipped():
 
 def test_serial_fraction_reduces_speedup():
     module = compile_program(HOT_LOOP)
-    report = DcaAnalyzer(module, rtol=1e-7).analyze()
+    report = DcaAnalyzer(module, AnalysisConfig(rtol=1e-7)).analyze()
     labels = report.commutative_labels()
     sim = ParallelSimulator(module, model=MachineModel(cores=72))
     free = sim.simulate(labels).speedup

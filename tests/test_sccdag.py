@@ -30,6 +30,7 @@ from repro.analysis.sccdag import (
     stage_shapes,
     tier_display,
 )
+from repro.core.config import AnalysisConfig
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import REPORT_SCHEMA_VERSION
 from repro.driver import compile_program
@@ -40,6 +41,8 @@ from repro.parallel.machine import (
     pipeline_invocation_time,
 )
 from repro.settings import resolve
+
+TIERED = AnalysisConfig(tiering=True)
 
 
 #: Scalar recurrence (sequential SCC) feeding an elementwise store
@@ -266,13 +269,13 @@ def test_pipeline_empty_costs():
 def test_resolve_tiering_default_off(monkeypatch):
     monkeypatch.delenv("REPRO_TIERING", raising=False)
     assert resolve("tiering") is False
-    assert DcaAnalyzer(compile_program(CURSOR)).tiering is False
+    assert DcaAnalyzer(compile_program(CURSOR)).config.tiering is False
 
 
 def test_resolve_tiering_env(monkeypatch):
     monkeypatch.setenv("REPRO_TIERING", "1")
     assert resolve("tiering") is True
-    assert DcaAnalyzer(compile_program(CURSOR)).tiering is True
+    assert DcaAnalyzer(compile_program(CURSOR)).config.tiering is True
     monkeypatch.setenv("REPRO_TIERING", "off")
     assert resolve("tiering") is False
 
@@ -280,7 +283,9 @@ def test_resolve_tiering_env(monkeypatch):
 def test_resolve_tiering_explicit_beats_env(monkeypatch):
     monkeypatch.setenv("REPRO_TIERING", "1")
     assert resolve("tiering", False) is False
-    assert DcaAnalyzer(compile_program(CURSOR), tiering=False).tiering is False
+    assert DcaAnalyzer(
+        compile_program(CURSOR), AnalysisConfig(tiering=False)
+    ).config.tiering is False
     monkeypatch.delenv("REPRO_TIERING")
     assert resolve("tiering", True) is True
 
@@ -307,7 +312,7 @@ def test_tier_display():
 
 
 def test_tiering_assigns_pipeline_tier():
-    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), TIERED).analyze()
     result = report.loop("main.L1")
     assert result.verdict == "non-commutative"
     assert result.tier == TIER_PIPELINE
@@ -316,7 +321,7 @@ def test_tiering_assigns_pipeline_tier():
 
 
 def test_tiering_assigns_doall_and_reduction():
-    report = DcaAnalyzer(compile_program(ELEMENTWISE), tiering=True).analyze()
+    report = DcaAnalyzer(compile_program(ELEMENTWISE), TIERED).analyze()
     assert report.loop("main.L1").tier == TIER_DOALL
     assert report.loop("main.L2").tier == TIER_REDUCTION
     assert report.loop("main.L1").pipeline_plan is None
@@ -334,7 +339,7 @@ func void main() {
   }
 }
 """
-    report = DcaAnalyzer(compile_program(src), tiering=True).analyze()
+    report = DcaAnalyzer(compile_program(src), TIERED).analyze()
     result = report.loop("main.L0")
     assert result.verdict == "excluded-io"
     assert result.tier == TIER_SEQUENTIAL
@@ -350,21 +355,22 @@ def test_tiering_off_leaves_tiers_unset(monkeypatch):
 
 def test_max_pipeline_stages_validated():
     with pytest.raises(ValueError):
-        DcaAnalyzer(compile_program(CURSOR), max_pipeline_stages=1)
+        DcaAnalyzer(
+            compile_program(CURSOR), AnalysisConfig(max_pipeline_stages=1)
+        )
 
 
 def test_max_pipeline_stages_bounds_plan():
     report = DcaAnalyzer(
         compile_program(CURSOR),
-        tiering=True,
-        max_pipeline_stages=2,
+        AnalysisConfig(tiering=True, max_pipeline_stages=2),
     ).analyze()
     plan = report.loop("main.L1").pipeline_plan
     assert plan is not None and len(plan["stages"]) == 2
 
 
 def test_tier_counts_and_stage_timing():
-    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), TIERED).analyze()
     counts = report.tier_counts()
     assert sum(counts.values()) == len(report.results)
     assert "tiering" in report.stage_times_ms
@@ -374,7 +380,7 @@ def test_tier_counts_and_stage_timing():
 
 
 def test_tiered_report_serializes_schema_2():
-    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), TIERED).analyze()
     data = report.to_dict()
     assert data["report_schema_version"] == REPORT_SCHEMA_VERSION
     assert "tier_counts" in data
@@ -390,7 +396,9 @@ def test_tiered_report_serializes_schema_2():
 
 
 def test_untiered_report_has_no_schema_marker():
-    report = DcaAnalyzer(compile_program(CURSOR), tiering=False).analyze()
+    report = DcaAnalyzer(
+        compile_program(CURSOR), AnalysisConfig(tiering=False)
+    ).analyze()
     data = report.to_dict()
     assert "report_schema_version" not in data
     assert "tier_counts" not in data
@@ -398,14 +406,14 @@ def test_untiered_report_has_no_schema_marker():
 
 
 def test_cache_payload_stays_schema_1():
-    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), TIERED).analyze()
     payload = report.loop("main.L1").to_payload()
     assert isinstance(payload["verdict"], str)
     assert "tier" not in payload
 
 
 def test_summary_renders_tier_tags():
-    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), TIERED).analyze()
     text = report.summary()
     assert "[PIPELINE(stages=" in text
 
@@ -415,7 +423,6 @@ def test_summary_renders_tier_tags():
 
 def test_fingerprint_unchanged_when_tiering_off(monkeypatch):
     monkeypatch.delenv("REPRO_TIERING", raising=False)
-    from repro.api import AnalysisConfig
 
     base = AnalysisConfig()
     off = AnalysisConfig(tiering=False)
@@ -424,7 +431,6 @@ def test_fingerprint_unchanged_when_tiering_off(monkeypatch):
 
 def test_fingerprint_changes_when_tiering_on(monkeypatch):
     monkeypatch.delenv("REPRO_TIERING", raising=False)
-    from repro.api import AnalysisConfig
 
     base = AnalysisConfig()
     on = AnalysisConfig(tiering=True)
@@ -443,14 +449,9 @@ def test_fingerprint_changes_when_tiering_on(monkeypatch):
 
 def test_analyzer_fingerprint_matches_config(monkeypatch):
     monkeypatch.delenv("REPRO_TIERING", raising=False)
-    from repro.api import AnalysisConfig
-
-    module = compile_program(CURSOR)
     config = AnalysisConfig(tiering=True, specs=False)
-    analyzer = DcaAnalyzer(
-        compile_program(CURSOR), specs=False, tiering=True
-    )
-    assert analyzer.config_fingerprint() == config.fingerprint()
+    analyzer = DcaAnalyzer(compile_program(CURSOR), config)
+    assert analyzer.config.fingerprint() == config.fingerprint()
 
 
 # -- executor integration -----------------------------------------------------
@@ -460,7 +461,7 @@ def test_simulator_uses_pipeline_plan():
     from repro.parallel import ParallelSimulator
 
     module = compile_program(CURSOR)
-    report = DcaAnalyzer(compile_program(CURSOR), tiering=True).analyze()
+    report = DcaAnalyzer(compile_program(CURSOR), TIERED).analyze()
     plan = report.loop("main.L1").pipeline_plan
     sim = ParallelSimulator(module)
     speedup = sim.simulate(

@@ -21,6 +21,7 @@ import threading
 import pytest
 
 import repro.obs as obs
+from repro.api import AnalysisConfig
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import (
     DECIDED_DYNAMIC,
@@ -73,13 +74,17 @@ def _zero():
     return 0.0
 
 
-def _analyze(source, **kwargs):
-    kwargs.setdefault("static_filter", False)
+def _analyze(source, fault_injection=None, **config):
+    config.setdefault("static_filter", False)
     # Pin the backend so ambient REPRO_SCHEDULE_* vars (e.g. the CI
     # process-backend job) cannot flip the "serial" side of a comparison.
-    kwargs.setdefault("backend", "serial")
+    config.setdefault("backend", "serial")
     with obs.disabled(clock=_zero):
-        return DcaAnalyzer(compile_program(source), **kwargs).analyze()
+        return DcaAnalyzer(
+            compile_program(source),
+            AnalysisConfig(**config),
+            fault_injection=fault_injection,
+        ).analyze()
 
 
 # -- engine construction -------------------------------------------------------
@@ -209,10 +214,12 @@ def test_mismatch_detail_populated_and_identical():
 
 def test_work_units_pickle_round_trip():
     module = compile_program(REDUCTION_SRC)
-    analyzer = DcaAnalyzer(module, static_filter=False)
+    analyzer = DcaAnalyzer(module, AnalysisConfig(static_filter=False))
     report = analyzer.analyze()
     # Rebuild a plan the way the analyzer does and round-trip it.
-    analyzer2 = DcaAnalyzer(compile_program(REDUCTION_SRC), static_filter=False)
+    analyzer2 = DcaAnalyzer(
+        compile_program(REDUCTION_SRC), AnalysisConfig(static_filter=False)
+    )
     captured = {}
     original_run = analyzer2._engine.run
 
@@ -248,10 +255,12 @@ def test_schedule_cpu_time_counts_only_its_own_thread():
     process: a replay's CPU time must not absorb another thread's."""
     analyzer = DcaAnalyzer(
         compile_program(LONG_LOOP_SRC),
-        static_filter=False,
-        backend="serial",
-        exec_backend="interp",
-        schedules=ScheduleConfig.identity_only(),
+        AnalysisConfig(
+            static_filter=False,
+            backend="serial",
+            exec_backend="interp",
+            schedules=ScheduleConfig.identity_only(),
+        ),
     )
     plans = []
     run = analyzer._engine.run
@@ -374,9 +383,7 @@ def test_process_backend_merges_worker_obs():
     with obs.enabled() as ctx:
         report = DcaAnalyzer(
             compile_program(REDUCTION_SRC),
-            static_filter=False,
-            backend="process",
-            jobs=2,
+            AnalysisConfig(static_filter=False, backend="process", jobs=2),
         ).analyze()
     names = {s.name for s in ctx.tracer.spans}
     assert {"dca.analyze", "dca.dynamic", "dca.loop", "dca.schedule"} <= names
@@ -420,9 +427,9 @@ def test_obs_aggregates_identical_across_backends():
         with obs.enabled(clock=_zero) as ctx:
             DcaAnalyzer(
                 compile_program(REDUCTION_SRC),
-                static_filter=False,
-                backend=backend,
-                jobs=jobs,
+                AnalysisConfig(
+                    static_filter=False, backend=backend, jobs=jobs,
+                ),
             ).analyze()
             spans = sorted(
                 (s.name, tuple(sorted((k, str(v)) for k, v in s.args.items())))
@@ -472,6 +479,7 @@ _WORKER_DEATH_SCRIPT = textwrap.dedent(
     import sys
 
     import repro.core.schedule_engine as engine
+    from repro.api import AnalysisConfig
     from repro.core.dca import DcaAnalyzer
     from repro.core.schedules import ScheduleConfig
     from repro.driver import compile_program
@@ -494,10 +502,12 @@ _WORKER_DEATH_SCRIPT = textwrap.dedent(
     engine.ProcessPoolExecutor = KeptPool
     report = DcaAnalyzer(
         compile_program(sys.stdin.read()),
-        schedules=ScheduleConfig.default(n_random=40),
-        static_filter=False,
-        backend="process",
-        jobs=2,
+        AnalysisConfig(
+            schedules=ScheduleConfig.default(n_random=40),
+            static_filter=False,
+            backend="process",
+            jobs=2,
+        ),
         fault_injection={("main.L0", "identity"): "exit"},
     ).analyze()
     print(json.dumps({

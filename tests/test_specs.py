@@ -23,6 +23,7 @@ from repro.analysis.specs import (
     check_annotations,
     default_registry,
 )
+from repro.api import AnalysisConfig
 from repro.core.dca import DcaAnalyzer
 from repro.core.liveout import Snapshot, canonicalize_snapshot
 from repro.core.report import DECIDED_STATIC_SPECS
@@ -121,7 +122,7 @@ def test_registry_from_env(monkeypatch):
     monkeypatch.setenv("REPRO_SPECS", "1")
     assert resolve("specs") is True
     assert DcaAnalyzer(module).specs.digest() == default_registry().digest()
-    assert DcaAnalyzer(module, specs=False).specs is None
+    assert DcaAnalyzer(module, AnalysisConfig(specs=False)).specs is None
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +518,8 @@ def test_chain_build_loop_proven_with_specs_only():
 def test_spec_proof_reports_static_specs_provenance():
     with obs.disabled(clock=_zero):
         report = DcaAnalyzer(
-            compile_program(BAG_PROGRAM), backend="serial", specs=True
+            compile_program(BAG_PROGRAM),
+            AnalysisConfig(backend="serial", specs=True),
         ).analyze()
     assert report.results["main.L0"].decided_by == DECIDED_STATIC_SPECS
     assert report.results["main.L0"].is_commutative

@@ -19,6 +19,7 @@ from repro.analysis.commutativity import (
 )
 from repro.analysis.diagnostics import DiagnosticEngine, diagnostic_from_static
 from repro.benchsuite import ALL_BENCHMARKS
+from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
 from repro.core.report import (
     COMMUTATIVE,
@@ -322,7 +323,9 @@ def test_static_race_verdict_matches_dynamic():
     """
     static = DcaAnalyzer(compile_program(source)).analyze().loop("main.L0")
     dynamic = (
-        DcaAnalyzer(compile_program(source), static_filter=False)
+        DcaAnalyzer(
+            compile_program(source), AnalysisConfig(static_filter=False)
+        )
         .analyze()
         .loop("main.L0")
     )
@@ -343,7 +346,8 @@ def test_noncommutative_proof_not_applied_under_eventual_policy():
         }
     """
     report = DcaAnalyzer(
-        compile_program(source), liveout_policy="eventual"
+        compile_program(source),
+        AnalysisConfig(liveout_policy="eventual"),
     ).analyze()
     assert report.loop("main.L0").decided_by == DECIDED_DYNAMIC
 
@@ -410,12 +414,14 @@ def test_static_verdicts_agree_with_dynamic_oracle(bench):
         return
     oracle = DcaAnalyzer(
         compile_program(bench.source),
-        entry=bench.entry,
-        rtol=bench.rtol,
-        liveout_policy=bench.liveout_policy,
-        candidate_labels=proven,
-        static_filter=False,
-        specs=specs if specs is not None else False,
+        AnalysisConfig(
+            entry=bench.entry,
+            rtol=bench.rtol,
+            liveout_policy=bench.liveout_policy,
+            candidate_labels=proven,
+            static_filter=False,
+            specs=specs is not None,
+        ),
     ).analyze()
     for label in proven:
         if label not in oracle.results:
