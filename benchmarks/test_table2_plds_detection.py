@@ -16,7 +16,7 @@ from repro.interp.profiler import Profiler
 def _coverage(bench, label):
     module = bench.compile(fresh=True)
     profiler = Profiler()
-    Interpreter(module, profiler=profiler).run(bench.entry)
+    Interpreter(module, observers=[profiler]).run(bench.entry)
     return profiler.coverage(label)
 
 

@@ -25,7 +25,7 @@ def _outermost_coverage(bench, labels):
     module = bench.compile(fresh=True)
     profiler = Profiler()
     nesting = NestingObserver()
-    Interpreter(module, observers=[nesting], profiler=profiler).run(bench.entry)
+    Interpreter(module, observers=[nesting, profiler]).run(bench.entry)
     chosen = []
     labelset = set(labels)
     for label in labels:

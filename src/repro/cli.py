@@ -695,8 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, dest="exec_backend",
                        help="execution backend: tree-walking "
                             "interpreter or Python-source codegen; "
-                            "traced runs use it too "
-                            f"(default: interp, or {env('exec_backend')})")
+                            "traced runs use it too (default: "
+                            f"{SETTINGS['exec_backend'].default}, or "
+                            f"{env('exec_backend')})")
 
     def specs_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--specs", action="store_const", const=True,

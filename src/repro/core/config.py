@@ -58,8 +58,8 @@ class AnalysisConfig:
     backend: Optional[str] = None
     jobs: Optional[int] = None
     #: Execution backend (one of
-    #: :data:`repro.interp.compiler.EXEC_BACKENDS`); runs that need
-    #: call events or the cost profiler always interpret.
+    #: :data:`repro.interp.compiler.EXEC_BACKENDS`); None defers to
+    #: ``REPRO_EXEC_BACKEND``, then ``codegen``.
     exec_backend: Optional[str] = None
     #: Persistent cache directory (None defers to ``REPRO_CACHE_DIR``,
     #: then disabled) and mode ("rw", "ro", "refresh", or "off").

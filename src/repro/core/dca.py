@@ -103,16 +103,28 @@ from repro.core.report import (
 from repro.core.runtime import DcaRuntime
 from repro.core.schedule_engine import (
     CANCELLED,
+    FAILED_FAULT,
+    FAILED_INVOCATIONS,
+    FAILED_LIVEOUT,
     WORKER_LOST,
     LoopPlan,
     ScheduleOutcome,
     ScheduleTask,
     create_engine,
+    outcome_failure,
     program_outcome,
 )
 from repro.core.schedules import IdentitySchedule
 from repro.interp.compiler import create_executor
 from repro.ir.function import Module
+
+#: (verdict, reason template) of a testing schedule's failure, per
+#: :func:`~repro.core.schedule_engine.outcome_failure` kind.
+_SCHEDULE_FAILURES = {
+    FAILED_FAULT: (RUNTIME_FAULT, "fault under schedule {}"),
+    FAILED_LIVEOUT: (NON_COMMUTATIVE, "live-outs changed under {}"),
+    FAILED_INVOCATIONS: (NON_COMMUTATIVE, "invocation count changed under {}"),
+}
 
 
 @dataclass
@@ -201,6 +213,7 @@ class DcaAnalyzer:
         self._obs = obs.current()
         report = DcaReport(
             entry=self.config.entry,
+            exec_backend=self.config.exec_backend,
             static_filter=self.config.static_filter,
             tiering=self.config.tiering,
         )
@@ -437,7 +450,6 @@ class DcaAnalyzer:
         report = state.report
         report.backend = self._engine.name
         report.jobs = self._engine.jobs
-        report.exec_backend = self.config.exec_backend
         cache = self.cache
         if cache is not None:
             report.cache.enabled = True
@@ -718,17 +730,14 @@ class DcaAnalyzer:
         with loop_span():
             identity = outcomes[0]
             self._consume_outcome(state, identity, result)
-            identity_faulted = identity.status not in ("ok", "mismatch")
-            if identity_faulted or identity.violations or not identity.outcome_ok:
+            failure = outcome_failure(identity, expected)
+            if failure is not None:
                 result.verdict = SPLIT_MISMATCH
-                result.reason = "identity replay diverged from golden reference"
-                result.schedules_tested.append("identity")
-                result.failed_schedule = "identity"
-                self._skip_schedules(report, "short-circuit", n_testing)
-                return
-            if identity.invocation_count != expected:
-                result.verdict = SPLIT_MISMATCH
-                result.reason = "identity replay changed the invocation count"
+                if failure == FAILED_INVOCATIONS:
+                    result.reason = "identity replay changed the invocation count"
+                else:
+                    result.reason = "identity replay diverged from golden reference"
+                    result.schedules_tested.append("identity")
                 result.failed_schedule = "identity"
                 self._skip_schedules(report, "short-circuit", n_testing)
                 return
@@ -752,21 +761,10 @@ class DcaAnalyzer:
                 name = outcome.schedule_name
                 self._consume_outcome(state, outcome, result)
                 result.schedules_tested.append(name)
-                if outcome.status not in ("ok", "mismatch"):
-                    result.verdict = RUNTIME_FAULT
-                    result.reason = f"fault under schedule {name}"
-                    result.failed_schedule = name
-                    self._skip_schedules(report, "short-circuit", n_testing - i)
-                    return
-                if outcome.violations or not outcome.outcome_ok:
-                    result.verdict = NON_COMMUTATIVE
-                    result.reason = f"live-outs changed under {name}"
-                    result.failed_schedule = name
-                    self._skip_schedules(report, "short-circuit", n_testing - i)
-                    return
-                if outcome.invocation_count != expected:
-                    result.verdict = NON_COMMUTATIVE
-                    result.reason = f"invocation count changed under {name}"
+                failure = outcome_failure(outcome, expected)
+                if failure is not None:
+                    result.verdict, reason = _SCHEDULE_FAILURES[failure]
+                    result.reason = reason.format(name)
                     result.failed_schedule = name
                     self._skip_schedules(report, "short-circuit", n_testing - i)
                     return

@@ -322,6 +322,10 @@ class DcaReport:
     """Full result of one DCA analysis run."""
 
     entry: str
+    #: Which execution backend the analysis asked for (``codegen`` or
+    #: ``interp``).  Never serialized, like ``backend``/``jobs`` below:
+    #: codegen and interpreted reports must stay byte-identical.
+    exec_backend: str
     results: Dict[str, LoopResult] = field(default_factory=dict)
     #: Total interpreted executions performed (golden + tests).
     executions: int = 0
@@ -361,10 +365,6 @@ class DcaReport:
     #: across backends, and these fields would break that.
     backend: str = "serial"
     jobs: int = 1
-    #: Which execution backend the analysis asked for (``interp`` or
-    #: ``codegen``).  Same contract: never serialized —
-    #: codegen and interpreted reports must stay byte-identical.
-    exec_backend: str = "interp"
     #: Persistent-cache accounting for this run.  Same contract: never
     #: serialized, so warm reports match cold reports byte-for-byte.
     cache: CacheAccounting = field(default_factory=CacheAccounting)

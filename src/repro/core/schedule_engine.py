@@ -76,13 +76,8 @@ from repro.core.liveout import (
 from repro.core.report import add_counters
 from repro.core.runtime import CommutativityMismatch, DcaRuntime
 from repro.core.schedules import Schedule
-from repro.interp.codegen import (
-    CodegenExecutor,
-    CodegenProgram,
-    CompileError,
-    compile_module_codegen,
-)
-from repro.interp.interpreter import Interpreter
+from repro.interp.codegen import CodegenProgram, compile_module_codegen
+from repro.interp.compiler import select_executor
 from repro.interp.values import MiniCRuntimeError
 from repro.settings import SETTINGS, resolve
 
@@ -98,6 +93,7 @@ __all__ = [
     "create_engine",
     "engine_queue_depth",
     "execute_task",
+    "outcome_failure",
     "outcome_fails",
     "program_outcome",
     "resolve_schedule_backend",
@@ -164,6 +160,9 @@ class ScheduleTask:
     module_blob: bytes
     #: Sorted global names of the module (eventual-policy outcome roots).
     global_names: List[str]
+    #: Execution backend (``codegen`` or ``interp``), resolved by the
+    #: analyzer; see :func:`~repro.interp.compiler.select_executor`.
+    exec_backend: str
     #: Golden live-out snapshots for this loop (strict policy only), each
     #: pickled with its memoized digest for the digest-first compare.
     golden: Optional[List[Snapshot]] = None
@@ -180,10 +179,6 @@ class ScheduleTask:
     obs_enabled: bool = False
     #: Testing hook: one of :data:`FAULT_STYLES`, fired before execution.
     inject_fault: Optional[str] = None
-    #: Execution backend: ``interp`` (tree-walking) or ``codegen``
-    #: (Python-source codegen; falls back to interp on a module it
-    #: cannot lower).
-    exec_backend: str = "interp"
 
     @property
     def schedule_name(self) -> str:
@@ -239,17 +234,35 @@ class LoopPlan:
     tasks: List[ScheduleTask] = field(default_factory=list)
 
 
-def outcome_fails(outcome: ScheduleOutcome, expected_invocations: int) -> bool:
-    """Whether this outcome terminates the loop's schedule testing.
+#: Failure kinds of one schedule execution (see :func:`outcome_failure`).
+FAILED_FAULT = "fault"
+FAILED_LIVEOUT = "live-out"
+FAILED_INVOCATIONS = "invocations"
 
-    Mirrors the serial analyzer's short-circuit conditions exactly; both
-    backends and the merge step share this single definition.
+
+def outcome_failure(
+    outcome: ScheduleOutcome, expected_invocations: int
+) -> Optional[str]:
+    """Why this outcome terminates the loop's schedule testing, or None.
+
+    The kinds, first match wins: the execution faulted
+    (:data:`FAILED_FAULT`), its live-outs or final outcome diverged
+    (:data:`FAILED_LIVEOUT`), or it changed the loop's invocation count
+    (:data:`FAILED_INVOCATIONS`).  Both backends' short-circuits and the
+    analyzer's verdicts derive from this single definition.
     """
     if outcome.status != OK and outcome.status != MISMATCH:
-        return True
+        return FAILED_FAULT
     if outcome.violations or not outcome.outcome_ok:
-        return True
-    return outcome.invocation_count != expected_invocations
+        return FAILED_LIVEOUT
+    if outcome.invocation_count != expected_invocations:
+        return FAILED_INVOCATIONS
+    return None
+
+
+def outcome_fails(outcome: ScheduleOutcome, expected_invocations: int) -> bool:
+    """Whether this outcome terminates the loop's schedule testing."""
+    return outcome_failure(outcome, expected_invocations) is not None
 
 
 def should_test(plan: LoopPlan, identity: ScheduleOutcome) -> bool:
@@ -342,21 +355,15 @@ def execute_task(
         fail_fast=True,
         capture_snapshots=strict,
     )
-    interp = None
-    if task.exec_backend == "codegen":
-        # Codegen replays reuse the per-process program cache; the
-        # executor itself is fresh per task (own heap/globals/output).
-        try:
-            interp = CodegenExecutor(
-                _codegen_for_blob(task.module_blob),
-                runtime=runtime,
-                max_steps=task.max_steps,
-            )
-        except CompileError:
-            interp = None
-    if interp is None:
-        module = pickle.loads(task.module_blob)
-        interp = Interpreter(module, runtime=runtime, max_steps=task.max_steps)
+    # Codegen replays reuse the per-process program cache; the executor
+    # itself is fresh per task (own heap/globals/output).
+    interp = select_executor(
+        task.exec_backend,
+        lambda: _codegen_for_blob(task.module_blob),
+        lambda: pickle.loads(task.module_blob),
+        runtime=runtime,
+        max_steps=task.max_steps,
+    )
     mismatch = False
     fault = False
     cpu_start = cpu_clock()

@@ -12,17 +12,29 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 
 class Schedule:
-    """A family of permutations, one per trip count."""
+    """A family of permutations, one per trip count.
+
+    Names are self-describing (see :func:`schedule_from_name`), so
+    schedules compare and hash by name.
+    """
 
     name = "abstract"
 
     def permutation(self, n: int) -> List[int]:
         """A permutation of ``range(n)``."""
         raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return f"<schedule {self.name}>"
@@ -84,11 +96,15 @@ class RotationSchedule(Schedule):
         return list(range(k, n)) + list(range(0, k))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleConfig:
-    """The preset used by a DCA run."""
+    """The preset used by a DCA run: an immutable value, so analysis
+    configs holding one compare and hash by value."""
 
-    schedules: Sequence[Schedule]
+    schedules: Tuple[Schedule, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "schedules", tuple(self.schedules))
 
     @staticmethod
     def default(n_random: int = 2, seed: int = 0xDCA) -> "ScheduleConfig":

@@ -41,9 +41,9 @@ def run_program(
     """Compile (if needed) and execute a program.
 
     Returns ``(return_value, captured_stdout)``.  ``exec_backend``
-    selects tree-walking interpretation (``interp``, the default) or the
-    Python-source codegen backend (``codegen``); falls back to the
-    ``REPRO_EXEC_BACKEND`` environment variable.
+    selects the Python-source codegen backend (``codegen``) or
+    tree-walking interpretation (``interp``); None defers to
+    ``REPRO_EXEC_BACKEND``, then ``codegen``.
     """
     from repro.interp.compiler import create_executor
 

@@ -35,19 +35,18 @@ the running interpreter's bytecode magic and a payload checksum; any
 mismatch or corruption silently falls back to a fresh compile (never to
 wrong results).
 
-A second, *profiled* lowering of the same module serves observer
-runs that want loop and memory events only (the dependence-profiling
-run): every global/field/element access reports the interpreter's
-location tuple and the pristine ``Instr`` (from the per-module site
-table ``_I``) after its null/bounds checks and before the access,
-``Call`` maintains the executor's ``call_stack``, and loop
-enter/iteration/exit events are computed statically per CFG edge from
-the natural-loop forest, exactly as the interpreter's
-``_loop_transition`` derives them from the (previous, current) block
-pair.  The profiled variant has its own memo key and artifact file;
-the plain lowering is unchanged by it.  Call observers and the cost
-profiler still go to the tree-walking interpreter
-(:func:`repro.interp.compiler.create_executor` routes them).  The
+A second, *profiled* lowering of the same module serves observed
+runs (the dependence profile, the cost profile): every
+global/field/element access reports the interpreter's location tuple
+and the pristine ``Instr`` (from the per-module site table ``_I``)
+after its null/bounds checks and before the access, ``Call`` maintains
+the executor's ``call_stack``, and loop enter/iteration/exit events are
+computed statically per CFG edge from the natural-loop forest, exactly
+as the interpreter's ``_loop_transition`` derives them from the
+(previous, current) block pair; each event carries the step count, so
+observers read the interpreter's ``steps`` there.  The profiled variant
+has its own memo key and artifact file; the plain lowering is unchanged
+by it.  The
 :class:`~repro.core.runtime.DcaRuntime` ``fast_intrinsics`` contract is
 honored: when the runtime opts in, the five ``rt_*`` intrinsics call the
 handler methods directly with the label baked as a constant (under an
@@ -128,8 +127,9 @@ __all__ = [
 CODEGEN_CACHE_ENV = SETTINGS["codegen_cache_dir"].env
 
 #: Bumped whenever the lowering or artifact layout changes shape; stale
-#: artifacts then miss on the header check and are recompiled.
-_ARTIFACT_VERSION = 1
+#: artifacts then miss on the header check and are recompiled.  (2: loop
+#: events carry the step count.)
+_ARTIFACT_VERSION = 2
 _ARTIFACT_MAGIC = b"RPCG"
 #: Profiled-variant artifacts: a different magic, so neither variant
 #: ever loads the other's code, and the module digest in the header, so
@@ -530,10 +530,10 @@ class _FuncEmitter:
                 w(1, "if _rt_fast:")
                 for m in sorted(self.fast_methods):
                     w(2, f"_rt{m} = _rt.{m}")
-        if self.profiled:
-            self._emit_event_prologue()
         w(1, "_max = _state.max_steps")
         w(1, "_steps = _state.steps")
+        if self.profiled:
+            self._emit_event_prologue()
         w(1, "try:")
         if multi:
             w(2, "_b = 0")
@@ -580,16 +580,16 @@ class _FuncEmitter:
         if prev_chain == cur_chain:
             if cur_chain and prev is not None \
                     and self.headers.get(cur) == cur_chain[-1]:
-                self.w(ind, "_li()")
+                self.w(ind, "_li(_steps)")
             return
         common = 0
         limit = min(len(prev_chain), len(cur_chain))
         while common < limit and prev_chain[common] == cur_chain[common]:
             common += 1
         if len(prev_chain) > common:
-            self.w(ind, f"_lx({len(prev_chain) - common})")
+            self.w(ind, f"_lx({len(prev_chain) - common}, _steps)")
         for label in cur_chain[common:]:
-            self.w(ind, f"_le({label!r})")
+            self.w(ind, f"_le({label!r}, _steps)")
 
     def _emit_block(self, ind: int, bname: str) -> None:
         instrs = self.func.blocks[bname].instrs
@@ -654,9 +654,6 @@ class _FuncEmitter:
             else:
                 v = self.reg(value)
             w(ind, f"_state.retval = {v}")
-            # The returned value is read before the frame's loops unwind.
-            if self.profiled and self.chains[bname]:
-                w(ind, f"_lx({len(self.chains[bname])})")
             w(ind, f"return {v}")
             return
         # Mirror the interpreter: a malformed last instruction faults at
@@ -1219,10 +1216,9 @@ class ProfiledCodegenExecutor(CodegenExecutor):
     """One observed execution of the profiled codegen lowering.
 
     Publishes the interpreter's loop and memory events to observers
-    that want nothing else (no call events) and exposes the dynamic
-    state they may read: ``loop_stack``, ``call_stack`` and
-    ``call_stack_version``.  Loop invocation counters are per run, as
-    in the interpreter.
+    and exposes the dynamic state they may read: ``steps``,
+    ``loop_stack``, ``call_stack`` and ``call_stack_version``.  Loop
+    invocation counters are per run, as in the interpreter.
     """
 
     __slots__ = (
@@ -1260,20 +1256,26 @@ class ProfiledCodegenExecutor(CodegenExecutor):
         self._on_read = _fan_out([o.on_read for o in mem_obs])
         self._on_write = _fan_out([o.on_write for o in mem_obs])
 
-    def _loop_enter(self, label: str) -> None:
+    # Each loop event carries the lowering's step count, so observers
+    # read the interpreter's ``steps`` there.
+
+    def _loop_enter(self, label: str, steps: int) -> None:
+        self.steps = steps
         invocation = self._invocations.get(label, 0)
         self._invocations[label] = invocation + 1
         self.loop_stack.append(LoopCtx(label, invocation, 0))
         for o in self._loop_obs:
             o.on_loop_enter(label, invocation)
 
-    def _loop_iter(self) -> None:
+    def _loop_iter(self, steps: int) -> None:
+        self.steps = steps
         ctx = self.loop_stack[-1]
         ctx.iteration += 1
         for o in self._loop_obs:
             o.on_loop_iteration(ctx.label, ctx.invocation, ctx.iteration)
 
-    def _loop_exit(self, count: int) -> None:
+    def _loop_exit(self, count: int, steps: int) -> None:
+        self.steps = steps
         for _ in range(count):
             ctx = self.loop_stack.pop()
             for o in self._loop_obs:

@@ -1,22 +1,20 @@
 """Execution-backend selection.
 
-Two backends execute IR modules: the tree-walking
-:class:`~repro.interp.interpreter.Interpreter` (``interp``), which is
-the event-stream reference for observers and profiling, and the
-Python-source codegen backend (``codegen``, :mod:`repro.interp.codegen`),
-the fast path for golden runs, schedule replays and the dependence
-profile.  :func:`create_executor` encodes when codegen may be used
-without changing a single observable: whenever it cannot be exactly
-faithful, the interpreter runs instead.
+Two backends execute IR modules: the Python-source codegen backend
+(``codegen``, the default, :mod:`repro.interp.codegen`) and the
+tree-walking :class:`~repro.interp.interpreter.Interpreter`
+(``interp``), the reference the differential tests hold codegen to.
+:func:`select_executor` is the one selection rule.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import repro.obs as obs
 from repro.interp.codegen import (
     CodegenExecutor,
+    CodegenProgram,
     CompileError,
     ProfiledCodegenExecutor,
     compile_module_codegen,
@@ -32,6 +30,7 @@ __all__ = [
     "EXEC_BACKENDS",
     "CompileError",
     "create_executor",
+    "select_executor",
 ]
 
 #: Supported execution backends.  Single source of truth: CLI choices,
@@ -48,14 +47,33 @@ def create_executor(
     max_steps: Optional[int] = None,
     exec_backend: Optional[str] = None,
 ):
-    """Build an executor for ``module`` honouring the fallback rules.
+    """Build an executor for ``module`` (see :func:`select_executor`).
+    ``exec_backend=None`` defers to ``REPRO_EXEC_BACKEND``, then
+    ``codegen``."""
+    return select_executor(
+        exec_backend,
+        lambda: compile_module_codegen(module, profiled=bool(observers)),
+        lambda: module,
+        runtime=runtime,
+        observers=observers,
+        max_steps=max_steps,
+    )
 
-    The codegen backend is used only when it can be *exactly* faithful:
-    no observer that wants call events (an enabled obs context does not
-    matter).  Loop/memory observers run on codegen's profiled lowering.  Everything else — including a module codegen
-    rejects — gets the tree-walking interpreter.  ``exec_backend=None``
-    defers to ``REPRO_EXEC_BACKEND``, then ``interp``.
-    """
+
+def select_executor(
+    exec_backend: Optional[str],
+    compile_program: Callable[[], CodegenProgram],
+    load_module: Callable[[], Module],
+    runtime: Optional[RuntimeHooks] = None,
+    observers=None,
+    max_steps: Optional[int] = None,
+):
+    """The executor for one run under ``exec_backend``: codegen on
+    ``compile_program()`` (profiled when there are observers; an
+    enabled obs context changes nothing), or the interpreter on
+    ``load_module()`` — also when codegen raises :class:`CompileError`.
+    Schedule replays pass their blob-keyed compile memo here.  Counts
+    ``exec.backend.<backend>`` and ``exec.fallback.compile-error``."""
     backend = resolve("exec_backend", exec_backend)
     if backend not in EXEC_BACKENDS:
         raise ValueError(
@@ -63,28 +81,24 @@ def create_executor(
         )
     ctx = obs.current()
     if backend == "codegen":
-        if observers and any(o.wants_calls for o in observers):
-            ctx.count("exec.fallback.observers")
+        try:
+            program = compile_program()
+        except CompileError:
+            ctx.count("exec.fallback.compile-error")
         else:
-            try:
-                program = compile_module_codegen(
-                    module, profiled=bool(observers)
+            ctx.count("exec.backend.codegen")
+            if observers:
+                return ProfiledCodegenExecutor(
+                    program,
+                    runtime=runtime,
+                    observers=observers,
+                    max_steps=max_steps,
                 )
-            except CompileError:
-                ctx.count("exec.fallback.compile-error")
-            else:
-                ctx.count("exec.backend.codegen")
-                if observers:
-                    return ProfiledCodegenExecutor(
-                        program,
-                        runtime=runtime,
-                        observers=observers,
-                        max_steps=max_steps,
-                    )
-                return CodegenExecutor(
-                    program, runtime=runtime, max_steps=max_steps
-                )
+            return CodegenExecutor(
+                program, runtime=runtime, max_steps=max_steps
+            )
     ctx.count("exec.backend.interp")
     return Interpreter(
-        module, runtime=runtime, observers=observers, max_steps=max_steps
+        load_module(), runtime=runtime, observers=observers,
+        max_steps=max_steps,
     )

@@ -1,9 +1,10 @@
 """Observer interface for execution events.
 
-The interpreter publishes loop-structure events and memory-access events to
-registered observers.  Dynamic analyses (dependence profiling, DiscoPoP,
-the DCA profiler) are implemented as observers, mirroring how the paper's
-tools consume LLVM instrumentation callbacks.
+Both backends publish loop-structure events and memory-access events to
+registered observers, the one way to watch a run.  Dynamic analyses
+(dependence profiling, DiscoPoP, the cost profiler) are implemented as
+observers, mirroring how the paper's tools consume LLVM instrumentation
+callbacks.
 
 Memory locations are tuples:
 
@@ -34,14 +35,13 @@ class Observer:
 
     Set the ``wants_*`` class attributes to opt into event streams — the
     interpreter skips publication entirely for streams nobody wants, which
-    keeps uninstrumented runs fast.  Observers receive the interpreter via
+    keeps uninstrumented runs fast.  Observers receive the executor via
     :meth:`attach` before execution starts and may read its public dynamic
-    state (``loop_stack``, ``call_stack``).
+    state (``steps``, current at loop events; ``loop_stack``, ``call_stack``).
     """
 
     wants_loops = False
     wants_memory = False
-    wants_calls = False
 
     def attach(self, interp) -> None:
         """Called once before execution; stores the interpreter handle."""
@@ -61,9 +61,3 @@ class Observer:
 
     def on_write(self, loc: Location, instr) -> None:
         """A memory location was written by ``instr``."""
-
-    def on_call(self, func_name: str) -> None:
-        """A user function is about to execute."""
-
-    def on_return(self, func_name: str) -> None:
-        """A user function finished."""

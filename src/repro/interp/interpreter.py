@@ -9,8 +9,6 @@ Executes a :class:`repro.ir.function.Module` with:
 * memory-access events for every global/field/element read and write;
 * an optional *runtime* object that receives ``Intrinsic`` calls — this is
   how the DCA runtime library (paper Fig. 3) plugs in;
-* an optional profiler hook that attributes executed instructions to the
-  dynamic loop stack;
 * cheap observability hooks (``repro.obs``): :func:`counted_run`, which
   the codegen backend shares, publishes each run's instructions retired
   when the process-local observability context is enabled (even on a
@@ -125,7 +123,6 @@ class Interpreter:
         module: Module,
         runtime: Optional[RuntimeHooks] = None,
         observers: Optional[Sequence[Observer]] = None,
-        profiler=None,
         max_steps: Optional[int] = None,
     ):
         self.module = module
@@ -135,7 +132,6 @@ class Interpreter:
         }
         self.runtime = runtime
         self.observers: List[Observer] = list(observers or [])
-        self.profiler = profiler
         self.max_steps = max_steps or _DEFAULT_MAX_STEPS
         self.steps = 0
         self.output: List[str] = []
@@ -153,10 +149,7 @@ class Interpreter:
             obs.attach(self)
         self._loop_obs = [o for o in self.observers if o.wants_loops]
         self._mem_obs = [o for o in self.observers if o.wants_memory]
-        self._call_obs = [o for o in self.observers if o.wants_calls]
-        self._track_loops = bool(
-            self._loop_obs or self._mem_obs or profiler is not None
-        )
+        self._track_loops = bool(self._loop_obs or self._mem_obs)
         #: per-function block → tuple of loop labels (outermost..innermost)
         self._chain_cache: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         self._header_cache: Dict[str, Dict[str, str]] = {}
@@ -244,12 +237,6 @@ class Interpreter:
             for obs in self._loop_obs:
                 obs.on_loop_enter(label, invocation)
 
-    def _unwind_loops(self, depth: int) -> None:
-        while len(self.loop_stack) > depth:
-            ctx = self.loop_stack.pop()
-            for obs in self._loop_obs:
-                obs.on_loop_exit(ctx.label, ctx.invocation)
-
     # -- execution ---------------------------------------------------------------
 
     def _call_function(self, name: str, args: List[object]) -> object:
@@ -258,18 +245,14 @@ class Interpreter:
             raise MiniCRuntimeError(
                 f"{name} expects {len(func.params)} args, got {len(args)}"
             )
-        for obs in self._call_obs:
-            obs.on_call(name)
         frame: Dict[Reg, object] = {}
         for (reg, _t), value in zip(func.params, args):
             frame[reg] = value
 
         chains = self._block_chains(func) if self._track_loops else None
-        depth0 = len(self.loop_stack)
         prev: Optional[str] = None
         cur = func.entry
         result: object = None
-        profiler = self.profiler
         handlers = self._handlers
 
         while True:
@@ -281,8 +264,6 @@ class Interpreter:
             self.steps += len(instrs)
             if self.steps > self.max_steps:
                 raise MiniCRuntimeError("step limit exceeded")
-            if profiler is not None:
-                profiler.on_block(len(instrs), self.loop_stack)
             for i in range(nbody):
                 handlers[type(instrs[i])](instrs[i], frame)
             term = instrs[nbody]
@@ -293,16 +274,13 @@ class Interpreter:
                 cond = truthy(self._value(term.cond, frame))
                 prev, cur = cur, (term.true_target if cond else term.false_target)
             elif tkind is Ret:
+                # A Ret block has no successors, so it lies in no natural
+                # loop: the edge into it already exited the frame's loops.
                 if term.value is not None:
                     result = self._value(term.value, frame)
                 break
             else:  # pragma: no cover - verifier guarantees terminators
                 raise MiniCRuntimeError(f"bad terminator {term}")
-
-        if chains is not None:
-            self._unwind_loops(depth0)
-        for obs in self._call_obs:
-            obs.on_return(name)
         return result
 
     # -- operand evaluation --------------------------------------------------------

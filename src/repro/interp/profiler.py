@@ -6,47 +6,79 @@ stack.  This provides:
 * **sequential coverage** per loop — the fraction of total executed
   instructions spent inside the loop (paper Tables II and IV);
 * **per-iteration costs** for selected loops — the work distribution the
-  simulated multicore executor schedules (paper Figs. 5–7);
-* hot-loop ranking used by the profitability selection step.
+  simulated multicore executor schedules (paper Figs. 5–7).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.interp.events import LoopCtx
+from repro.interp.events import LoopCtx, Observer
 
 
-class Profiler:
-    """Counts executed instructions per loop (inclusive of nested work)."""
+class Profiler(Observer):
+    """Counts executed instructions per loop (inclusive of nested work).
+
+    A loop observer, so it runs on either backend: the loop stack and
+    its iteration counters change only at loop events, so the
+    executor's ``steps`` retired since the previous event all belong to
+    the stack as it stood.  That delta is booked at every event and
+    when a result is read (which also charges a run that faulted inside
+    a loop).
+    """
+
+    wants_loops = True
 
     def __init__(self, iteration_detail_for: Optional[Set[str]] = None):
-        #: Inclusive instruction count per loop label.
-        self.loop_cost: Dict[str, int] = {}
-        #: Total instructions executed by the program.
-        self.total_cost = 0
+        self._loop_cost: Dict[str, int] = {}
         #: (label, invocation) -> list of per-iteration inclusive costs.
         self._iteration_costs: Dict[Tuple[str, int], List[int]] = {}
         self._detail = iteration_detail_for or set()
+        self._stack: List[LoopCtx] = []
+        self._booked = 0
 
-    # -- interpreter hook -----------------------------------------------------
-
-    def on_block(self, n_instrs: int, loop_stack: Sequence[LoopCtx]) -> None:
-        self.total_cost += n_instrs
-        for ctx in loop_stack:
+    def _book(self) -> None:
+        steps = self.interp.steps
+        n_instrs = steps - self._booked
+        if not n_instrs:
+            return
+        self._booked = steps
+        for ctx in self._stack:
             label = ctx.label
-            self.loop_cost[label] = self.loop_cost.get(label, 0) + n_instrs
+            self._loop_cost[label] = self._loop_cost.get(label, 0) + n_instrs
             if label in self._detail:
                 key = (label, ctx.invocation)
-                costs = self._iteration_costs.get(key)
-                if costs is None:
-                    costs = []
-                    self._iteration_costs[key] = costs
-                while len(costs) <= ctx.iteration:
-                    costs.append(0)
+                costs = self._iteration_costs.setdefault(key, [])
+                costs.extend([0] * (ctx.iteration + 1 - len(costs)))
                 costs[ctx.iteration] += n_instrs
 
+    # -- loop events -----------------------------------------------------------
+
+    def on_loop_enter(self, label: str, invocation: int) -> None:
+        self._book()
+        self._stack.append(LoopCtx(label, invocation, 0))
+
+    def on_loop_iteration(self, label: str, invocation: int, iteration: int) -> None:
+        self._book()
+        self._stack[-1].iteration = iteration
+
+    def on_loop_exit(self, label: str, invocation: int) -> None:
+        self._book()
+        self._stack.pop()
+
     # -- results ---------------------------------------------------------------
+
+    @property
+    def total_cost(self) -> int:
+        """Total instructions executed by the program."""
+        self._book()
+        return self._booked
+
+    @property
+    def loop_cost(self) -> Dict[str, int]:
+        """Inclusive instruction count per loop label."""
+        self._book()
+        return self._loop_cost
 
     def coverage(self, label: str) -> float:
         """Fraction of program execution spent in the loop (0..1)."""
@@ -65,14 +97,11 @@ class Profiler:
         return sum(self.loop_cost.get(l, 0) for l in labels) / self.total_cost
 
     def iteration_costs(self, label: str, invocation: int) -> List[int]:
+        self._book()
         return list(self._iteration_costs.get((label, invocation), []))
 
     def invocations(self, label: str) -> List[int]:
+        self._book()
         return sorted(
             inv for (lbl, inv) in self._iteration_costs if lbl == label
         )
-
-    def hottest(self, n: int = 10) -> List[Tuple[str, int]]:
-        """The ``n`` most expensive loops as (label, cost) pairs."""
-        ranked = sorted(self.loop_cost.items(), key=lambda kv: -kv[1])
-        return ranked[:n]

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 import repro.obs as obs
 from repro.analysis.loops import build_loop_forest
 from repro.analysis.reductions import classify_loop
-from repro.interp.interpreter import Interpreter
+from repro.interp.compiler import create_executor
 from repro.interp.profiler import Profiler
 from repro.ir.function import Module
 from repro.analysis.sccdag import stage_shapes
@@ -112,15 +112,12 @@ class ParallelSimulator:
     def profile(self, detail_labels: Sequence[str]) -> Profiler:
         profiler = Profiler(iteration_detail_for=set(detail_labels))
         nesting = NestingObserver()
-        interp = Interpreter(
-            self.module,
-            observers=[nesting],
-            profiler=profiler,
-            max_steps=self.max_steps,
+        executor = create_executor(
+            self.module, observers=[nesting, profiler], max_steps=self.max_steps
         )
         active = obs.current()
         with active.span("parallel.profile", entry=self.entry):
-            interp.run(self.entry, self.args)
+            executor.run(self.entry, self.args)
         if active.enabled:
             active.metrics.counter("parallel.profile_runs").inc()
             active.metrics.gauge("parallel.t_seq").set(profiler.total_cost)

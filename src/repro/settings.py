@@ -85,7 +85,7 @@ SETTINGS = {
     ),
     "ledger_dir": Setting("REPRO_LEDGER_DIR", _path),
     "exec_backend": Setting(
-        "REPRO_EXEC_BACKEND", str, "interp", ("interp", "codegen")
+        "REPRO_EXEC_BACKEND", str, "codegen", ("interp", "codegen")
     ),
     "schedule_backend": Setting(
         "REPRO_SCHEDULE_BACKEND", str, _schedule_backend_default,

@@ -21,10 +21,11 @@ program:
    schedule executions must cover exactly (1 + testing schedules) per
    eligible loop (see DcaReport.schedules_skipped).
 
-:func:`profile_parity_check` holds the dependence-profiling run to the
-same bar across execution backends: the profiler's complete state after
-an interpreted run and after a run of codegen's profiled lowering must
-be equal.
+:func:`profile_parity_check` holds the observed runs to the same bar
+across execution backends: the complete state of the dependence
+profiler and of the cost profiler (every loop detailed) after an
+interpreted run and after a run of codegen's profiled lowering must be
+equal.
 
 :func:`cache_differential_check` extends the same bar to the persistent
 cache: a cold run populating a fresh cache and a warm run served from it
@@ -52,6 +53,7 @@ from repro.analysis.commutativity import (
     StaticCommutativityAnalysis,
 )
 from repro.analysis.dynamic_deps import DynamicDepProfiler
+from repro.analysis.loops import build_loop_forest
 from repro.analysis.specs import default_registry
 from repro.cache import AnalysisCache
 from repro.api import AnalysisConfig
@@ -71,6 +73,7 @@ from repro.driver import compile_program
 from repro.interp import (
     MiniCRuntimeError,
     ProfiledCodegenExecutor,
+    Profiler,
     create_executor,
 )
 from repro.settings import resolve
@@ -213,18 +216,27 @@ def profile_state(
     max_steps: Optional[int] = None,
     entry: str = "main",
 ):
-    """Run the dependence profiler over ``source`` on ``exec_backend``.
+    """Run the dependence and cost profilers over ``source`` on
+    ``exec_backend``.
 
-    Returns ``(executor, state)``: ``state`` is everything the profiler
-    exposes — per-loop edges, max trips, executed loops, privatization
-    facts for every touched location, memory-flow edges — plus the run
-    outcome (fault message included) and its step count.
+    Returns ``(executor, state)``: ``state`` is everything the
+    dependence profiler exposes — per-loop edges, max trips, executed
+    loops, privatization facts for every touched location, memory-flow
+    edges — and the cost profiler's total, per-loop and per-iteration
+    costs of every loop, plus the run outcome (fault message included)
+    and its step count.
     """
     module = compile_program(source)
     profiler = DynamicDepProfiler(module)
+    labels = {
+        label
+        for func in module.functions.values()
+        for label in build_loop_forest(func).loops
+    }
+    cost = Profiler(iteration_detail_for=labels)
     executor = create_executor(
         module,
-        observers=[profiler],
+        observers=[profiler, cost],
         max_steps=max_steps,
         exec_backend=exec_backend,
     )
@@ -247,6 +259,13 @@ def profile_state(
             for label in profiler.executed
         },
         "memory_flow": profiler.memory_flow_edges(),
+        "total_cost": cost.total_cost,
+        "loop_cost": dict(cost.loop_cost),
+        "iteration_costs": {
+            (label, inv): cost.iteration_costs(label, inv)
+            for label in sorted(labels)
+            for inv in cost.invocations(label)
+        },
     }
     return executor, state
 
@@ -256,7 +275,8 @@ def profile_parity_check(
     seed: Optional[int] = None,
     max_steps: Optional[int] = None,
 ) -> List[str]:
-    """Interpreter vs codegen dependence profile for one program."""
+    """Interpreter vs codegen dependence and cost profiles for one
+    program."""
     if source is None:
         source = generate_program(seed)
     _interp, expected = profile_state(source, "interp", max_steps)

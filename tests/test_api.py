@@ -17,6 +17,7 @@ import pytest
 import repro.obs as obs
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.core.schedule_engine import resolve_schedule_backend
+from repro.core.schedules import ScheduleConfig, schedule_from_name
 from repro.settings import resolve
 
 PROGRAM = """
@@ -46,6 +47,25 @@ def test_config_is_frozen_and_hashable():
     assert hash(config) == hash(AnalysisConfig())
     assert config == AnalysisConfig()
     assert config != config.replace(rtol=1e-3)
+
+
+def test_configs_with_equal_schedule_presets_are_equal_values():
+    # Built independently, with a list and with a tuple of fresh
+    # schedule objects: schedules compare by their self-describing name.
+    names = AnalysisConfig().schedule_names()
+    built = [
+        AnalysisConfig(schedules=ScheduleConfig.default()),
+        AnalysisConfig(schedules=ScheduleConfig.default()),
+        AnalysisConfig(
+            schedules=ScheduleConfig([schedule_from_name(n) for n in names])
+        ),
+    ]
+    for config in built[1:]:
+        assert config == built[0]
+        assert hash(config) == hash(built[0])
+        assert config.fingerprint() == AnalysisConfig().fingerprint()
+    other = AnalysisConfig(schedules=ScheduleConfig.identity_only())
+    assert other != built[0] and len({built[0], other}) == 2
 
 
 def test_config_normalizes_mutable_fields():

@@ -95,7 +95,7 @@ def test_ep_trial_loop_detected_and_hot():
     ep = by_name("EP")
     module = ep.compile(fresh=True)
     profiler = Profiler()
-    Interpreter(module, profiler=profiler).run()
+    Interpreter(module, observers=[profiler]).run()
     assert profiler.coverage("main.L1") > 0.9
     report = DcaAnalyzer(
         ep.compile(fresh=True), AnalysisConfig(rtol=ep.rtol)

@@ -322,7 +322,7 @@ def test_codegen_in_exec_backends():
 
 def test_resolve_exec_backend_codegen(monkeypatch):
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
-    assert resolve("exec_backend") == "interp"
+    assert resolve("exec_backend") == "codegen"
     assert resolve("exec_backend", "codegen") == "codegen"
     monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
     assert resolve("exec_backend") == "codegen"
@@ -364,22 +364,11 @@ def test_create_executor_codegen_and_fallback():
     codegen = create_executor(module, exec_backend="codegen")
     assert isinstance(codegen, CodegenExecutor)
     assert codegen.run("main", []) == 42
-    # Loop/memory observers run on the profiled lowering; call
-    # observers need the interpreter's event stream, so codegen falls
-    # back for them.  An enabled obs context does not.
+    # Observers run on the profiled lowering; an enabled obs context
+    # does not change the executor either.
     assert isinstance(
         create_executor(module, observers=[Observer()], exec_backend="codegen"),
         ProfiledCodegenExecutor,
-    )
-
-    class CallObserver(Observer):
-        wants_calls = True
-
-    assert isinstance(
-        create_executor(
-            module, observers=[CallObserver()], exec_backend="codegen"
-        ),
-        Interpreter,
     )
     with obs.enabled():
         observed = create_executor(module, exec_backend="codegen")

@@ -164,7 +164,7 @@ def test_missing_entry_and_arity_messages():
 def test_resolve_exec_backend_explicit_env_default(monkeypatch):
     module = compile_program("func int main() { return 1; }")
     monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
-    assert resolve("exec_backend") == "interp"
+    assert resolve("exec_backend") == "codegen"
     for backend in EXEC_BACKENDS:
         assert resolve("exec_backend", backend) == backend
         monkeypatch.setenv(EXEC_BACKEND_ENV, backend)
@@ -173,7 +173,7 @@ def test_resolve_exec_backend_explicit_env_default(monkeypatch):
         for explicit in EXEC_BACKENDS:
             assert resolve("exec_backend", explicit) == explicit
     monkeypatch.setenv(EXEC_BACKEND_ENV, "  ")
-    assert resolve("exec_backend") == "interp"
+    assert resolve("exec_backend") == "codegen"
     with pytest.raises(ValueError):
         create_executor(module, exec_backend="jit")
     monkeypatch.setenv(EXEC_BACKEND_ENV, "bogus")
@@ -187,22 +187,13 @@ def test_create_executor_backend_and_fallback(monkeypatch):
     module = compile_program("func int main() { return 41 + 1; }")
     for backend, executor in _executors(module).items():
         assert executor.run("main", []) == 42
-    # With no explicit name the environment picks the backend.
-    monkeypatch.setenv(EXEC_BACKEND_ENV, "codegen")
-    assert type(create_executor(module)) is CodegenExecutor
-    monkeypatch.delenv(EXEC_BACKEND_ENV)
+    # With no explicit name the environment picks the backend, and
+    # codegen is the default.
+    monkeypatch.setenv(EXEC_BACKEND_ENV, "interp")
     assert type(create_executor(module)) is Interpreter
+    monkeypatch.delenv(EXEC_BACKEND_ENV)
+    assert type(create_executor(module)) is CodegenExecutor
 
-    # Only codegen ever falls back; the interpreter serves every caller.
-    class CallObserver(Observer):
-        wants_calls = True
-
-    for backend in EXEC_BACKENDS:
-        executor = create_executor(
-            module, exec_backend=backend, observers=[CallObserver()]
-        )
-        assert type(executor) is Interpreter
-        assert executor.run("main", []) == 42
     # An enabled obs context never forces a fallback: each backend runs
     # itself and publishes the same per-run counters.
     for backend in EXEC_BACKENDS:

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import compile_program
+from repro.analysis.loops import build_loop_forest
 from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
+from repro.interp import Interpreter, ProfiledCodegenExecutor
 from repro.parallel import (
     MachineModel,
     ParallelSimulator,
@@ -198,3 +200,59 @@ def test_nesting_observer_tracks_call_boundaries():
     Interpreter(module, observers=[obs]).run()
     # inner.L0 nests dynamically inside main.L0 (through the call).
     assert "main.L0" in obs.ancestors("inner.L0")
+
+
+CALL_NEST = """
+func int inner(int n) {
+  int s = 0;
+  for (int j = 0; j < n; j = j + 1) {
+    if (j == 5) { return s; }
+    s = s + j * n;
+  }
+  return s;
+}
+func void main() {
+  int t = 0;
+  for (int i = 0; i < 40; i = i + 1) {
+    for (int k = 0; k < i % 7; k = k + 1) { t = t + inner(i + k); }
+  }
+  print(t);
+}
+"""
+
+
+EXECUTORS = {"interp": Interpreter, "codegen": ProfiledCodegenExecutor}
+
+
+def test_simulator_reports_equal_across_exec_backends(monkeypatch):
+    # The cost profile is a loop observer: the backend it runs on is a
+    # pure speed lever, never a change in costs, selection or speedup.
+    for source in (HOT_LOOP, CALL_NEST):
+        module = compile_program(source)
+        labels = sorted(
+            label
+            for func in module.functions.values()
+            for label in build_loop_forest(func).loops
+        )
+        results = {}
+        for backend in ("interp", "codegen"):
+            monkeypatch.setenv("REPRO_EXEC_BACKEND", backend)
+            sim = ParallelSimulator(module, model=MachineModel(cores=72))
+            report = sim.simulate(labels, min_coverage=0.0)
+            profile = sim.profile(labels)
+            assert type(profile.interp) is EXECUTORS[backend]
+            results[backend] = (
+                report.t_seq,
+                report.t_par,
+                report.selection.chosen,
+                report.selection.skipped,
+                report.loops,
+                profile.loop_cost,
+                {
+                    (label, inv): profile.iteration_costs(label, inv)
+                    for label in labels
+                    for inv in profile.invocations(label)
+                },
+            )
+        assert results["interp"] == results["codegen"]
+        assert results["codegen"][2], "no loop was chosen"

@@ -30,6 +30,9 @@ from repro.core.report import (
     RUNTIME_FAULT,
 )
 from repro.core.schedule_engine import (
+    FAILED_FAULT,
+    FAILED_INVOCATIONS,
+    FAILED_LIVEOUT,
     FAULT_STYLES,
     LoopPlan,
     ProcessScheduleEngine,
@@ -37,11 +40,13 @@ from repro.core.schedule_engine import (
     SerialScheduleEngine,
     create_engine,
     execute_task,
+    outcome_failure,
     outcome_fails,
     should_test,
 )
 from repro.core.schedules import ScheduleConfig
 from repro.driver import compile_program
+from repro.ir.instructions import Const, Mov, Reg
 
 EXAMPLES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "examples", "*.mc")))
 
@@ -145,6 +150,20 @@ def test_outcome_fails_conditions():
     )
 
 
+def test_outcome_failure_names_the_first_failed_condition():
+    assert outcome_failure(_outcome(invocation_count=3), 3) is None
+    assert outcome_failure(
+        _outcome(status="worker-lost", violations=1, invocation_count=2), 3
+    ) == FAILED_FAULT
+    assert outcome_failure(
+        _outcome(outcome_ok=False, invocation_count=2), 3
+    ) == FAILED_LIVEOUT
+    assert outcome_failure(
+        _outcome(status="mismatch", violations=1, invocation_count=3), 3
+    ) == FAILED_LIVEOUT
+    assert outcome_failure(_outcome(invocation_count=2), 3) == FAILED_INVOCATIONS
+
+
 def test_should_test_requires_clean_identity_and_two_trips():
     plan = LoopPlan(label="L", expected_invocations=1)
     plan.tasks = [None]
@@ -237,6 +256,36 @@ def test_work_units_pickle_round_trip():
             t.schedule_name for t in plan.tasks
         ]
     assert report.schedule_executions > 0
+
+
+def test_replay_counts_compile_error_fallback():
+    """A test module codegen rejects replays on the interpreter, and each
+    replay counts its backend and the fallback like every other run."""
+
+    def rejected():
+        module = compile_program(REDUCTION_SRC)
+        main = module.functions["main"]
+        # Codegen has no literal for bytes; the interpreter just moves it.
+        main.blocks[main.entry].instrs.insert(0, Mov(Reg("junk"), Const(b"x")))
+        return module
+
+    config = AnalysisConfig(
+        static_filter=False, backend="serial", exec_backend="codegen"
+    )
+    with obs.enabled() as ctx:
+        report = DcaAnalyzer(rejected(), config).analyze()
+        counters = ctx.metrics.to_dict()["counters"]
+    assert report.schedule_executions > 0
+    # Profile, golden and every schedule replay fell back.
+    assert counters["exec.fallback.compile-error"] == report.executions
+    assert counters["exec.backend.interp"] == report.executions
+    assert "exec.backend.codegen" not in counters
+    reference = DcaAnalyzer(
+        rejected(), config.replace(exec_backend="interp")
+    ).analyze()
+    assert {l: r.verdict for l, r in report.results.items()} == {
+        l: r.verdict for l, r in reference.results.items()
+    }
 
 
 #: One loop long enough that its identity replay under the interpreter

@@ -20,7 +20,7 @@ CASES = {
     "cache_dir": (None, "/flag", "~/env", f"{HOME}/env", None),
     "codegen_cache_dir": (None, "/flag", " ~/cg ", f"{HOME}/cg", None),
     "ledger_dir": (None, "/flag", "~/ledger", f"{HOME}/ledger", None),
-    "exec_backend": ("interp", "interp", " codegen ", "codegen", "compiled"),
+    "exec_backend": ("codegen", "codegen", " interp ", "interp", "compiled"),
     "schedule_backend": ("serial", "serial", "process", "process", "threads"),
     "schedule_jobs": (None, 1, "3", 3, "four"),
     "specs": (False, False, "YES", True, "2"),
