@@ -44,15 +44,19 @@ __all__ = [
 
 #: Version of the execution semantics the cached verdicts were produced
 #: under.  Bump whenever interpreter/compiled-backend semantics, the
-#: snapshot digest algorithm, or the verdict decision procedure changes
-#: in a way that could alter a cached payload; stores created under a
-#: different version are purged wholesale on open.
+#: snapshot digest algorithm, the verdict decision procedure or the
+#: payload format changes in a way that could alter a cached payload;
+#: stores created under a different version are purged wholesale on open.
 #:
 #: v2: commutativity specs (repro.analysis.specs) — rt_verify may
 #: canonicalize declared containers before comparison and the static
 #: pre-screen may consume spec waivers, so pre-spec entries must not be
 #: replayed into spec-aware runs (and vice versa).
-SEMANTICS_VERSION = 2
+#:
+#: v3: the golden run captures live-outs only for the loops it replays,
+#: so each entry carries its loop's golden snapshot tally (``"golden"``)
+#: and a warm replay adds it to the report; v2 entries lack it.
+SEMANTICS_VERSION = 3
 
 
 def _sha256(text: str) -> str:

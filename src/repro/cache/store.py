@@ -33,8 +33,8 @@ Properties the rest of the pipeline relies on:
   remains the concurrency bottleneck, not the lock.
 * **Verifiability.**  When source text is registered for a module,
   ``verify`` can recompile it, re-execute a sample of cached loops with
-  the exact recorded configuration, and cross-check verdicts and
-  snapshot digests.
+  the exact recorded configuration, and cross-check verdicts, snapshot
+  digests and golden snapshot tallies.
 """
 
 from __future__ import annotations
@@ -429,8 +429,9 @@ class AnalysisCache:
         Only loops whose module has registered source text are eligible.
         Each sampled loop is recompiled and re-analyzed under its exact
         recorded configuration (restricted to that loop); the fresh
-        verdict, invocation/trip counts, tested schedules, and snapshot
-        content digests must match the cached payload field-for-field.
+        verdict, invocation/trip counts, tested schedules, snapshot
+        content digests and golden snapshot tally must match the cached
+        payload field-for-field.
         An entry whose recorded configuration does not rebuild to its
         fingerprint (e.g. a spec registry other than the built-in one)
         is reported unverifiable, never re-analyzed under another one.
@@ -498,6 +499,11 @@ class AnalysisCache:
                             "expected": cached.get(name),
                             "actual": fresh_dict.get(name),
                         }
+                if fresh.golden_tally != payload.get("golden"):
+                    diffs["golden"] = {
+                        "expected": payload.get("golden"),
+                        "actual": fresh.golden_tally,
+                    }
             if diffs:
                 mismatches.append(
                     {"module": digest, "loop": loop_id,

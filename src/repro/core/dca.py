@@ -15,15 +15,18 @@ one stage:
    dependence profiler, whose same-invocation memory flow feeds iterator
    recognition and whose dependence graph feeds tiering.
 3. ``static`` (``static_filter=True``) — the static commutativity prover
-   (:mod:`repro.analysis.commutativity`) resolves loops whose verdict
+   (:mod:`repro.analysis.commutativity`) decides loops whose verdict
    follows from the IR alone, modulo declared commutativity specs when
-   those are on; proven loops skip permutation testing entirely
-   (disable with ``static_filter=False`` / ``--no-static-filter``).
-4. ``golden`` — the verify spec of every testable loop, then one run of
-   the observe variant collecting per-loop, per-invocation live-out
-   snapshots in original program order, plus the program's final
-   outcome (eventual policy) and the test step budget.
-5. ``dynamic`` — per remaining candidate loop, a test variant (outlined +
+   those are on, and whose profile run reached two iterations; proven
+   loops skip permutation testing entirely (disable with
+   ``static_filter=False`` / ``--no-static-filter``).
+4. ``golden`` — the verify spec of every testable loop; the cache lookup
+   of every loop the profile run entered and no proof decided; then one
+   run of the observe variant, which instruments every testable loop
+   (invocation counts) but captures per-invocation live-out snapshots,
+   in original program order, only for the loops left to replay; plus
+   the program's final outcome (eventual policy) and the step budget.
+5. ``dynamic`` — per loop left to replay, a test variant (outlined +
    split) runs once per schedule.  The identity schedule runs first as a
    transformation sanity check; perturbing schedules (reverse, random)
    only run when the loop actually iterates (≥2 trips somewhere), since
@@ -40,8 +43,9 @@ one stage:
 When a persistent :class:`~repro.cache.AnalysisCache` is attached, each
 loop that would enter schedule testing is first looked up by ``(workload
 digest, loop label, config fingerprint)``; a hit replays the memoized verdict,
-cost record and accounting instead of executing any schedule, and a miss
-stores the freshly decided loop for the next run.  Warm reports
+cost record, golden snapshot tally and accounting instead of capturing
+its live-outs or executing any schedule, and a miss stores the freshly
+decided loop for the next run.  Warm reports
 serialize byte-identically to cold ones (cache provenance and hit/miss
 accounting are deliberately excluded from serialization).
 """
@@ -85,7 +89,6 @@ from repro.core.config import AnalysisConfig
 from repro.core.report import (
     COMMUTATIVE,
     COMMUTATIVE_VACUOUS,
-    DECIDED_DYNAMIC,
     DECIDED_SELECTION,
     DECIDED_STATIC,
     DECIDED_STATIC_SPECS,
@@ -146,7 +149,11 @@ class _Analysis:
     static_verdicts: Dict[str, StaticLoopVerdict] = field(default_factory=dict)
     #: label -> verify spec of every testable loop, in testing order.
     specs: Dict[str, VerifySpec] = field(default_factory=dict)
-    #: label -> golden live-out snapshots, one per invocation.
+    #: Labels no static proof or cache entry decided, in testing order:
+    #: the loops the dynamic stage replays.
+    pending: List[str] = field(default_factory=list)
+    #: label -> golden live-out snapshots, one per invocation (pending
+    #: loops, strict policy).
     golden: Dict[str, List] = field(default_factory=dict)
     #: The golden run's final observable outcome (eventual policy).
     golden_outcome: Optional[Tuple] = None
@@ -322,44 +329,59 @@ class DcaAnalyzer:
     # -- static and golden stages ---------------------------------------------
 
     def _prescreen(self, state: _Analysis) -> None:
+        """Record every loop's static verdict and decide the loops whose
+        proof holds for this workload, before the golden run, so it
+        captures no live-outs for them."""
+        report = state.report
         state.static_verdicts = StaticCommutativityAnalysis(
             self.module, specs=self.specs
         ).analyze()
-        for label, result in state.report.results.items():
+        n_schedules = 1 + len(self._schedules.testing_schedules())
+        for label, result in report.results.items():
             verdict = state.static_verdicts.get(label)
-            if verdict is not None:
-                result.static_verdict = verdict.verdict
-                result.static_evidence = [str(e) for e in verdict.evidence]
+            if verdict is None:
+                continue
+            result.static_verdict = verdict.verdict
+            result.static_evidence = [str(e) for e in verdict.evidence]
+            if result.verdict == NOT_EXERCISED and self._apply_static_verdict(
+                state, verdict, result
+            ):
+                report.static_schedules_saved += n_schedules
         if self._obs.enabled:
             for verdict in state.static_verdicts.values():
                 self._obs.count(f"static.verdict.{verdict.verdict}")
 
     def _golden(self, state: _Analysis) -> None:
-        """Verify specs for every testable loop, then the golden (observe)
-        run of all of them at once.
+        """Verify specs for every testable loop, cache lookups, then the
+        golden (observe) run of all of them at once.
 
-        The golden runtime keeps every live-out snapshot, each with its
-        content digest memoized at capture.  Replays compare digests
-        first, in process or in a worker (the memo travels with the
-        pickled snapshot), and fall back to the rtol comparison only
-        when the digests differ."""
+        Every testable loop is instrumented, so invocation counts do not
+        depend on what the static stage or the cache decided; only the
+        pending loops' live-outs are captured.  The golden runtime keeps
+        those snapshots, each with its content digest memoized at
+        capture.  Replays compare digests first, in process or in a
+        worker (the memo travels with the pickled snapshot), and fall
+        back to the rtol comparison only when the digests differ."""
         report = state.report
         #: One module-wide equivalence annotation shared by every loop's
         #: VerifySpec: canonicalization keys on struct *types*, and a
         #: declared type means declared everywhere.
         equivalence = tuple(sorted(self._chain_slots.items())) or None
         for label, result in report.results.items():
-            if result.verdict == NOT_EXERCISED:
+            if result.decided_by != DECIDED_SELECTION:
                 func = self.module.functions[result.function]
                 spec = compute_verify_spec(
                     self.module, func, label, state.effects
                 )
                 spec.equivalence = equivalence
                 state.specs[label] = spec
+        self._lookup_cached(state)
 
         observe = build_observe_module(self.module, state.specs)
         strict = self.config.liveout_policy == "strict"
-        runtime = DcaRuntime(state.specs, capture_snapshots=strict)
+        runtime = DcaRuntime(
+            state.specs, capture=state.pending if strict else ()
+        )
         executor, value = self._run_program(report, observe, runtime=runtime)
         add_counters(report, runtime)
         state.golden = runtime.snapshots
@@ -367,7 +389,12 @@ class DcaAnalyzer:
             executor, value, sorted(self.module.globals), self._chain_slots
         )
         for label in state.specs:
-            report.results[label].invocations = runtime.invocation_count(label)
+            result = report.results[label]
+            result.invocations = runtime.invocation_count(label)
+            if result.invocations == 0:
+                result.decided_by = DECIDED_SELECTION
+        for label, tally in runtime.tallies.items():
+            report.results[label].golden_tally = tally
         # A permuted execution of a non-commutative loop may diverge (e.g. a
         # worklist that never drains).  Budget every test run relative to the
         # golden run so divergence is detected as a runtime fault (§IV-E)
@@ -387,6 +414,42 @@ class DcaAnalyzer:
             )
         return self._workload_digest
 
+    def _lookup_cached(self, state: _Analysis) -> None:
+        """Look up every loop the profile run entered and no static proof
+        decided: a hit is replayed, the rest are left ``pending``.
+
+        The profile and golden runs execute the same program on the same
+        input, so a loop the profile run entered is one the golden run
+        will count invocations of."""
+        report, cache = state.report, self.cache
+        if cache is not None:
+            report.cache.enabled = True
+            digest = self.workload_digest()
+            state.cache_key = self.config.cache_key()
+            fingerprint = state.cache_key[0]
+            cache.register_module(
+                digest,
+                source_text=self.source_text,
+                source_path=self.source_path,
+                entry=self.config.entry,
+                args=self.config.args,
+            )
+        for label in state.specs:
+            result = report.results[label]
+            if result.verdict != NOT_EXERCISED or (
+                label not in state.profiler.max_trips
+            ):
+                continue
+            if cache is not None:
+                payload = cache.lookup(digest, label, fingerprint)
+                if payload is not None:
+                    self._apply_cached(payload, result, report)
+                    continue
+                report.cache.misses += 1
+                if cache.has_stale_sibling(digest, label, fingerprint):
+                    report.cache.invalidations += 1
+            state.pending.append(label)
+
     def _apply_cached(
         self,
         payload: Dict[str, object],
@@ -400,6 +463,9 @@ class DcaAnalyzer:
         bytes as its cold twin while executing zero schedules.
         """
         result.apply_payload(payload["result"])
+        result.golden_tally = payload["golden"]
+        for name, n in result.golden_tally.items():
+            setattr(report, name, getattr(report, name) + n)
         report.add_loop_cost(result.cost)
         for reason, n in payload.get("skipped", {}).items():
             self._skip_schedules(report, reason, n)
@@ -436,7 +502,11 @@ class DcaAnalyzer:
             self.workload_digest(),
             label,
             fingerprint,
-            {"result": result.to_payload(), "skipped": skipped_delta},
+            {
+                "result": result.to_payload(),
+                "skipped": skipped_delta,
+                "golden": result.golden_tally,
+            },
             fingerprint_description=description,
         )
         if stored:
@@ -445,43 +515,14 @@ class DcaAnalyzer:
     # -- dynamic stage --------------------------------------------------------
 
     def _test_loops(self, state: _Analysis) -> None:
-        """Decide every testable loop: static proof, cache replay, or
-        schedule testing on the engine."""
+        """Decide every pending loop by schedule testing on the engine."""
         report = state.report
         report.backend = self._engine.name
         report.jobs = self._engine.jobs
         cache = self.cache
-        if cache is not None:
-            report.cache.enabled = True
-            digest = self.workload_digest()
-            state.cache_key = self.config.cache_key()
-            fingerprint = state.cache_key[0]
-            cache.register_module(
-                digest,
-                source_text=self.source_text,
-                source_path=self.source_path,
-                entry=self.config.entry,
-                args=self.config.args,
-            )
-        n_schedules = 1 + len(self._schedules.testing_schedules())
         plans: List[LoopPlan] = []
-        for label in state.specs:
+        for label in state.pending:
             result = report.results[label]
-            if result.invocations == 0:
-                result.decided_by = DECIDED_SELECTION
-                continue
-            if self._apply_static_verdict(state, label, result):
-                report.static_schedules_saved += n_schedules
-                continue
-            result.decided_by = DECIDED_DYNAMIC
-            if cache is not None:
-                payload = cache.lookup(digest, label, fingerprint)
-                if payload is not None:
-                    self._apply_cached(payload, result, report)
-                    continue
-                report.cache.misses += 1
-                if cache.has_stale_sibling(digest, label, fingerprint):
-                    report.cache.invalidations += 1
             skipped_before = dict(report.schedules_skipped)
             plan = self._plan_loop(state, label, result)
             if plan is not None:
@@ -567,22 +608,21 @@ class DcaAnalyzer:
                 self._obs.count(f"dca.tier.{tier}", n)
 
     def _apply_static_verdict(
-        self, state: _Analysis, label: str, result: LoopResult
+        self, state: _Analysis, verdict: StaticLoopVerdict, result: LoopResult
     ) -> bool:
         """Resolve a loop from its static proof, skipping permutation
         testing.  Applies only when the proof's preconditions hold for
         this workload: the loop must have a payload to permute (else the
         dynamic stage's ``iterator-only`` verdict is the truthful one)
-        and must reach two iterations somewhere (else permutation is
-        vacuous).  A non-commutativity proof additionally asserts a
-        *per-exit* live-out difference, so it only stands in for the
-        strict policy — under the eventual policy the difference may
-        never become observable.
+        and must reach two iterations somewhere in the profile run (else
+        permutation is vacuous).  A non-commutativity proof additionally
+        asserts a *per-exit* live-out difference, so it only stands in
+        for the strict policy — under the eventual policy the difference
+        may never become observable.
         """
-        verdict = state.static_verdicts.get(label)
-        if verdict is None or not verdict.is_proven or verdict.payload_empty:
+        if not verdict.is_proven or verdict.payload_empty:
             return False
-        max_trip = state.profiler.max_trips.get(label, 0)
+        max_trip = state.profiler.max_trips.get(result.label, 0)
         if max_trip < 2:
             return False
         if verdict.verdict == PROVEN_COMMUTATIVE:

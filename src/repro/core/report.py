@@ -48,6 +48,10 @@ COST_COUNTERS = (
     "mismatches",
 )
 
+#: The :data:`COST_COUNTERS` a capture adds to: one golden run's
+#: per-loop tally (:attr:`LoopResult.golden_tally`).
+SNAPSHOT_COUNTERS = COST_COUNTERS[:3]
+
 
 def add_counters(target, source) -> None:
     """Add ``source``'s :data:`COST_COUNTERS` into ``target``."""
@@ -173,6 +177,10 @@ class LoopResult:
     mismatch_detail: Optional[Dict[str, object]] = None
     #: Dynamic-stage cost breakdown for this loop.
     cost: LoopCost = field(default_factory=LoopCost)
+    #: The golden run's :data:`SNAPSHOT_COUNTERS` for this loop, empty
+    #: when it captured none.  Never serialized (the report totals hold
+    #: it); a cache entry carries it, so a warm replay adds it back.
+    golden_tally: Dict[str, int] = field(default_factory=dict)
     #: Parallelization tier (DOALL/REDUCTION/PIPELINE/SEQUENTIAL) when
     #: tiering ran; ``None`` otherwise.  Never cached: tiers are
     #: recomputed from the fresh dependence profile on every run.
@@ -339,7 +347,10 @@ class DcaReport:
     stage_times_ms: Dict[str, float] = field(default_factory=dict)
     #: Interpreter instructions retired across all executions.
     interp_instructions: int = 0
-    #: Live-out snapshot totals across all executions.
+    #: Live-out snapshots actually taken across all executions.  The
+    #: golden run captures only loops the dynamic stage replays, so a
+    #: statically decided loop adds none; a cache replay adds the
+    #: golden tally its entry recorded.
     snapshots_taken: int = 0
     snapshot_nodes: int = 0
     snapshot_bytes: int = 0

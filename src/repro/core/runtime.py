@@ -8,13 +8,15 @@ services the ``rt_*`` intrinsics:
 * ``rt_iterator_permute`` — freezes the buffer and applies the schedule's
   permutation;
 * ``rt_iterator_next`` / ``rt_iterator_get`` — drive the dispatch loop;
-* ``rt_verify`` — captures the live-out snapshot and keeps its content
-  digest.  The golden (observe) run also keeps the snapshot itself, the
-  reference every replay compares against.  In test mode the snapshot
-  is compared online against the golden one (digests first, then the
-  rtol-tolerant structural comparison) and dropped right after, so a
-  replay holds one digest per invocation and no snapshots; the first
-  mismatch aborts the replay.
+* ``rt_verify`` — counts the invocation and, for the labels the runtime
+  captures, snapshots the live-outs and keeps the snapshot's content
+  digest.  The golden (observe) run captures only the loops a schedule
+  will replay and also keeps their snapshots, the reference every
+  replay compares against.  In test mode the snapshot is compared
+  online against the golden one (digests first, then the rtol-tolerant
+  structural comparison) and dropped right after, so a replay holds one
+  digest per invocation and no snapshots; the first mismatch aborts the
+  replay.
 
 Invocation states are kept per loop label as a *stack*, so re-entrant
 invocations (recursive callers, a payload reaching the same loop again)
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.core.instrument import (
@@ -44,6 +46,7 @@ from repro.core.liveout import (
     snapshot_digest,
     snapshots_equal,
 )
+from repro.core.report import SNAPSHOT_COUNTERS
 from repro.core.schedules import Schedule
 from repro.interp.interpreter import Interpreter, RuntimeHooks
 from repro.interp.values import MiniCRuntimeError
@@ -88,15 +91,17 @@ class DcaRuntime(RuntimeHooks):
         golden: Optional[Dict[str, List[Snapshot]]] = None,
         rtol: float = 1e-9,
         fail_fast: bool = True,
-        capture_snapshots: bool = True,
+        capture: Optional[Iterable[str]] = None,
     ):
         self.specs = specs
         self.schedule = schedule
         self.golden = golden
         self.rtol = rtol
         self.fail_fast = fail_fast
-        #: When False, rt_verify only counts invocations (eventual policy).
-        self.capture_snapshots = capture_snapshots
+        #: Labels whose live-outs rt_verify captures (every label in
+        #: ``specs`` when None); for any other label it only counts the
+        #: invocation (the eventual policy captures none).
+        self.capture = frozenset(specs if capture is None else capture)
 
         #: Content digests of the completed live-out snapshots per label,
         #: in completion order (every mode that captures).
@@ -117,6 +122,9 @@ class DcaRuntime(RuntimeHooks):
         self.snapshot_bytes = 0
         self.verify_comparisons = 0
         self.mismatches = 0
+        #: label -> that label's share of the snapshot counters, tallied
+        #: at capture (a golden tally travels in the loop's cache entry).
+        self.tallies: Dict[str, Dict[str, int]] = {}
         #: Wall time of the execution this runtime accompanied, assigned
         #: by whichever driver timed it (the schedule engine).
         self.wall_ms = 0.0
@@ -221,7 +229,7 @@ class DcaRuntime(RuntimeHooks):
             inv = stack.pop()
             self.trip_counts.setdefault(label, []).append(len(inv.buffer))
         self.invocations[label] = self.invocations.get(label, 0) + 1
-        if not self.capture_snapshots:
+        if label not in self.capture:
             return
         spec = self.specs[label]
         roots = list(reg_values)
@@ -236,14 +244,21 @@ class DcaRuntime(RuntimeHooks):
             # digesting or comparing.  Golden and test runs share the
             # same spec, so both sides canonicalize identically.
             snap = canonicalize_snapshot(snap, dict(spec.equivalence))
+        nodes, nbytes = snap.size(), snap.approx_bytes()
         self.snapshots_taken += 1
-        self.snapshot_nodes += snap.size()
-        self.snapshot_bytes += snap.approx_bytes()
+        self.snapshot_nodes += nodes
+        self.snapshot_bytes += nbytes
+        tally = self.tallies.get(label)
+        if tally is None:
+            tally = self.tallies[label] = dict.fromkeys(SNAPSHOT_COUNTERS, 0)
+        tally["snapshots_taken"] += 1
+        tally["snapshot_nodes"] += nodes
+        tally["snapshot_bytes"] += nbytes
         if self._obs.enabled:
             metrics = self._obs.metrics
             metrics.counter("dca.snapshots").inc()
-            metrics.histogram("dca.snapshot.nodes").observe(snap.size())
-            metrics.histogram("dca.snapshot.bytes").observe(snap.approx_bytes())
+            metrics.histogram("dca.snapshot.nodes").observe(nodes)
+            metrics.histogram("dca.snapshot.bytes").observe(nbytes)
         digest = snapshot_digest(snap)
         done = self.digests.setdefault(label, [])
         index = len(done)

@@ -353,7 +353,7 @@ def execute_task(
         golden={task.label: list(task.golden or [])} if strict else None,
         rtol=task.rtol,
         fail_fast=True,
-        capture_snapshots=strict,
+        capture=None if strict else (),
     )
     # Codegen replays reuse the per-process program cache; the executor
     # itself is fresh per task (own heap/globals/output).

@@ -99,15 +99,21 @@ def _zero() -> float:
     return 0.0
 
 
-def _analyze(source: str, cache=None, source_text=None, **config):
-    """The static-filter-off DCA report of ``source`` on a zero clock."""
+def _dca(source: str, cache=None, source_text=None, **config):
+    """The static-filter-off DCA report of ``source``, analyzed in the
+    current obs context."""
+    return DcaAnalyzer(
+        compile_program(source),
+        AnalysisConfig(static_filter=False, **config),
+        cache=cache,
+        source_text=source_text,
+    ).analyze()
+
+
+def _analyze(source: str, **kwargs):
+    """:func:`_dca` on a zero clock."""
     with obs.disabled(clock=_zero):
-        return DcaAnalyzer(
-            compile_program(source),
-            AnalysisConfig(static_filter=False, **config),
-            cache=cache,
-            source_text=source_text,
-        ).analyze()
+        return _dca(source, **kwargs)
 
 
 def accounting_violation(report) -> Optional[str]:
@@ -365,23 +371,23 @@ def cache_differential_check(
     directory.  Both cached reports must serialize byte-identically to
     the uncached one; the cold run must store (never hit) and the warm
     run must be served entirely from cache — one hit per loop the cold
-    run decided dynamically, zero misses.  The warm report must also
-    still satisfy the schedule-execution accounting invariant, with
-    cache-replayed loops counted as eligible.
+    run decided dynamically, zero misses — and so capture no golden
+    snapshot.  The warm report must also still satisfy the
+    schedule-execution accounting invariant, with cache-replayed loops
+    counted as eligible.
     """
     if source is None:
         source = generate_program(seed)
     problems: List[str] = []
+    kwargs = dict(backend="serial", source_text=source)
 
-    def analyze(cache):
-        return _analyze(
-            source, backend="serial", cache=cache, source_text=source
-        )
-
-    uncached = analyze(None)
+    uncached = _analyze(source, **kwargs)
     with AnalysisCache(cache_dir) as cache:
-        cold = analyze(cache)
-        warm = analyze(cache)
+        cold = _analyze(source, cache=cache, **kwargs)
+        # Observed, so its snapshots are counted: with every loop a
+        # cache hit, no schedule replays, so all would be golden ones.
+        with obs.enabled(clock=_zero) as ctx:
+            warm = _dca(source, cache=cache, **kwargs)
 
     j_uncached = uncached.to_json()
     for name, report in (("cold", cold), ("warm", warm)):
@@ -416,6 +422,11 @@ def cache_differential_check(
         problems.append(
             f"warm run not fully cached: {warm.cache.hits} hits / "
             f"{warm.cache.misses} misses, expected {expected} hits / 0"
+        )
+    elif ctx.metrics.value("dca.snapshots"):
+        problems.append(
+            f"fully cached warm run took "
+            f"{ctx.metrics.value('dca.snapshots')} golden snapshots"
         )
     violation = accounting_violation(warm)
     if violation:

@@ -362,3 +362,50 @@ def test_verify_catches_tampering(tmp_path):
     assert len(result["mismatches"]) == 1
     diffs = result["mismatches"][0]["diffs"]
     assert "verdict" in diffs
+
+
+def test_verify_checks_golden_tally(tmp_path):
+    with AnalysisCache(str(tmp_path)) as cache:
+        _analyze(cache)
+        path = cache.path
+    with sqlite3.connect(path) as conn:
+        row = conn.execute(
+            "SELECT rowid, payload FROM entries LIMIT 1"
+        ).fetchone()
+        payload = json.loads(row[1])
+        payload["golden"]["snapshot_nodes"] += 1
+        conn.execute(
+            "UPDATE entries SET payload=? WHERE rowid=?",
+            (json.dumps(payload), row[0]),
+        )
+    with AnalysisCache(str(tmp_path)) as cache:
+        result = cache.verify(sample=10)
+    assert result["ok"] == result["checked"] - 1
+    (mismatch,) = result["mismatches"]
+    assert list(mismatch["diffs"]) == ["golden"]
+    assert mismatch["diffs"]["golden"]["expected"] == payload["golden"]
+
+
+def test_v2_store_is_purged_under_v3(tmp_path):
+    """v2 entries carry no golden snapshot tally, which a warm replay
+    adds to the report: a v3 handle must never replay one."""
+    assert SEMANTICS_VERSION == 3
+    with AnalysisCache(str(tmp_path)) as cache:
+        cold = _analyze(cache)
+        path = cache.path
+    with sqlite3.connect(path) as conn:
+        rows = conn.execute("SELECT rowid, payload FROM entries").fetchall()
+        for rowid, payload in rows:
+            data = json.loads(payload)
+            del data["golden"]
+            conn.execute(
+                "UPDATE entries SET payload=? WHERE rowid=?",
+                (json.dumps(data), rowid),
+            )
+        conn.execute("UPDATE meta SET value='2' WHERE key='semantics_version'")
+    with AnalysisCache(str(tmp_path)) as cache:
+        assert cache.stats()["entries"] == 0
+        warm = _analyze(cache)
+    assert (warm.cache.hits, warm.cache.misses) == (0, len(rows))
+    assert warm.cache.stores == len(rows) == 2
+    assert warm.to_json() == cold.to_json()

@@ -294,7 +294,7 @@ def test_fast_intrinsics_flag_contract():
         fast_intrinsics = False
 
         def __init__(self):
-            super().__init__(specs={}, capture_snapshots=False)
+            super().__init__(specs={}, capture=())
             self.seen = []
 
         def handle_intrinsic(self, interp, name, args):
@@ -309,7 +309,7 @@ def test_fast_intrinsics_flag_contract():
             "rt_iterator_record", "rt_iterator_permute", "rt_iterator_next",
             "rt_iterator_get", "rt_verify",
         }
-    fast = DcaRuntime(specs={}, capture_snapshots=False)
+    fast = DcaRuntime(specs={}, capture=())
     assert CodegenExecutor(observe, runtime=fast).run("main", []) == 6
 
 

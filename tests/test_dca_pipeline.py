@@ -18,7 +18,7 @@ import repro.obs as obs
 from repro.analysis.defuse import ReachingDefs
 from repro.analysis.liveness import Liveness
 from repro.analysis.postdom import ControlDependence
-from repro.benchsuite import by_name
+from repro.benchsuite import ALL_BENCHMARKS, by_name
 from repro.cache import AnalysisCache
 from repro.api import AnalysisConfig
 from repro.core.dca import DcaAnalyzer
@@ -176,3 +176,78 @@ def test_tiering_off_report_matches_pre_tiering_golden(name):
         f"{name}: tiering-off report drifted from the pre-tiering golden"
     )
     assert "report_schema_version" not in json.loads(got)
+
+
+def test_golden_captures_only_replayed_loops(tmp_path, monkeypatch):
+    """The static stage and the cache decide loops before the golden
+    run, so golden snapshots only the loops a schedule replays: on a
+    cold run the dynamic loop's invocations, on a warm run none.  The
+    warm report still equals the cold one."""
+    source = (ROOT / "examples" / "specs_annotation.mc").read_text()
+    captured = []
+    golden = DcaAnalyzer._golden
+
+    def counting(self, state):
+        metrics = obs.current().metrics
+        before = metrics.value("dca.snapshots")
+        golden(self, state)
+        captured.append(metrics.value("dca.snapshots") - before)
+
+    monkeypatch.setattr(DcaAnalyzer, "_golden", counting)
+    reports = []
+    with AnalysisCache(str(tmp_path)) as cache, obs.enabled(clock=_zero):
+        for _ in range(2):
+            reports.append(
+                DcaAnalyzer(
+                    compile_program(source),
+                    AnalysisConfig(specs=False, tiering=False),
+                    cache=cache,
+                ).analyze()
+            )
+    cold, warm = reports
+    assert {
+        label: result.serialized_decided_by
+        for label, result in cold.results.items()
+    } == {"main.L0": "static", "main.L1": "dynamic"}
+    assert captured == [cold.results["main.L1"].invocations, 0]
+    assert (warm.cache.hits, warm.cache.misses) == (1, 0)
+    assert warm.to_json() == cold.to_json()
+
+
+def _programs():
+    """Every suite program, fuzz corpus program and example: (name,
+    module)."""
+    for bench in ALL_BENCHMARKS:
+        yield bench.name, bench.compile(fresh=True)
+    paths = sorted((ROOT / "tests" / "fuzz" / "corpus").glob("*.mc"))
+    for path in paths + sorted((ROOT / "examples").glob("*.mc")):
+        yield path.name, compile_program(path.read_text())
+
+
+@pytest.mark.parametrize("exec_backend", ["interp", "codegen"])
+def test_profile_entry_matches_golden_invocations(exec_backend, monkeypatch):
+    """Static verdicts and cache lookups are decided from the profile
+    run, before the golden run: that is sound only if the profile run
+    enters exactly the loops the golden run counts invocations of."""
+    seen = []
+
+    def compare(self, state):
+        seen.append((
+            {l for l in state.specs if l in state.profiler.max_trips},
+            {l for l in state.specs if state.report.results[l].invocations},
+        ))
+
+    monkeypatch.setattr(DcaAnalyzer, "_test_loops", compare)
+    for name, module in _programs():
+        DcaAnalyzer(
+            module,
+            AnalysisConfig(
+                exec_backend=exec_backend,
+                static_filter=False,
+                specs=False,
+                tiering=False,
+            ),
+        ).analyze()
+        entered, invoked = seen[-1]
+        assert entered == invoked, name
+    assert len(seen) > len(ALL_BENCHMARKS)

@@ -187,7 +187,7 @@ def test_capture_disabled_still_counts_invocations():
     module = compile_program(SOURCE)
     specs = specs_for(module)
     observed = build_observe_module(module, specs)
-    runtime = DcaRuntime(specs, capture_snapshots=False)
+    runtime = DcaRuntime(specs, capture=())
     Interpreter(observed, runtime=runtime).run()
     assert runtime.invocation_count("main.L0") == 1
     assert "main.L0" not in runtime.snapshots
