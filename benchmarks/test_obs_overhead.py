@@ -9,8 +9,7 @@ or schedule time.  This harness verifies the claim empirically on a
 PLDS subset:
 
 * **baseline** — the pipeline with the per-execution hooks surgically
-  removed (``DcaRuntime.handle_intrinsic`` without the intrinsic tally
-  guard, ``Interpreter.run`` and ``CodegenExecutor.run`` without the
+  removed (``Interpreter.run`` and ``CodegenExecutor.run`` without the
   ``counted_run`` call), i.e. the pre-observability executors;
 * **disabled** — the shipped pipeline with observability off (the
   default for every user who never asks for a trace).
@@ -35,8 +34,6 @@ import repro.obs as obs
 from repro.benchsuite import PLDS_BENCHMARKS
 from repro.api import AnalysisConfig
 from repro.core import DcaAnalyzer
-from repro.core.instrument import RT_GET, RT_NEXT, RT_PERMUTE, RT_RECORD, RT_VERIFY
-from repro.core.runtime import DcaRuntime
 from repro.interp.codegen import CodegenExecutor
 from repro.interp.interpreter import Interpreter
 from repro.interp.values import MiniCRuntimeError
@@ -48,25 +45,6 @@ SUBSET_NAMES = ("mcf", "twolf", "otter")
 MAX_OVERHEAD = 0.02
 REPS_PER_ROUND = 3
 MAX_ROUNDS = 5
-
-
-def _no_hook_handle_intrinsic(self, interp, name, args):
-    """``DcaRuntime.handle_intrinsic`` without the obs tally guard."""
-    label = args[0]
-    if name == RT_GET:
-        return self._get(label, args[1])
-    if name == RT_NEXT:
-        return self._next(label)
-    if name == RT_RECORD:
-        self._record(label, tuple(args[1:]))
-        return None
-    if name == RT_PERMUTE:
-        self._permute(label)
-        return None
-    if name == RT_VERIFY:
-        self._verify(interp, label, args[1:])
-        return None
-    raise MiniCRuntimeError(f"unknown DCA intrinsic {name!r}")
 
 
 def _no_hook_run(self, entry="main", args=None):
@@ -123,9 +101,6 @@ def test_disabled_obs_overhead(benchmark, capsys, monkeypatch):
     def baseline_rep():
         # The pipeline with the per-execution hooks stripped.
         with monkeypatch.context() as patch:
-            patch.setattr(
-                DcaRuntime, "handle_intrinsic", _no_hook_handle_intrinsic
-            )
             patch.setattr(Interpreter, "run", _no_hook_run)
             patch.setattr(CodegenExecutor, "run", _no_hook_codegen_run)
             return _timed(run)

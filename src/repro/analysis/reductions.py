@@ -88,9 +88,6 @@ class LoopIdioms:
     #: Instruction sites participating in histogram updates.
     histogram_sites: Set[Tuple[str, int]] = field(default_factory=set)
 
-    def carried_of_class(self, classes) -> List[Reg]:
-        return [r for r, c in self.scalars.items() if c in classes]
-
 
 def _is_loop_invariant(
     op: Operand, loop: Loop, defs_in_loop: Set[Reg]

@@ -214,14 +214,13 @@ class AnalysisSession:
             module, source_text=source_text, source_path=source_path
         )
         report = analyzer.analyze()
-        # Baselines profile the pristine program; give them a private
-        # compile so DCA instrumentation cannot leak into their context.
-        pristine, _ = self._prepare(
-            program if source_text is None else source_text
-        )
+        # DCA instruments clones, so the baselines profile the same
+        # pristine module, on the configured entry arguments.
         ctx = build_context(
-            pristine,
+            module,
             entry=self.config.entry,
+            args=self.config.args,
+            max_steps=self.config.max_steps,
             exec_backend=analyzer.config.exec_backend,
         )
         detectors = [

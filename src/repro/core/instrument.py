@@ -25,6 +25,7 @@ from repro.analysis.loops import build_loop_forest, invalidate_loops
 from repro.analysis.purity import EffectAnalysis
 from repro.core.iterator_recognition import separate
 from repro.core.payload import OutlineResult, outline_payload, sanitize
+from repro.interp.interpreter import RT_INTRINSICS
 from repro.ir.clone import clone_module
 from repro.ir.function import Function, Module
 from repro.ir.instructions import (
@@ -42,11 +43,7 @@ from repro.ir.instructions import (
 )
 from repro.lang.types import BOOL
 
-RT_RECORD = "rt_iterator_record"
-RT_PERMUTE = "rt_iterator_permute"
-RT_NEXT = "rt_iterator_next"
-RT_GET = "rt_iterator_get"
-RT_VERIFY = "rt_verify"
+RT_RECORD, RT_PERMUTE, RT_NEXT, RT_GET, RT_VERIFY = RT_INTRINSICS
 
 
 @dataclass

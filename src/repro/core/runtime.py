@@ -31,14 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import repro.obs as obs
-from repro.core.instrument import (
-    RT_GET,
-    RT_NEXT,
-    RT_PERMUTE,
-    RT_RECORD,
-    RT_VERIFY,
-    VerifySpec,
-)
+from repro.core.instrument import RT_PERMUTE, VerifySpec
 from repro.core.liveout import (
     Snapshot,
     canonicalize_snapshot,
@@ -48,7 +41,6 @@ from repro.core.liveout import (
 )
 from repro.core.report import SNAPSHOT_COUNTERS
 from repro.core.schedules import Schedule
-from repro.interp.interpreter import Interpreter, RuntimeHooks
 from repro.interp.values import MiniCRuntimeError
 
 
@@ -75,14 +67,14 @@ class Violation:
     invocation: int
 
 
-class DcaRuntime(RuntimeHooks):
-    """Runtime state for one observed or commutativity-testing execution."""
+class DcaRuntime:
+    """Runtime state for one observed or commutativity-testing execution.
 
-    #: ``handle_intrinsic`` below is a pure name dispatch, so the
-    #: codegen backend may call ``_get``/``_next``/``_record``/
-    #: ``_permute``/``_verify`` directly (see RuntimeHooks).  Turned off
-    #: per instance under an enabled obs context (intrinsic tally below).
-    fast_intrinsics = True
+    Each ``rt_*`` intrinsic is the public method of that name: both
+    executors call it with themselves, then the intrinsic's evaluated
+    arguments (the loop label first).  Only ``rt_verify`` reads the
+    executor, for the live-out globals.
+    """
 
     def __init__(
         self,
@@ -143,40 +135,13 @@ class DcaRuntime(RuntimeHooks):
         #: once at construction, so the flag is fixed for its lifetime and
         #: the per-iteration intrinsics can test a plain bool.
         self._obs_enabled = self._obs.enabled
-        if self._obs_enabled:
-            self.fast_intrinsics = False
-
-    # -- intrinsic dispatch -----------------------------------------------------
-
-    def handle_intrinsic(
-        self, interp: Interpreter, name: str, args: List[object]
-    ) -> object:
-        if self._obs_enabled:
-            self._obs.metrics.counter(f"interp.intrinsic.{name}").inc()
-        # Hot-first dispatch: rt_iterator_get/next/record fire once (or
-        # more) per loop iteration; permute/verify once per invocation.
-        label = args[0]
-        if name == RT_GET:
-            return self._get(label, args[1])
-        if name == RT_NEXT:
-            return self._next(label)
-        if name == RT_RECORD:
-            self._record(label, tuple(args[1:]))
-            return None
-        if name == RT_PERMUTE:
-            self._permute(label)
-            return None
-        if name == RT_VERIFY:
-            self._verify(interp, label, args[1:])
-            return None
-        raise MiniCRuntimeError(f"unknown DCA intrinsic {name!r}")
 
     # -- iterator linearization ---------------------------------------------------
 
     def _stack(self, label: str) -> List[_Invocation]:
         return self._active.setdefault(label, [])
 
-    def _record(self, label: str, values: Tuple) -> None:
+    def rt_iterator_record(self, executor, label: str, *values) -> None:
         stack = self._stack(label)
         if not stack or stack[-1].phase != "recording":
             stack.append(_Invocation())
@@ -184,9 +149,9 @@ class DcaRuntime(RuntimeHooks):
         if self._obs_enabled:
             self._obs.metrics.counter("dca.iterations_recorded").inc()
 
-    def _permute(self, label: str) -> None:
+    def rt_iterator_permute(self, executor, label: str) -> None:
         if self.schedule is None:
-            raise MiniCRuntimeError("rt_iterator_permute without a schedule")
+            raise MiniCRuntimeError(f"{RT_PERMUTE} without a schedule")
         stack = self._stack(label)
         if not stack or stack[-1].phase != "recording":
             stack.append(_Invocation())
@@ -212,18 +177,18 @@ class DcaRuntime(RuntimeHooks):
             raise MiniCRuntimeError(f"no active DCA invocation for {label}")
         return stack[-1]
 
-    def _next(self, label: str) -> bool:
+    def rt_iterator_next(self, executor, label: str) -> bool:
         inv = self._top(label)
         inv.pos += 1
         return inv.pos < len(inv.order)
 
-    def _get(self, label: str, index: int) -> object:
+    def rt_iterator_get(self, executor, label: str, index: int) -> object:
         inv = self._top(label)
         return inv.buffer[inv.order[inv.pos]][index]
 
     # -- verification ------------------------------------------------------------
 
-    def _verify(self, interp: Interpreter, label: str, reg_values: List[object]) -> None:
+    def rt_verify(self, executor, label: str, *reg_values) -> None:
         stack = self._active.get(label)
         if stack:
             inv = stack.pop()
@@ -234,9 +199,9 @@ class DcaRuntime(RuntimeHooks):
         spec = self.specs[label]
         roots = list(reg_values)
         for gname in spec.ref_globals:
-            roots.append(interp.globals[gname])
+            roots.append(executor.globals[gname])
         for gname in spec.scalar_globals:
-            roots.append(interp.globals[gname])
+            roots.append(executor.globals[gname])
         snap = capture(roots)
         if spec.equivalence:
             # Verification modulo declared equivalence: rewrite declared

@@ -12,7 +12,7 @@ from repro.interp.codegen import (
 )
 from repro.interp.compiler import create_executor
 from repro.interp.events import Location, LoopCtx, Observer
-from repro.interp.interpreter import Interpreter, RuntimeHooks
+from repro.interp.interpreter import RT_INTRINSICS, Interpreter
 from repro.interp.profiler import Profiler
 from repro.interp.values import (
     ArrayObj,
@@ -36,7 +36,7 @@ __all__ = [
     "Observer",
     "ProfiledCodegenExecutor",
     "Profiler",
-    "RuntimeHooks",
+    "RT_INTRINSICS",
     "StructObj",
     "codegen_stats",
     "compile_module_codegen",

@@ -46,11 +46,14 @@ as the interpreter's ``_loop_transition`` derives them from the
 (previous, current) block pair; each event carries the step count, so
 observers read the interpreter's ``steps`` there.  The profiled variant
 has its own memo key and artifact file; the plain lowering is unchanged
-by it.  The
-:class:`~repro.core.runtime.DcaRuntime` ``fast_intrinsics`` contract is
-honored: when the runtime opts in, the five ``rt_*`` intrinsics call the
-handler methods directly with the label baked as a constant (under an
-enabled obs context it opts out, so intrinsics reach its tally).
+by it.
+
+Each ``rt_*`` intrinsic is one direct call of the runtime's method of
+that name (see :data:`~repro.interp.interpreter.RT_INTRINSICS`), bound
+once per function call, traced or not.  Without a runtime the bound
+method is a stand-in raising the interpreter's fault after the
+arguments are evaluated; an unknown intrinsic is a :class:`CompileError`,
+so the interpreter fallback raises its own fault.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ import os
 import re
 import tempfile
 from collections import OrderedDict
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
@@ -69,9 +73,9 @@ from repro.analysis.loops import build_loop_forest
 from repro.interp.events import LoopCtx
 from repro.interp.interpreter import (
     _DEFAULT_MAX_STEPS,
+    RT_INTRINSICS,
     _trunc_div,
     Interpreter,
-    RuntimeHooks,
     counted_run,
 )
 from repro.interp.values import (
@@ -128,8 +132,9 @@ CODEGEN_CACHE_ENV = SETTINGS["codegen_cache_dir"].env
 
 #: Bumped whenever the lowering or artifact layout changes shape; stale
 #: artifacts then miss on the header check and are recompiled.  (2: loop
-#: events carry the step count.)
-_ARTIFACT_VERSION = 2
+#: events carry the step count; 3: intrinsics call the runtime's ``rt_*``
+#: methods.)
+_ARTIFACT_VERSION = 3
 _ARTIFACT_MAGIC = b"RPCG"
 #: Profiled-variant artifacts: a different magic, so neither variant
 #: ever loads the other's code, and the module digest in the header, so
@@ -145,13 +150,18 @@ class CompileError(Exception):
     """
 
 
-# The five DCA intrinsic names, mirrored from repro.core.instrument
-# (string literals here to keep interp free of a core dependency).
-_RT_RECORD = "rt_iterator_record"
-_RT_PERMUTE = "rt_iterator_permute"
-_RT_NEXT = "rt_iterator_next"
-_RT_GET = "rt_iterator_get"
-_RT_VERIFY = "rt_verify"
+def _no_runtime_method(name: str) -> Callable:
+    def missing(*_args) -> None:
+        raise MiniCRuntimeError(f"intrinsic {name!r} executed without a runtime")
+
+    return missing
+
+
+#: Stands in for a missing runtime: each ``rt_*`` method raises the
+#: interpreter's fault once the call's arguments are evaluated.
+_NO_RUNTIME = SimpleNamespace(
+    **{name: _no_runtime_method(name) for name in RT_INTRINSICS}
+)
 
 _ref_eq = Interpreter._ref_eq
 
@@ -319,8 +329,8 @@ class _FuncEmitter:
         self.uses_globals = False
         self.uses_heap = False
         self.uses_print = False
-        self.has_intrinsics = False
-        self.fast_methods: set = set()
+        #: Names of the ``rt_*`` intrinsics this function calls.
+        self.intrinsics: set = set()
         #: Profiled lowering: event-site indices into ``_I`` (None for the
         #: plain lowering).
         self.site_idx = site_idx
@@ -373,35 +383,16 @@ class _FuncEmitter:
                 elif t is CallBuiltin and ins.func == "print":
                     self.uses_print = True
                 elif t is Intrinsic:
-                    self.has_intrinsics = True
-                    m = self._fast_method(ins)
-                    if m is not None:
-                        self.fast_methods.add(m)
+                    if ins.func not in RT_INTRINSICS:
+                        raise CompileError(
+                            f"unknown DCA intrinsic {ins.func!r}"
+                        )
+                    self.intrinsics.add(ins.func)
                 if t in _SITE_TYPES:
                     if t is Call:
                         self.uses_calls = True
                     else:
                         self.uses_mem = True
-
-    @staticmethod
-    def _fast_method(ins: Intrinsic) -> Optional[str]:
-        """Which fast-dispatch method this intrinsic specializes to."""
-        args = ins.args
-        if not args or type(args[0]) is not Const:
-            return None
-        name = ins.func
-        if name == _RT_GET and ins.dest is not None and len(args) == 2 \
-                and type(args[1]) is Const:
-            return "_get"
-        if name == _RT_NEXT and ins.dest is not None and len(args) == 1:
-            return "_next"
-        if name == _RT_RECORD and ins.dest is None:
-            return "_record"
-        if name == _RT_PERMUTE and ins.dest is None and len(args) == 1:
-            return "_permute"
-        if name == _RT_VERIFY and ins.dest is None:
-            return "_verify"
-        return None
 
     # -- block layout -------------------------------------------------------
 
@@ -523,13 +514,12 @@ class _FuncEmitter:
             w(1, "_heap = _state.heap")
         if self.uses_print:
             w(1, "_out_append = _state.output.append")
-        if self.has_intrinsics:
+        if self.intrinsics:
             w(1, "_rt = _state.runtime")
-            if self.fast_methods:
-                w(1, "_rt_fast = _rt is not None and _rt.fast_intrinsics")
-                w(1, "if _rt_fast:")
-                for m in sorted(self.fast_methods):
-                    w(2, f"_rt{m} = _rt.{m}")
+            w(1, "if _rt is None:")
+            w(2, "_rt = _NO_RUNTIME")
+            for name in sorted(self.intrinsics):
+                w(1, f"_{name} = _rt.{name}")
         w(1, "_max = _state.max_steps")
         w(1, "_steps = _state.steps")
         if self.profiled:
@@ -874,38 +864,8 @@ class _FuncEmitter:
         self.w(ind + 1, f"raise _MiniC({ins.func + ': '!r} + str(_be)) from None")
 
     def _emit_intrinsic(self, ind: int, ins: Intrinsic) -> None:
-        fast = self._fast_method(ins)
-        w = self.w
-        if fast is not None:
-            label = _lit(ins.args[0].value)
-            w(ind, "if _rt_fast:")
-            if fast == "_get":
-                idx = _lit(ins.args[1].value)
-                w(ind + 1, f"{self.reg(ins.dest)} = _rt_get({label}, {idx})")
-            elif fast == "_next":
-                w(ind + 1, f"{self.reg(ins.dest)} = _rt_next({label})")
-            elif fast == "_record":
-                vals = [self.ex(a) for a in ins.args[1:]]
-                tup = ", ".join(vals) + ("," if len(vals) == 1 else "")
-                w(ind + 1, f"_rt_record({label}, ({tup}))")
-            elif fast == "_permute":
-                w(ind + 1, f"_rt_permute({label})")
-            else:  # _verify
-                vals = ", ".join(self.ex(a) for a in ins.args[1:])
-                w(ind + 1, f"_rt_verify(_state, {label}, [{vals}])")
-            w(ind, "else:")
-            self._emit_intrinsic_generic(ind + 1, ins)
-        else:
-            self._emit_intrinsic_generic(ind, ins)
-
-    def _emit_intrinsic_generic(self, ind: int, ins: Intrinsic) -> None:
-        # Interpreter order: evaluate args, then fault if no runtime.
-        self.bare_reads(ind, ins.args)
-        nort = f"intrinsic {ins.func!r} executed without a runtime"
-        self.w(ind, "if _rt is None:")
-        self.w(ind + 1, f"raise _MiniC({nort!r})")
-        args = ", ".join(self.ex(a) for a in ins.args)
-        call = f"_rt.handle_intrinsic(_state, {ins.func!r}, [{args}])"
+        args = ", ".join(["_state"] + [self.ex(a) for a in ins.args])
+        call = f"_{ins.func}({args})"
         if ins.dest is not None:
             self.w(ind, f"{self.reg(ins.dest)} = {call}")
         else:
@@ -959,6 +919,7 @@ def _build_namespace(module: Module, profiled: bool) -> Dict[str, object]:
         "_tdiv": _trunc_div,
         "_fdiv": _fdiv,
         "_ulbe": _ulbe_reg_name,
+        "_NO_RUNTIME": _NO_RUNTIME,
         "_SD": sd,
         "_ET": et,
         "_nan": float("nan"),
@@ -1178,7 +1139,7 @@ class CodegenExecutor:
     def __init__(
         self,
         program,
-        runtime: Optional[RuntimeHooks] = None,
+        runtime=None,
         max_steps: Optional[int] = None,
     ):
         if isinstance(program, Module):
@@ -1235,7 +1196,7 @@ class ProfiledCodegenExecutor(CodegenExecutor):
     def __init__(
         self,
         program,
-        runtime: Optional[RuntimeHooks] = None,
+        runtime=None,
         observers=(),
         max_steps: Optional[int] = None,
     ):

@@ -19,7 +19,7 @@ from repro.interp.codegen import (
     ProfiledCodegenExecutor,
     compile_module_codegen,
 )
-from repro.interp.interpreter import Interpreter, RuntimeHooks
+from repro.interp.interpreter import Interpreter
 from repro.ir.function import Module
 from repro.settings import SETTINGS, resolve
 
@@ -42,7 +42,7 @@ EXEC_BACKENDS = SETTINGS["exec_backend"].choices
 
 def create_executor(
     module: Module,
-    runtime: Optional[RuntimeHooks] = None,
+    runtime=None,
     observers=None,
     max_steps: Optional[int] = None,
     exec_backend: Optional[str] = None,
@@ -64,7 +64,7 @@ def select_executor(
     exec_backend: Optional[str],
     compile_program: Callable[[], CodegenProgram],
     load_module: Callable[[], Module],
-    runtime: Optional[RuntimeHooks] = None,
+    runtime=None,
     observers=None,
     max_steps: Optional[int] = None,
 ):

@@ -7,13 +7,14 @@ Executes a :class:`repro.ir.function.Module` with:
 * dynamic loop-context tracking against the natural-loop forest, published
   as enter/iteration/exit events;
 * memory-access events for every global/field/element read and write;
-* an optional *runtime* object that receives ``Intrinsic`` calls — this is
-  how the DCA runtime library (paper Fig. 3) plugs in;
+* an optional *runtime* object whose ``rt_*`` methods the ``Intrinsic``
+  instructions call — this is how the DCA runtime library (paper Fig. 3)
+  plugs in;
 * cheap observability hooks (``repro.obs``): :func:`counted_run`, which
   the codegen backend shares, publishes each run's instructions retired
   when the process-local observability context is enabled (even on a
-  faulting run); the DCA runtime tallies intrinsics per name.  When the
-  context is disabled — the default — that is one check per run.
+  faulting run).  When the context is disabled — the default — that is
+  one check per run.
 
 One ``Interpreter`` instance corresponds to one execution of the program.
 """
@@ -98,21 +99,17 @@ def counted_run(executor, fn: Callable, *args) -> object:
         metrics.counter("interp.instructions").inc(executor.steps - start)
 
 
-class RuntimeHooks:
-    """Interface for objects receiving ``Intrinsic`` instructions."""
-
-    #: Opt-in contract for the codegen backend: when True, the runtime
-    #: guarantees that ``handle_intrinsic`` for the five ``rt_*`` DCA
-    #: intrinsics is a pure dispatch to ``_get``/``_next``/``_record``/
-    #: ``_permute``/``_verify``, so generated code may call those methods
-    #: directly and skip the per-call name dispatch.  Hooks that wrap or
-    #: intercept ``handle_intrinsic`` must leave this False.
-    fast_intrinsics = False
-
-    def handle_intrinsic(
-        self, interp: "Interpreter", name: str, args: List[object]
-    ) -> object:
-        raise MiniCRuntimeError(f"no runtime installed for intrinsic {name!r}")
+#: The DCA runtime library's intrinsics (paper Fig. 3).  An ``Intrinsic``
+#: named after one calls the attached runtime's method of that name with
+#: the executor, then the evaluated arguments; both backends call it
+#: directly, traced or not.
+RT_INTRINSICS = (
+    "rt_iterator_record",
+    "rt_iterator_permute",
+    "rt_iterator_next",
+    "rt_iterator_get",
+    "rt_verify",
+)
 
 
 class Interpreter:
@@ -121,7 +118,7 @@ class Interpreter:
     def __init__(
         self,
         module: Module,
-        runtime: Optional[RuntimeHooks] = None,
+        runtime=None,
         observers: Optional[Sequence[Observer]] = None,
         max_steps: Optional[int] = None,
     ):
@@ -469,6 +466,8 @@ class Interpreter:
             raise MiniCRuntimeError(
                 f"intrinsic {instr.func!r} executed without a runtime"
             )
-        result = self.runtime.handle_intrinsic(self, instr.func, args)
+        if instr.func not in RT_INTRINSICS:
+            raise MiniCRuntimeError(f"unknown DCA intrinsic {instr.func!r}")
+        result = getattr(self.runtime, instr.func)(self, *args)
         if instr.dest is not None:
             frame[instr.dest] = result

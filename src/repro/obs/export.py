@@ -11,10 +11,10 @@ Prometheus client library.
 Dotted internal metric names are mangled deterministically
 (``dca.schedule_executions`` → ``repro_dca_schedule_executions``), and
 dimensional name families — counters whose last dotted segment is an
-open-ended label such as ``interp.intrinsic.<name>`` — collapse into a
-single family with a label (``repro_interp_intrinsic_total{name="..."}``)
+open-ended label such as ``static.verdict.<verdict>`` — collapse into a
+single family with a label (``repro_static_verdict_total{verdict="..."}``)
 per the :data:`LABEL_RULES` table, which keeps the exposition's
-family count stable as programs exercise new intrinsics or verdicts.
+family count stable as programs exercise new verdicts or backends.
 
 Stdlib-only by design — enforced by ``tools/check_obs_stdlib.py`` in CI.
 """
@@ -40,7 +40,6 @@ METRIC_PREFIX = "repro_"
 #: whose dotted name starts with the prefix exports as one family named
 #: after the prefix, with the remainder of the name as the label value.
 LABEL_RULES: Tuple[Tuple[str, str], ...] = (
-    ("interp.intrinsic.", "name"),
     ("static.verdict.", "verdict"),
     ("batch.outcome.", "status"),
     ("exec.fallback.", "reason"),

@@ -250,6 +250,31 @@ def test_session_detect():
     assert "profile" in outcome.costs
 
 
+#: A parameterized entry: every run, the baselines' profile included,
+#: must receive the configured arguments.
+PARAM_PROGRAM = """
+func int main(int n) {
+  int[] a = new int[n];
+  int s = 0;
+  for (int i = 0; i < n; i = i + 1) { a[i] = i * 3 + 1; }
+  for (int i = 0; i < n; i = i + 1) { s += a[i]; }
+  return s;
+}
+"""
+
+
+def test_session_detect_runs_entry_with_config_args():
+    profiled = []
+    for n in (8, 16):
+        config = AnalysisConfig(cache_mode="off", args=(n,))
+        with AnalysisSession(config) as session:
+            outcome = session.detect(PARAM_PROGRAM)
+        assert len(outcome.report.results) == 2
+        assert set(outcome.baselines["dep-profiling"]) == {"main.L0", "main.L1"}
+        profiled.append(outcome.costs["profile"]["instructions"])
+    assert 0 < profiled[0] < profiled[1]
+
+
 def test_session_profile():
     try:
         with AnalysisSession(AnalysisConfig(cache_mode="off")) as session:

@@ -42,7 +42,6 @@ from repro.interp.codegen import (
 )
 from repro.interp.compiler import EXEC_BACKENDS
 from repro.interp.events import Observer
-from repro.interp.interpreter import RuntimeHooks
 from repro.settings import SETTINGS, resolve
 
 EXEC_BACKEND_ENV = SETTINGS["exec_backend"].env
@@ -247,10 +246,10 @@ def test_missing_entry_and_arity_messages():
     ).run("add", [2, 3])
 
 
-def _observe_module():
-    """An instrumented module: intrinsics appear only in those."""
+def _loop_specs():
+    """A one-loop module, its loop label and verify specs."""
     from repro.analysis.purity import EffectAnalysis
-    from repro.core.instrument import build_observe_module, compute_verify_spec
+    from repro.core.instrument import compute_verify_spec
 
     module = compile_program(
         """
@@ -265,6 +264,14 @@ def _observe_module():
     label = next(iter(func.loops))
     effects = EffectAnalysis(module)
     specs = {label: compute_verify_spec(module, func, label, effects)}
+    return module, label, specs
+
+
+def _observe_module():
+    """An instrumented module: intrinsics appear only in those."""
+    from repro.core.instrument import build_observe_module
+
+    module, _label, specs = _loop_specs()
     return build_observe_module(module, specs)
 
 
@@ -282,35 +289,45 @@ def test_intrinsic_without_runtime_message_parity():
     assert "executed without a runtime" in msgs[0]
 
 
-def test_fast_intrinsics_flag_contract():
-    # DcaRuntime opts into direct intrinsic dispatch; the base hook and
-    # any custom runtime default to the handle_intrinsic path.
-    assert DcaRuntime.fast_intrinsics is True
-    assert RuntimeHooks.fast_intrinsics is False
+def test_backends_make_the_same_rt_calls():
+    # Any object with the rt_* methods is a runtime: both executors call
+    # them with themselves first, then the same arguments in the same
+    # order, traced or not.
+    from types import SimpleNamespace
 
-    # Generated code calls the handler methods only for an opted-in
-    # runtime; a wrapping hook still sees every intrinsic by name.
-    class Recording(DcaRuntime):
-        fast_intrinsics = False
+    from repro.core.instrument import build_test_module
+    from repro.core.schedules import ReverseSchedule
+    from repro.interp import RT_INTRINSICS
 
-        def __init__(self):
-            super().__init__(specs={}, capture=())
-            self.seen = []
+    module, label, specs = _loop_specs()
+    replay = build_test_module(module, label, specs[label]).module
 
-        def handle_intrinsic(self, interp, name, args):
-            self.seen.append(name)
-            return super().handle_intrinsic(interp, name, args)
+    def recording(calls, executors):
+        inner = DcaRuntime(specs, schedule=ReverseSchedule(), capture=())
 
-    observe = _observe_module()
-    for make in (Interpreter, CodegenExecutor):
-        runtime = Recording()
-        assert make(observe, runtime=runtime).run("main", []) == 6
-        assert runtime.seen and set(runtime.seen) <= {
-            "rt_iterator_record", "rt_iterator_permute", "rt_iterator_next",
-            "rt_iterator_get", "rt_verify",
-        }
-    fast = DcaRuntime(specs={}, capture=())
-    assert CodegenExecutor(observe, runtime=fast).run("main", []) == 6
+        def bind(name):
+            method = getattr(inner, name)
+
+            def call(executor, *args):
+                executors.add(id(executor))
+                calls.append((name,) + args)
+                return method(executor, *args)
+
+            return call
+
+        return SimpleNamespace(**{n: bind(n) for n in RT_INTRINSICS})
+
+    seen = []
+    for enabled in (False, True):
+        for make in (Interpreter, CodegenExecutor):
+            calls, executors = [], set()
+            with obs.enabled() if enabled else obs.disabled():
+                executor = make(replay, runtime=recording(calls, executors))
+                assert executor.run("main", []) == 6
+            assert executors == {id(executor)}
+            seen.append(calls)
+    assert {call[0] for call in seen[0]} == set(RT_INTRINSICS)
+    assert all(calls == seen[0] for calls in seen)
 
 
 # -- backend selection seam --------------------------------------------------

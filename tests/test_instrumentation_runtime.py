@@ -176,11 +176,24 @@ def test_mismatch_raises_fail_fast():
 
 
 def test_runtime_rejects_unknown_intrinsic():
+    # Codegen refuses to lower an unknown intrinsic, so the interpreter
+    # fallback raises the same fault under both backends.
+    from repro.interp.compiler import create_executor
     from repro.interp.values import MiniCRuntimeError
+    from repro.ir.instructions import Const
 
-    runtime = DcaRuntime(specs={})
-    with pytest.raises(MiniCRuntimeError):
-        runtime.handle_intrinsic(None, "rt_bogus", ["x"])
+    module = compile_program(SOURCE)
+    entry = module.functions["main"].blocks[module.functions["main"].entry]
+    entry.instrs.insert(0, Intrinsic(None, "rt_bogus", [Const("x")]))
+    messages = []
+    for backend in ("interp", "codegen"):
+        executor = create_executor(
+            module, runtime=DcaRuntime(specs={}), exec_backend=backend
+        )
+        with pytest.raises(MiniCRuntimeError) as exc:
+            executor.run()
+        messages.append(str(exc.value))
+    assert messages == ["unknown DCA intrinsic 'rt_bogus'"] * 2
 
 
 def test_capture_disabled_still_counts_invocations():
@@ -201,15 +214,15 @@ def test_permutation_cache_shared_across_invocations():
     rt = DcaRuntime(specs={}, schedule=RandomSchedule(seed=7))
     for _ in range(2):
         for i in range(5):
-            rt._record("main.L0", (i,))
-        rt._permute("main.L0")
+            rt.rt_iterator_record(None, "main.L0", i)
+        rt.rt_iterator_permute(None, "main.L0")
     first, second = rt._active["main.L0"]
     assert first.order is second.order  # one Fisher-Yates per (name, n)
     assert sorted(first.order) == list(range(5))
     # A different trip count gets its own permutation.
     for i in range(3):
-        rt._record("main.L0", (i,))
-    rt._permute("main.L0")
+        rt.rt_iterator_record(None, "main.L0", i)
+    rt.rt_iterator_permute(None, "main.L0")
     assert sorted(rt._active["main.L0"][-1].order) == list(range(3))
 
 

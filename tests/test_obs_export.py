@@ -53,23 +53,23 @@ def test_mangle_replaces_invalid_chars_and_prefixes():
 
 def test_label_rules_collapse_dimensional_families():
     registry = MetricsRegistry()
-    registry.counter("interp.intrinsic.rt_verify").inc(3)
-    registry.counter("interp.intrinsic.print").inc(1)
+    registry.counter("exec.backend.codegen").inc(3)
+    registry.counter("exec.backend.interp").inc(1)
     text = render_openmetrics(registry)
     families = parse_openmetrics(text)
-    fam = families["repro_interp_intrinsic"]
+    fam = families["repro_exec_backend"]
     assert fam["type"] == "counter"
-    samples = {labels["name"]: value for _n, labels, value in fam["samples"]}
-    assert samples == {"rt_verify": 3.0, "print": 1.0}
+    samples = {labels["backend"]: value for _n, labels, value in fam["samples"]}
+    assert samples == {"codegen": 3.0, "interp": 1.0}
 
 
 def test_label_values_escape_and_round_trip():
     registry = MetricsRegistry()
     tricky = 'weird\\name"with\nnewline'
-    registry.counter("interp.intrinsic." + tricky).inc()
+    registry.counter("exec.backend." + tricky).inc()
     families = parse_openmetrics(render_openmetrics(registry))
-    (_name, labels, value), = families["repro_interp_intrinsic"]["samples"]
-    assert labels == {"name": tricky}
+    (_name, labels, value), = families["repro_exec_backend"]["samples"]
+    assert labels == {"backend": tricky}
     assert value == 1.0
 
 

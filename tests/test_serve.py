@@ -183,6 +183,21 @@ class TestEndpoints:
             "dep-profiling", "discopop", "icc", "idioms", "polly",
         ]
 
+    def test_detect_passes_entry_args(self, client):
+        source = (
+            "func int main(int n) {\n"
+            "  int[] a = new int[n];\n"
+            "  for (int i = 0; i < n; i = i + 1) { a[i] = i * 2; }\n"
+            "  return a[n - 1];\n"
+            "}\n"
+        )
+        status, _, data = client.request_json(
+            "POST", "/v1/detect", {"source": source, "args": [8]}
+        )
+        assert status == 200, data
+        assert data["kind"] == "detect"
+        assert len(data["report"]["loops"]) == 1
+
     def test_parse_error_is_400(self, client):
         status, _, data = client.analyze(BROKEN)
         assert status == 400
