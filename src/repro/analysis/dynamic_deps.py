@@ -22,12 +22,18 @@ Consumers:
   recognition);
 * the dependence-profiling and DiscoPoP-style baselines decide
   parallelizability from the cross-iteration edges.
+
+The DCA analyzer reads the profile only through :meth:`DynamicDepProfiler.
+summary`: a :class:`ProfileSummary` with the concrete locations folded
+into one privatization flag per carried site pair.  It is small enough to
+memoize per workload in the persistent analysis cache
+(:meth:`ProfileSummary.to_payload`), so a warm analysis runs no profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.loops import build_loop_forest
 from repro.interp.events import Observer
@@ -37,6 +43,8 @@ __all__ = [
     "DepEdge",
     "DynamicDepProfiler",
     "LoopDeps",
+    "LoopProfile",
+    "ProfileSummary",
     "SiteRegistry",
 ]
 
@@ -45,6 +53,9 @@ Site = Tuple[str, str, int]
 
 #: (label, invocation, iteration) snapshots of the loop stack.
 LoopSnap = Tuple[str, int, int]
+
+#: (writer site, reader site) of a dependence.
+SitePair = Tuple[Site, Site]
 
 
 @dataclass(frozen=True)
@@ -112,14 +123,110 @@ class LoopDeps:
         return {(e.writer, e.reader) for e in self.edges if e.kind == "raw"}
 
 
+@dataclass(frozen=True)
+class LoopProfile:
+    """One loop's dependences between static sites, with the concrete
+    locations folded away: what iterator recognition and tiering read."""
+
+    #: Same-invocation flow (RAW) pairs: iterator-recognition input.
+    memory_flow: FrozenSet[SitePair] = frozenset()
+    #: Every pair with a dependence of any kind.
+    pairs: FrozenSet[SitePair] = frozenset()
+    #: Cross-iteration pair -> whether every location it was seen on is
+    #: privatizable (:meth:`DynamicDepProfiler.is_privatizable`).
+    carried: Mapping[SitePair, bool] = field(default_factory=dict)
+    #: Cross-iteration flow (RAW) pairs.
+    carried_raw: FrozenSet[SitePair] = frozenset()
+
+
+_NO_DEPS = LoopProfile()
+
+
+@dataclass(frozen=True)
+class ProfileSummary:
+    """What the DCA analyzer keeps of one profile run."""
+
+    #: Instructions the profile run executed.
+    steps: int
+    #: Highest trip count per entered loop (its keys are the entered
+    #: loops).
+    max_trips: Mapping[str, int]
+    #: label -> dependence facts, for loops with at least one dependence.
+    loops: Mapping[str, LoopProfile]
+
+    def loop(self, label: str) -> LoopProfile:
+        return self.loops.get(label, _NO_DEPS)
+
+    def to_payload(self) -> Dict[str, object]:
+        """JSON-ready form: every site once in ``sites``, each pair list
+        flattened to site indices ``[w0, r0, w1, r1, ...]``."""
+        sites = sorted({
+            site
+            for deps in self.loops.values()
+            for pair in deps.pairs
+            for site in pair
+        })
+        index = {site: i for i, site in enumerate(sites)}
+
+        def flat(pairs) -> List[int]:
+            return [index[site] for pair in sorted(pairs) for site in pair]
+
+        return {
+            "steps": self.steps,
+            "max_trips": dict(sorted(self.max_trips.items())),
+            "sites": [list(site) for site in sites],
+            "loops": {
+                label: {
+                    "memory_flow": flat(deps.memory_flow),
+                    "pairs": flat(deps.pairs),
+                    "carried": flat(deps.carried),
+                    "privatizable": [
+                        deps.carried[pair] for pair in sorted(deps.carried)
+                    ],
+                    "carried_raw": flat(deps.carried_raw),
+                }
+                for label, deps in sorted(self.loops.items())
+            },
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, object]) -> "ProfileSummary":
+        """Inverse of :meth:`to_payload`."""
+        sites = [tuple(site) for site in payload["sites"]]
+
+        def pairs(flat: List[int]) -> List[SitePair]:
+            it = iter(flat)
+            return [(sites[w], sites[r]) for w, r in zip(it, it)]
+
+        loops = {}
+        for label, entry in payload["loops"].items():
+            loops[label] = LoopProfile(
+                memory_flow=frozenset(pairs(entry["memory_flow"])),
+                pairs=frozenset(pairs(entry["pairs"])),
+                carried=dict(
+                    zip(pairs(entry["carried"]), entry["privatizable"])
+                ),
+                carried_raw=frozenset(pairs(entry["carried_raw"])),
+            )
+        return cls(
+            steps=payload["steps"],
+            max_trips=dict(payload["max_trips"]),
+            loops=loops,
+        )
+
+
 class DynamicDepProfiler(Observer):
-    """Observer building :class:`LoopDeps` for every loop executed.
+    """Observer recording the dependences of every loop executed.
 
     The handlers run once per memory access of the profiled execution,
     so their state is kept in plain tuples and lists: an access is
     ``(sites, loops)`` — the attribution chain's loop label -> site map
-    and the loop-stack snapshot — and a :class:`DepEdge` is built only
-    the first time its tuple key is seen.
+    and the loop-stack snapshot — and an edge is recorded only the first
+    time its tuple key is seen on a location: the location is appended
+    under its ``(label, kind, writer, reader, same_iteration)`` key.
+    :attr:`loop_deps` builds the :class:`DepEdge` sets from those on
+    demand, and :meth:`summary` folds each key's locations without
+    building any.
     """
 
     wants_memory = True
@@ -130,7 +237,11 @@ class DynamicDepProfiler(Observer):
 
     def __init__(self, module: Module, registry: Optional[SiteRegistry] = None):
         self.registry = registry or SiteRegistry(module)
-        self.loop_deps: Dict[str, LoopDeps] = {}
+        #: Edge key -> the concrete locations it was seen on.
+        self._edge_locs: Dict[Tuple, List] = {}
+        #: The :attr:`loop_deps` built from ``_edge_locs``; None once a
+        #: new edge makes it stale.
+        self._loop_deps: Optional[Dict[str, LoopDeps]] = None
         #: loc -> [last write access or None, reads since that write,
         #: loop snapshot of the latest access, privatization states
         #: (see _update_priv), keys of the edges recorded on loc].
@@ -318,11 +429,12 @@ class DynamicDepProfiler(Observer):
                 self._add_edge(key, loc)
 
     def _add_edge(self, key: Tuple, loc) -> None:
-        label, kind, w_site, r_site, same_iteration = key
-        deps = self.loop_deps.get(label)
-        if deps is None:
-            deps = self.loop_deps[label] = LoopDeps(label)
-        deps.edges.add(DepEdge(kind, w_site, r_site, same_iteration, loc))
+        locs = self._edge_locs.get(key)
+        if locs is None:
+            self._edge_locs[key] = [loc]
+        else:
+            locs.append(loc)
+        self._loop_deps = None
 
     @staticmethod
     def _update_priv(states: Dict[str, list], snap, is_write: bool) -> None:
@@ -339,6 +451,66 @@ class DynamicDepProfiler(Observer):
                     state[2] = False
 
     # -- results ---------------------------------------------------------------
+
+    @property
+    def loop_deps(self) -> Dict[str, LoopDeps]:
+        """Label -> :class:`LoopDeps` of every loop with an edge."""
+        if self._loop_deps is None:
+            self._loop_deps = {}
+            for key, locs in self._edge_locs.items():
+                label, kind, w_site, r_site, same_iteration = key
+                deps = self._loop_deps.get(label)
+                if deps is None:
+                    deps = self._loop_deps[label] = LoopDeps(label)
+                deps.edges.update(
+                    DepEdge(kind, w_site, r_site, same_iteration, loc)
+                    for loc in locs
+                )
+        return self._loop_deps
+
+    def summary(self, steps: int) -> ProfileSummary:
+        """The profile as the DCA analyzer reads it, for a run of
+        ``steps`` instructions."""
+        locs_state = self._locs
+        building: Dict[str, Tuple[set, set, dict, set]] = {}
+        for key, locs in self._edge_locs.items():
+            label, kind, w_site, r_site, same_iteration = key
+            parts = building.get(label)
+            if parts is None:
+                parts = building[label] = (set(), set(), {}, set())
+            flow, pairs, carried, carried_raw = parts
+            pair = (w_site, r_site)
+            pairs.add(pair)
+            if kind == "raw":
+                flow.add(pair)
+            if same_iteration:
+                continue
+            if kind == "raw":
+                carried_raw.add(pair)
+            if carried.get(pair, True):
+                # is_privatizable over every location, inlined: a
+                # location this loop never touched has no state.
+                private = True
+                for loc in locs:
+                    state = locs_state[loc][3].get(label)
+                    if state is not None and not state[2]:
+                        private = False
+                        break
+                carried[pair] = private
+        return ProfileSummary(
+            steps=steps,
+            max_trips=dict(self.max_trips),
+            loops={
+                label: LoopProfile(
+                    memory_flow=frozenset(flow),
+                    pairs=frozenset(pairs),
+                    carried=carried,
+                    carried_raw=frozenset(carried_raw),
+                )
+                for label, (flow, pairs, carried, carried_raw)
+                in building.items()
+            },
+        )
 
     def deps_for(self, label: str) -> LoopDeps:
         return self.loop_deps.get(label, LoopDeps(label))

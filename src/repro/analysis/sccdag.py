@@ -11,9 +11,10 @@ This module builds that SCC-DAG per loop from two ingredients the
 pipeline already computes:
 
 * **dynamic memory dependences** (:class:`~repro.analysis.dynamic_deps.
-  LoopDeps`) — writer→reader edges between static instruction sites,
-  tagged same- vs cross-iteration, each carrying the concrete location
-  so privatization facts apply per edge;
+  LoopProfile`, one loop's entry in the profile summary) — writer→reader
+  pairs of static instruction sites, the cross-iteration ones flagged
+  privatizable when the profile saw every location on the pair written
+  before read in each iteration;
 * **static register def→use edges** inside the loop body — these carry
   the scalar recurrences (``cur = cur*3 + a[i]``) that never touch
   memory and would otherwise be invisible to the profile.
@@ -41,9 +42,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
-from repro.analysis.dynamic_deps import LoopDeps
+from repro.analysis.dynamic_deps import LoopProfile
 from repro.analysis.loops import Loop
 from repro.analysis.reductions import (
     CARRIED_UNKNOWN,
@@ -239,34 +242,29 @@ def _scc_partition(
 def build_sccdag(
     func: Function,
     loop: Loop,
-    deps: LoopDeps,
+    deps: LoopProfile,
     idioms: LoopIdioms,
-    is_privatizable: Callable[[Tuple], bool],
 ) -> SccDag:
     """Condense the loop's dependence graph and classify every SCC.
 
-    ``deps`` supplies the profiled memory edges (all kinds, same- and
-    cross-iteration); ``idioms`` the carried-scalar classification;
-    ``is_privatizable`` the profile's written-before-read fact for one
-    concrete location.
+    ``deps`` supplies the profiled memory dependences (all kinds, same-
+    and cross-iteration) with the privatization flag of each carried
+    pair; ``idioms`` the carried-scalar classification.
     """
     sites = _loop_sites(func, loop)
     site_set = set(sites)
     edges: Set[Tuple[Site, Site]] = _register_edges(func, loop, sites)
-    #: (writer site, reader site) -> concrete locations of the
-    #: cross-iteration memory edges between them (privatization needs
-    #: every location on the static edge, not just one).
-    carried_mem: Dict[Tuple[Site, Site], List[Tuple]] = {}
-    carried_flow: Set[Tuple[Site, Site]] = set()
-    for edge in deps.edges:
-        if edge.writer not in site_set or edge.reader not in site_set:
-            continue  # attributed to an enclosing loop's sites
-        edges.add((edge.writer, edge.reader))
-        if not edge.same_iteration:
-            key = (edge.writer, edge.reader)
-            carried_mem.setdefault(key, []).append(edge.loc)
-            if edge.kind == "raw":
-                carried_flow.add(key)
+    # Pairs attributed to an enclosing loop's sites are dropped.
+    edges.update(
+        pair for pair in deps.pairs
+        if pair[0] in site_set and pair[1] in site_set
+    )
+    #: Cross-iteration (writer site, reader site) -> every location on
+    #: it privatizable.
+    carried_mem: Dict[Tuple[Site, Site], bool] = {
+        pair: private for pair, private in deps.carried.items()
+        if pair[0] in site_set and pair[1] in site_set
+    }
 
     adjacency: Dict[Site, List[Site]] = {}
     for src, dst in sorted(edges):
@@ -307,8 +305,7 @@ def build_sccdag(
             scalar_class_at,
             histogram_sites,
             carried_mem,
-            carried_flow,
-            is_privatizable,
+            deps.carried_raw,
         )
         dag.nodes.append(
             SccNode(
@@ -337,9 +334,8 @@ def _classify_scc(
     edges: Set[Tuple[Site, Site]],
     scalar_class_at: Dict[Site, List[Tuple[str, str]]],
     histogram_sites: Set[Tuple[str, int]],
-    carried_mem: Dict[Tuple[Site, Site], List[Tuple]],
-    carried_flow: Set[Tuple[Site, Site]],
-    is_privatizable: Callable[[Tuple], bool],
+    carried_mem: Mapping[Tuple[Site, Site], bool],
+    carried_flow: FrozenSet[Tuple[Site, Site]],
 ) -> Tuple[str, List[str]]:
     if not cyclic:
         return SCC_PARALLEL, ["acyclic"]
@@ -357,16 +353,14 @@ def _classify_scc(
             elif klass in (CARRIED_UNKNOWN, POINTER_CHASE):
                 sequential_reasons.append(f"{klass} {reg_name}")
 
-    for (writer, reader), locs in sorted(carried_mem.items()):
+    for (writer, reader), private in sorted(carried_mem.items()):
         if writer not in member_set or reader not in member_set:
             continue  # carried edge between SCCs: a DAG edge, not a cycle
         w_key, r_key = (writer[1], writer[2]), (reader[1], reader[2])
         if w_key in histogram_sites and r_key in histogram_sites:
             reduction_reasons.append("histogram update")
             continue
-        if (writer, reader) not in carried_flow and all(
-            is_privatizable(loc) for loc in locs
-        ):
+        if private and (writer, reader) not in carried_flow:
             parallel_reasons.append("privatizable location")
             continue
         sequential_reasons.append(

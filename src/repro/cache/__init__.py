@@ -2,9 +2,10 @@
 
 The dynamic stage of DCA is expensive by construction (one golden run
 plus one run per permutation schedule per loop); this package memoizes
-its per-loop verdicts on disk so repeated and corpus-scale analyses are
-incremental.  See :mod:`repro.cache.keys` for the three-component key
-design and :mod:`repro.cache.store` for the sqlite3 store.
+its per-loop verdicts, and each workload's profile summary, on disk so
+repeated and corpus-scale analyses are incremental.  See
+:mod:`repro.cache.keys` for the key design and :mod:`repro.cache.store`
+for the sqlite3 store.
 
 Typical use goes through :class:`repro.api.AnalysisSession` (pass
 ``cache_dir``) or the CLI (``--cache DIR`` / ``REPRO_CACHE_DIR``, and
@@ -26,6 +27,7 @@ from repro.cache.keys import (
     config_fingerprint,
     fingerprint_description,
     module_workload_digest,
+    profile_key,
 )
 from repro.cache.store import (
     CACHE_DB_NAME,
@@ -42,6 +44,7 @@ __all__ = [
     "fingerprint_description",
     "module_workload_digest",
     "open_cache",
+    "profile_key",
 ]
 
 

@@ -24,6 +24,15 @@ A cached per-loop verdict is addressed by three components:
 Any fingerprint change makes old entries unreachable (a miss); the store
 additionally counts such stale-sibling misses as *invalidations* so the
 effect of a config change is visible in ``repro cache stats``.
+
+A workload's profile summary (:class:`~repro.analysis.dynamic_deps.
+ProfileSummary`) is addressed by the module digest and a **profile key**
+(:func:`profile_key`) instead: the profile run executes the pristine
+program, so only the execution semantics, the summary format and the
+step budget can change it.  Schedules, seeds, ``rtol``, the live-out
+policy, specs, tiering, the static filter, the candidate restriction and
+the exec backend (profiles are equal across backends) do not, so every
+config of one workload shares one summary.
 """
 
 from __future__ import annotations
@@ -36,10 +45,12 @@ from repro.ir.function import Module
 from repro.ir.printer import format_module
 
 __all__ = [
+    "PROFILE_FORMAT",
     "SEMANTICS_VERSION",
     "config_fingerprint",
     "fingerprint_description",
     "module_workload_digest",
+    "profile_key",
 ]
 
 #: Version of the execution semantics the cached verdicts were produced
@@ -57,6 +68,11 @@ __all__ = [
 #: so each entry carries its loop's golden snapshot tally (``"golden"``)
 #: and a warm replay adds it to the report; v2 entries lack it.
 SEMANTICS_VERSION = 3
+
+#: Version of the memoized profile-summary payload
+#: (:meth:`~repro.analysis.dynamic_deps.ProfileSummary.to_payload`); bump
+#: whenever that format or what the profiler records changes.
+PROFILE_FORMAT = 1
 
 
 def _sha256(text: str) -> str:
@@ -118,3 +134,12 @@ def config_fingerprint(description: Dict[str, object]) -> str:
     """Digest of the verdict-relevant analysis configuration, given the
     dict :func:`fingerprint_description` builds."""
     return _sha256(json.dumps(description, sort_keys=True))
+
+
+def profile_key(max_steps: Optional[int] = None) -> str:
+    """The profile-key component of a memoized profile summary's key."""
+    return _sha256(json.dumps({
+        "semantics_version": SEMANTICS_VERSION,
+        "profile_format": PROFILE_FORMAT,
+        "max_steps": max_steps,
+    }, sort_keys=True))

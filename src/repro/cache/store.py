@@ -3,7 +3,8 @@
 The store memoizes per-loop DCA verdicts — the full
 :class:`~repro.core.report.LoopResult` payload plus the loop's
 contribution to report-level accounting — keyed by
-``(module digest, loop id, config fingerprint)`` (see
+``(module digest, loop id, config fingerprint)``, and one profile summary
+per workload keyed by ``(module digest, profile key)`` (see
 :mod:`repro.cache.keys`).  Layout::
 
     <cache dir>/dca-cache.sqlite
@@ -11,6 +12,12 @@ contribution to report-level accounting — keyed by
         entries       the memoized payloads (JSON), usage accounting
         fingerprints  fingerprint -> canonical config description
         modules       module digest -> source provenance (for `verify`)
+        profiles      profile summaries (JSON) + their step budget,
+                      usage accounting
+
+Profile rows are looked up before any loop entry and outside the
+access counters: ``lookups``/``hits``/``misses``/``stores`` and
+``repro cache stats``' traffic line count loop entries only.
 
 Properties the rest of the pipeline relies on:
 
@@ -34,7 +41,8 @@ Properties the rest of the pipeline relies on:
 * **Verifiability.**  When source text is registered for a module,
   ``verify`` can recompile it, re-execute a sample of cached loops with
   the exact recorded configuration, and cross-check verdicts, snapshot
-  digests and golden snapshot tallies.
+  digests and golden snapshot tallies; it re-profiles a sample of
+  profile rows the same way and compares the summaries field by field.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 import repro.obs as obs
-from repro.cache.keys import SEMANTICS_VERSION
+from repro.cache.keys import SEMANTICS_VERSION, profile_key
 
 __all__ = ["AnalysisCache", "CACHE_DB_NAME", "CACHE_MODES"]
 
@@ -90,6 +98,16 @@ CREATE TABLE IF NOT EXISTS modules (
     source_text TEXT,
     entry TEXT NOT NULL DEFAULT 'main',
     args_json TEXT
+);
+CREATE TABLE IF NOT EXISTS profiles (
+    module_digest TEXT NOT NULL,
+    profile_key TEXT NOT NULL,
+    max_steps INTEGER,
+    payload TEXT NOT NULL,
+    created_at REAL NOT NULL,
+    last_used_at REAL NOT NULL,
+    hits INTEGER NOT NULL DEFAULT 0,
+    PRIMARY KEY (module_digest, profile_key)
 );
 """
 
@@ -142,6 +160,7 @@ class AnalysisCache:
             if stored is not None and int(stored) != SEMANTICS_VERSION:
                 self._conn.execute("DELETE FROM entries")
                 self._conn.execute("DELETE FROM fingerprints")
+                self._conn.execute("DELETE FROM profiles")
                 purged = int(rows.get("semantics_purges", "0")) + 1
                 self._set_meta("semantics_purges", str(purged))
             self._set_meta("schema_version", str(_SCHEMA_VERSION))
@@ -277,6 +296,56 @@ class AnalysisCache:
         self._bump("stores")
         return True
 
+    def lookup_profile(
+        self, module_digest: str, key: str
+    ) -> Optional[Dict[str, object]]:
+        """The memoized profile-summary payload of one workload, or None.
+
+        Modes as :meth:`lookup`: a hit bumps the row's usage accounting
+        except in ``ro``; ``refresh`` always misses.
+        """
+        if self.mode == "refresh":
+            return None
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT payload FROM profiles WHERE module_digest=? AND "
+                "profile_key=?",
+                (module_digest, key),
+            ).fetchone()
+            if row is None:
+                return None
+            if self.mode != "ro":
+                with self._conn:
+                    self._conn.execute(
+                        "UPDATE profiles SET hits=hits+1, last_used_at=? "
+                        "WHERE module_digest=? AND profile_key=?",
+                        (self._clock(), module_digest, key),
+                    )
+        return json.loads(row[0])
+
+    def store_profile(
+        self,
+        module_digest: str,
+        key: str,
+        payload: Dict[str, object],
+        max_steps: Optional[int] = None,
+    ) -> bool:
+        """Memoize one workload's profile summary, recorded with the step
+        budget ``key`` was derived from; returns False in ``ro`` mode."""
+        if self.mode == "ro":
+            return False
+        now = self._clock()
+        with self._lock, self._conn:
+            self._conn.execute(
+                "INSERT INTO profiles (module_digest, profile_key, "
+                "max_steps, payload, created_at, last_used_at, hits) "
+                "VALUES (?, ?, ?, ?, ?, ?, 0) "
+                "ON CONFLICT(module_digest, profile_key) DO UPDATE "
+                "SET payload=excluded.payload, created_at=excluded.created_at",
+                (module_digest, key, max_steps, json.dumps(payload), now, now),
+            )
+        return True
+
     def register_module(
         self,
         module_digest: str,
@@ -321,6 +390,9 @@ class AnalysisCache:
         (count_fingerprints,) = self._conn.execute(
             "SELECT COUNT(*) FROM fingerprints"
         ).fetchone()
+        (count_profiles,) = self._conn.execute(
+            "SELECT COUNT(*) FROM profiles"
+        ).fetchone()
         meta = dict(self._conn.execute("SELECT key, value FROM meta"))
         oldest, newest = self._conn.execute(
             "SELECT MIN(created_at), MAX(created_at) FROM entries"
@@ -336,6 +408,7 @@ class AnalysisCache:
             "modules": count_modules,
             "verifiable_modules": count_verifiable,
             "fingerprints": count_fingerprints,
+            "profiles": count_profiles,
             "total_hits": int(total_hits),
             "semantics_version": int(meta.get("semantics_version",
                                               SEMANTICS_VERSION)),
@@ -359,7 +432,8 @@ class AnalysisCache:
         return out
 
     def clear(self) -> int:
-        """Drop every cached verdict; returns the number removed."""
+        """Drop every cached verdict and profile summary; returns the
+        number of verdicts removed."""
         with self._lock:
             with self._conn:
                 (count,) = self._conn.execute(
@@ -368,6 +442,7 @@ class AnalysisCache:
                 self._conn.execute("DELETE FROM entries")
                 self._conn.execute("DELETE FROM fingerprints")
                 self._conn.execute("DELETE FROM modules")
+                self._conn.execute("DELETE FROM profiles")
             self._conn.execute("VACUUM")
         return count
 
@@ -376,13 +451,19 @@ class AnalysisCache:
         max_age_days: Optional[float] = None,
         max_entries: Optional[int] = None,
     ) -> Dict[str, int]:
-        """Expire old entries and cap the store size (LRU beyond the cap)."""
-        removed_age = removed_lru = 0
+        """Expire old entries and cap the store size (LRU beyond the cap).
+
+        A profile row expires by the same age rule, and with the last
+        loop entry of its module."""
+        removed_age = removed_lru = removed_profiles = 0
         with self._lock, self._conn:
             if max_age_days is not None:
                 cutoff = self._clock() - max_age_days * 86400.0
                 removed_age = self._conn.execute(
                     "DELETE FROM entries WHERE last_used_at < ?", (cutoff,)
+                ).rowcount
+                removed_profiles = self._conn.execute(
+                    "DELETE FROM profiles WHERE last_used_at < ?", (cutoff,)
                 ).rowcount
             if max_entries is not None:
                 (count,) = self._conn.execute(
@@ -396,6 +477,10 @@ class AnalysisCache:
                         "ASC, rowid ASC LIMIT ?)",
                         (overflow,),
                     ).rowcount
+            removed_profiles += self._conn.execute(
+                "DELETE FROM profiles WHERE module_digest NOT IN "
+                "(SELECT DISTINCT module_digest FROM entries)"
+            ).rowcount
             # Drop provenance rows no cached entry references any more.
             self._conn.execute(
                 "DELETE FROM modules WHERE module_digest NOT IN "
@@ -412,10 +497,12 @@ class AnalysisCache:
         if ctx.enabled:
             ctx.count("cache.gc.removed_age", removed_age)
             ctx.count("cache.gc.removed_lru", removed_lru)
+            ctx.count("cache.gc.removed_profiles", removed_profiles)
             ctx.gauge("cache.gc.remaining", remaining)
         return {
             "removed_age": removed_age,
             "removed_lru": removed_lru,
+            "removed_profiles": removed_profiles,
             "remaining": remaining,
         }
 
@@ -435,6 +522,10 @@ class AnalysisCache:
         An entry whose recorded configuration does not rebuild to its
         fingerprint (e.g. a spec registry other than the built-in one)
         is reported unverifiable, never re-analyzed under another one.
+
+        Up to ``sample`` profile rows are re-profiled too; their counts
+        are reported apart (``profiles``) and a mismatch names the row
+        by its ``profile`` key instead of a ``loop``.
         """
         from repro.core.config import AnalysisConfig  # local: avoid cycle
         from repro.core.dca import DcaAnalyzer
@@ -511,9 +602,81 @@ class AnalysisCache:
                 )
             else:
                 ok += 1
+        profiles = self._verify_profiles(
+            rng, sample, mismatches, unverifiable
+        )
         return {
             "checked": checked,
             "ok": ok,
+            "profiles": profiles,
             "mismatches": mismatches,
             "unverifiable": unverifiable,
         }
+
+    def _verify_profiles(
+        self,
+        rng: random.Random,
+        sample: int,
+        mismatches: List[Dict[str, object]],
+        unverifiable: List[Dict[str, object]],
+    ) -> Dict[str, int]:
+        """Re-profile a sample of profile rows with registered source;
+        appends to ``mismatches``/``unverifiable``, returns the counts."""
+        from repro.analysis.dynamic_deps import (  # local: avoid cycle
+            DynamicDepProfiler,
+            ProfileSummary,
+        )
+        from repro.driver import compile_program
+        from repro.interp.compiler import create_executor
+
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT p.module_digest, p.profile_key, p.max_steps, "
+                "p.payload, m.source_text, m.entry, m.args_json "
+                "FROM profiles p "
+                "JOIN modules m ON m.module_digest = p.module_digest "
+                "WHERE m.source_text IS NOT NULL AND m.args_json IS NOT NULL "
+                "ORDER BY p.module_digest, p.profile_key"
+            ).fetchall()
+        if len(rows) > sample:
+            rows = rng.sample(rows, sample)
+        checked = ok = 0
+        for digest, key, max_steps, payload_json, source, entry, args_json \
+                in rows:
+            checked += 1
+            try:
+                if profile_key(max_steps) != key:
+                    raise ValueError("recorded profile key cannot be rebuilt")
+                cached = ProfileSummary.from_payload(json.loads(payload_json))
+                module = compile_program(source)
+                profiler = DynamicDepProfiler(module)
+                executor = create_executor(
+                    module, max_steps=max_steps, observers=[profiler]
+                )
+                executor.run(entry, json.loads(args_json))
+                fresh = profiler.summary(executor.steps)
+            except Exception as exc:
+                unverifiable.append(
+                    {"module": digest, "profile": key, "error": repr(exc)}
+                )
+                continue
+            diffs: Dict[str, object] = {}
+            for name in ("steps", "max_trips"):
+                if getattr(fresh, name) != getattr(cached, name):
+                    diffs[name] = {
+                        "expected": getattr(cached, name),
+                        "actual": getattr(fresh, name),
+                    }
+            changed = sorted(
+                label for label in set(fresh.loops) | set(cached.loops)
+                if fresh.loop(label) != cached.loop(label)
+            )
+            if changed:
+                diffs["loops"] = {"changed": changed}
+            if diffs:
+                mismatches.append(
+                    {"module": digest, "profile": key, "diffs": diffs}
+                )
+            else:
+                ok += 1
+        return {"checked": checked, "ok": ok}

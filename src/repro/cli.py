@@ -12,7 +12,9 @@ Usage::
     python -m repro lint program.mc           # static diagnostics only
     python -m repro ir program.mc             # dump the IR
 
-Options: ``--entry NAME`` (default main), ``--rtol X``, ``--policy
+Options: ``--entry NAME`` (default main), ``--arg VALUE`` (one entry
+argument, a JSON scalar; repeat per parameter — a wrong count exits 2
+with a one-line error), ``--rtol X``, ``--policy
 strict|eventual``, ``--cores N`` (adds a simulated speedup to analyze),
 ``--json`` (machine-readable reports), ``--no-static-filter`` (disable
 the static pre-screen and run every loop dynamically), ``--backend
@@ -61,6 +63,7 @@ from typing import List, Optional
 
 from repro.driver import compile_program, run_program
 from repro.interp.compiler import EXEC_BACKENDS
+from repro.interp.values import EntryError
 from repro.settings import SETTINGS, resolve
 
 
@@ -71,12 +74,26 @@ def _read(path: str) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     result, out = run_program(
-        _read(args.program), entry=args.entry, exec_backend=args.exec_backend
+        _read(args.program),
+        entry=args.entry,
+        args=args.args,
+        exec_backend=args.exec_backend,
     )
     sys.stdout.write(out)
     if result is not None:
         print(f"[exit value: {result}]")
     return 0
+
+
+def _json_scalar(text: str):
+    """One ``--arg`` value, read like an entry of a manifest's ``args``."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = []  # not JSON at all: rejected like a list
+    if isinstance(value, (list, dict)):
+        raise argparse.ArgumentTypeError(f"not a JSON scalar: {text!r}")
+    return value
 
 
 def cmd_ir(args: argparse.Namespace) -> int:
@@ -180,6 +197,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         sim = ParallelSimulator(
             compile_program(_read(args.program)),
             entry=args.entry,
+            args=args.args,
             model=MachineModel(cores=args.cores),
         )
         speedup = sim.simulate(
@@ -483,8 +501,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
             print(f"cache at {stats['path']}")
             print(
                 f"  {stats['entries']} entries over {stats['modules']} "
-                f"modules / {stats['fingerprints']} configs "
-                f"({stats['size_bytes']} bytes)"
+                f"modules / {stats['fingerprints']} configs, "
+                f"{stats['profiles']} profiles ({stats['size_bytes']} bytes)"
             )
             print(
                 f"  {stats['total_hits']} lifetime hits; "
@@ -515,7 +533,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
             else:
                 print(
                     f"gc: removed {result['removed_age']} by age, "
-                    f"{result['removed_lru']} by LRU cap; "
+                    f"{result['removed_lru']} by LRU cap, "
+                    f"{result['removed_profiles']} profiles; "
                     f"{result['remaining']} entries remain"
                 )
             return 0
@@ -524,13 +543,16 @@ def cmd_cache(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(result, indent=2))
         else:
+            profiles = result["profiles"]
             print(
                 f"verify: {result['ok']}/{result['checked']} sampled "
-                f"entries match ({len(result['unverifiable'])} unverifiable)"
+                f"entries and {profiles['ok']}/{profiles['checked']} "
+                f"profiles match ({len(result['unverifiable'])} "
+                "unverifiable)"
             )
             for mismatch in result["mismatches"]:
                 print(
-                    f"  MISMATCH {mismatch['loop']} "
+                    f"  MISMATCH {mismatch.get('loop', 'profile')} "
                     f"(module {mismatch['module'][:12]}...): "
                     f"{sorted(mismatch['diffs'])}"
                 )
@@ -683,6 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("program", help="MiniC source file")
         p.add_argument("--entry", default="main")
 
+    def arg_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--arg", action="append", type=_json_scalar,
+                       dest="args", metavar="VALUE",
+                       help="an argument of the entry function, as a JSON "
+                            "scalar (repeat in parameter order)")
+
     def policy_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--policy", choices=("strict", "eventual"),
                        default=None, dest="liveout_policy")
@@ -768,6 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="compile and execute a program")
     common(p_run)
+    arg_flag(p_run)
     exec_backend_flag(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -777,6 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run DCA on every loop")
     common(p_an)
+    arg_flag(p_an)
     policy_flag(p_an)
     p_an.add_argument("--cores", type=int, default=0,
                       help="also simulate parallel speedup on N cores")
@@ -791,6 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect", help="DCA vs the five baseline detectors")
     common(p_det)
+    arg_flag(p_det)
     p_det.add_argument("--json", action="store_true",
                        help="emit DCA + baseline verdicts as JSON")
     p_det.add_argument("--profile", action="store_true",
@@ -805,6 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run DCA with full observability and report pipeline cost",
     )
     common(p_prof)
+    arg_flag(p_prof)
     policy_flag(p_prof)
     p_prof.add_argument("--trace", metavar="FILE",
                         help="write Chrome trace-event JSON "
@@ -954,7 +986,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EntryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

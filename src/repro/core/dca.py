@@ -12,8 +12,12 @@ one stage:
 1. ``selection`` — every source loop is a candidate unless it (or a
    callee) performs I/O (§IV-E).
 2. ``profile`` — one run of the pristine program under the dynamic
-   dependence profiler, whose same-invocation memory flow feeds iterator
-   recognition and whose dependence graph feeds tiering.
+   dependence profiler, kept as a
+   :class:`~repro.analysis.dynamic_deps.ProfileSummary`: its trip
+   counts gate the cache lookups and static verdicts, its same-invocation
+   memory flow feeds iterator recognition and its dependence pairs feed
+   tiering.  With a cache attached the summary is memoized per workload,
+   and a hit runs no program.
 3. ``static`` (``static_filter=True``) — the static commutativity prover
    (:mod:`repro.analysis.commutativity`) decides loops whose verdict
    follows from the IR alone, modulo declared commutativity specs when
@@ -40,12 +44,18 @@ one stage:
    tier (DOALL / REDUCTION / PIPELINE / SEQUENTIAL) from its verdict and
    the profiled dependence graph (:mod:`repro.analysis.sccdag`).
 
-When a persistent :class:`~repro.cache.AnalysisCache` is attached, each
-loop that would enter schedule testing is first looked up by ``(workload
+When a persistent :class:`~repro.cache.AnalysisCache` is attached, the
+profile stage first looks up the workload's profile summary by
+``(workload digest, profile key)`` — the key hashes only what can change
+a profile (see :func:`~repro.cache.keys.profile_key`), so every config
+of one workload shares it — and a hit stands in for the profile run,
+still counted as one execution of its recorded length.  Then each
+loop that would enter schedule testing is looked up by ``(workload
 digest, loop label, config fingerprint)``; a hit replays the memoized verdict,
 cost record, golden snapshot tally and accounting instead of capturing
 its live-outs or executing any schedule, and a miss stores the freshly
-decided loop for the next run.  Warm reports
+decided loop for the next run.  A fully warm analysis thus executes the
+program once, for the golden run.  Warm reports
 serialize byte-identically to cold ones (cache provenance and hit/miss
 accounting are deliberately excluded from serialization).
 """
@@ -55,7 +65,7 @@ from __future__ import annotations
 import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.analysis.commutativity import (
@@ -63,7 +73,7 @@ from repro.analysis.commutativity import (
     StaticCommutativityAnalysis,
     StaticLoopVerdict,
 )
-from repro.analysis.dynamic_deps import DynamicDepProfiler
+from repro.analysis.dynamic_deps import DynamicDepProfiler, ProfileSummary
 from repro.analysis.loops import build_loop_forest, invalidate_loops
 from repro.analysis.purity import EffectAnalysis
 from repro.analysis.reductions import COMPLEX_REDUCTIONS, classify_loop
@@ -84,7 +94,7 @@ from repro.core.instrument import (
     loop_does_io,
 )
 from repro.core.payload import OutlineError
-from repro.cache.keys import module_workload_digest
+from repro.cache.keys import module_workload_digest, profile_key
 from repro.core.config import AnalysisConfig
 from repro.core.report import (
     COMMUTATIVE,
@@ -138,13 +148,12 @@ class _Analysis:
     report: DcaReport
     #: Module effect summaries: I/O exclusion and verify specs.
     effects: Optional[EffectAnalysis] = None
-    #: Dependence profiler from the profile run: its max trips gate
-    #: static verdicts, its per-loop edges feed tiering.
-    profiler: Optional[DynamicDepProfiler] = None
-    #: label -> same-invocation flow edges, kept per loop: an edge
-    #: discovered in an enclosing loop's scope must not leak into an
-    #: inner loop's slice.
-    memory_flow: Dict[str, Set] = field(default_factory=dict)
+    #: Summary of the profile run: its max trips gate cache lookups and
+    #: static verdicts, its per-loop flow pairs feed iterator
+    #: recognition (kept per loop: a pair discovered in an enclosing
+    #: loop's scope must not leak into an inner loop's slice) and its
+    #: dependence pairs feed tiering.
+    profile: Optional[ProfileSummary] = None
     #: label -> static pre-screen verdict.
     static_verdicts: Dict[str, StaticLoopVerdict] = field(default_factory=dict)
     #: label -> verify spec of every testable loop, in testing order.
@@ -318,13 +327,41 @@ class DcaAnalyzer:
         return executor, value
 
     def _profile(self, state: _Analysis) -> None:
-        """One profiled run of the pristine program (iterator recognition
-        and tiering)."""
-        state.profiler = DynamicDepProfiler(self.module)
-        self._run_program(
-            state.report, self.module, observers=[state.profiler]
+        """The profile summary of the pristine program: the cache's
+        copy for this workload when it has one, else the summary of one
+        profiled run (stored when a cache is attached).
+
+        A memoized summary still counts as the execution it replaces,
+        so warm reports keep their cold bytes."""
+        report, cache = state.report, self.cache
+        if cache is not None:
+            report.cache.enabled = True
+            digest = self.workload_digest()
+            key = profile_key(self.config.max_steps)
+            cache.register_module(
+                digest,
+                source_text=self.source_text,
+                source_path=self.source_path,
+                entry=self.config.entry,
+                args=self.config.args,
+            )
+            payload = cache.lookup_profile(digest, key)
+            if payload is not None:
+                state.profile = ProfileSummary.from_payload(payload)
+                report.executions += 1
+                report.interp_instructions += state.profile.steps
+                self._obs.count("dca.profile_cache_hits")
+                return
+        profiler = DynamicDepProfiler(self.module)
+        executor, _ = self._run_program(
+            report, self.module, observers=[profiler]
         )
-        state.memory_flow = state.profiler.memory_flow_edges()
+        state.profile = profiler.summary(executor.steps)
+        if cache is not None:
+            cache.store_profile(
+                digest, key, state.profile.to_payload(),
+                max_steps=self.config.max_steps,
+            )
 
     # -- static and golden stages ---------------------------------------------
 
@@ -423,21 +460,13 @@ class DcaAnalyzer:
         will count invocations of."""
         report, cache = state.report, self.cache
         if cache is not None:
-            report.cache.enabled = True
             digest = self.workload_digest()
             state.cache_key = self.config.cache_key()
             fingerprint = state.cache_key[0]
-            cache.register_module(
-                digest,
-                source_text=self.source_text,
-                source_path=self.source_path,
-                entry=self.config.entry,
-                args=self.config.args,
-            )
         for label in state.specs:
             result = report.results[label]
             if result.verdict != NOT_EXERCISED or (
-                label not in state.profiler.max_trips
+                label not in state.profile.max_trips
             ):
                 continue
             if cache is not None:
@@ -557,10 +586,10 @@ class DcaAnalyzer:
         get a chance at DSWP: if the SCC-DAG of their dependence graph
         partitions into 2+ stages they are PIPELINE, else SEQUENTIAL.
         Every other verdict (untestable, not-exercised, I/O, …) is
-        SEQUENTIAL.  Tiers are recomputed from the fresh dependence
-        profile on every run — cache replays never carry them.
+        SEQUENTIAL.  Tiers are recomputed from the profile summary on
+        every run — loop-entry replays never carry them.
         """
-        report, profiler = state.report, state.profiler
+        report = state.report
         forests = {
             name: build_loop_forest(func)
             for name, func in self.module.functions.items()
@@ -586,16 +615,8 @@ class DcaAnalyzer:
             if result.verdict not in (NON_COMMUTATIVE, RUNTIME_FAULT):
                 result.tier = TIER_SEQUENTIAL
                 continue
-            deps = profiler.deps_for(label)
-            if deps is None:
-                result.tier = TIER_SEQUENTIAL
-                continue
             dag = build_sccdag(
-                func,
-                loop,
-                deps,
-                idioms,
-                lambda loc, lb=label: profiler.is_privatizable(lb, loc),
+                func, loop, state.profile.loop(label), idioms
             )
             plan = partition_stages(dag, self.config.max_pipeline_stages)
             if len(plan.stages) >= 2:
@@ -622,7 +643,7 @@ class DcaAnalyzer:
         """
         if not verdict.is_proven or verdict.payload_empty:
             return False
-        max_trip = state.profiler.max_trips.get(result.label, 0)
+        max_trip = state.profile.max_trips.get(result.label, 0)
         if max_trip < 2:
             return False
         if verdict.verdict == PROVEN_COMMUTATIVE:
@@ -663,7 +684,7 @@ class DcaAnalyzer:
                 self.module,
                 label,
                 spec,
-                memory_flow=state.memory_flow.get(label),
+                memory_flow=state.profile.loop(label).memory_flow,
             )
         except OutlineError as exc:
             if exc.reason == "empty-payload":

@@ -79,6 +79,7 @@ from repro.interp.interpreter import (
     counted_run,
 )
 from repro.interp.values import (
+    EntryError,
     Heap,
     MiniCRuntimeError,
     format_value,
@@ -1159,10 +1160,10 @@ class CodegenExecutor:
     def run(self, entry: str = "main", args: Optional[List[object]] = None) -> object:
         cf = self.program.functions.get(entry)
         if cf is None:
-            raise MiniCRuntimeError(f"no function named {entry!r}")
+            raise EntryError(f"no function named {entry!r}")
         args = list(args or [])
         if len(args) != cf.nparams:
-            raise MiniCRuntimeError(
+            raise EntryError(
                 f"{entry} expects {cf.nparams} args, got {len(args)}"
             )
         return counted_run(self, cf.pyfunc, self, *args)

@@ -29,6 +29,7 @@ from repro.analysis.loops import build_loop_forest
 from repro.interp.events import LoopCtx, Observer
 from repro.interp.values import (
     ArrayObj,
+    EntryError,
     Heap,
     MiniCRuntimeError,
     StructObj,
@@ -172,9 +173,15 @@ class Interpreter:
     # -- public API ----------------------------------------------------------
 
     def run(self, entry: str = "main", args: Optional[List[object]] = None) -> object:
-        if entry not in self.module.functions:
-            raise MiniCRuntimeError(f"no function named {entry!r}")
-        return counted_run(self, self._call_function, entry, list(args or []))
+        func = self.module.functions.get(entry)
+        if func is None:
+            raise EntryError(f"no function named {entry!r}")
+        args = list(args or [])
+        if len(args) != len(func.params):
+            raise EntryError(
+                f"{entry} expects {len(func.params)} args, got {len(args)}"
+            )
+        return counted_run(self, self._call_function, entry, args)
 
     def output_text(self) -> str:
         if not self.output:

@@ -18,6 +18,11 @@ class MiniCRuntimeError(Exception):
     """Raised for runtime faults (null deref, bounds, step limit, ...)."""
 
 
+class EntryError(MiniCRuntimeError):
+    """The entry function is missing or got the wrong number of
+    arguments: the workload is malformed before the program runs."""
+
+
 class StructObj:
     """A heap-allocated struct instance."""
 

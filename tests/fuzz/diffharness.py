@@ -25,12 +25,14 @@ program:
 across execution backends: the complete state of the dependence
 profiler and of the cost profiler (every loop detailed) after an
 interpreted run and after a run of codegen's profiled lowering must be
-equal.
+equal, and so must the profile summaries the analyzer keeps, each of
+which must round-trip exactly through its cache payload.
 
 :func:`cache_differential_check` extends the same bar to the persistent
 cache: a cold run populating a fresh cache and a warm run served from it
 must both serialize byte-identically to an uncached run, with the warm
-run hitting for every dynamically decided loop.
+run hitting for every dynamically decided loop and reading the profile
+summary instead of running the profiler.
 
 Returns a list of human-readable divergence descriptions; an empty list
 means the program passed.  Reproduce any CI seed locally with::
@@ -45,6 +47,7 @@ means the program passed.  Reproduce any CI seed locally with::
 from __future__ import annotations
 
 import difflib
+import json
 from typing import Dict, List, Optional
 
 import repro.obs as obs
@@ -52,7 +55,7 @@ from repro.analysis.commutativity import (
     PROVEN_COMMUTATIVE,
     StaticCommutativityAnalysis,
 )
-from repro.analysis.dynamic_deps import DynamicDepProfiler
+from repro.analysis.dynamic_deps import DynamicDepProfiler, ProfileSummary
 from repro.analysis.loops import build_loop_forest
 from repro.analysis.specs import default_registry
 from repro.cache import AnalysisCache
@@ -228,9 +231,9 @@ def profile_state(
     Returns ``(executor, state)``: ``state`` is everything the
     dependence profiler exposes — per-loop edges, max trips, executed
     loops, privatization facts for every touched location, memory-flow
-    edges — and the cost profiler's total, per-loop and per-iteration
-    costs of every loop, plus the run outcome (fault message included)
-    and its step count.
+    edges, and the summary the analyzer keeps — and the cost profiler's
+    total, per-loop and per-iteration costs of every loop, plus the run
+    outcome (fault message included) and its step count.
     """
     module = compile_program(source)
     profiler = DynamicDepProfiler(module)
@@ -265,6 +268,7 @@ def profile_state(
             for label in profiler.executed
         },
         "memory_flow": profiler.memory_flow_edges(),
+        "summary": profiler.summary(executor.steps),
         "total_cost": cost.total_cost,
         "loop_cost": dict(cost.loop_cost),
         "iteration_costs": {
@@ -298,6 +302,14 @@ def profile_parity_check(
             problems.append(
                 f"profile {key} differs: interp {_brief(expected[key])} "
                 f"vs codegen {_brief(got[key])}"
+            )
+    for backend, state in (("interp", expected), ("codegen", got)):
+        summary = state["summary"]
+        payload = json.loads(json.dumps(summary.to_payload()))
+        if ProfileSummary.from_payload(payload) != summary:
+            problems.append(
+                f"{backend} profile summary does not round-trip through "
+                f"its payload: {_brief(payload)}"
             )
     return problems
 
@@ -370,9 +382,9 @@ def cache_differential_check(
     Runs the program uncached, then twice against a fresh cache
     directory.  Both cached reports must serialize byte-identically to
     the uncached one; the cold run must store (never hit) and the warm
-    run must be served entirely from cache — one hit per loop the cold
-    run decided dynamically, zero misses — and so capture no golden
-    snapshot.  The warm report must also still satisfy the
+    run must be served entirely from cache — its profile summary and one
+    hit per loop the cold run decided dynamically, zero misses — and so
+    run no profiler and capture no golden snapshot.  The warm report must also still satisfy the
     schedule-execution accounting invariant, with cache-replayed loops
     counted as eligible.
     """
@@ -427,6 +439,11 @@ def cache_differential_check(
         problems.append(
             f"fully cached warm run took "
             f"{ctx.metrics.value('dca.snapshots')} golden snapshots"
+        )
+    if ctx.metrics.value("dca.profile_cache_hits") != 1:
+        problems.append(
+            "fully cached warm run ran the dependence profiler instead "
+            "of reading its memoized summary"
         )
     violation = accounting_violation(warm)
     if violation:

@@ -5,7 +5,8 @@ state the interpreter leaves it in — edges, trip counts, executed
 loops, privatization facts, step count and fault message — and must
 publish the interpreter's loop and memory event stream in the same
 order, including on early returns from nested loops, recursion and
-faults.
+faults.  The profile summary the analyzer keeps must be equal too, on
+the suite, the fuzz corpus and the examples.
 """
 
 import glob
@@ -40,6 +41,9 @@ CORPUS = sorted(
         os.path.join(os.path.dirname(__file__), "fuzz", "corpus", "*.mc")
     )
 )
+EXAMPLES = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), "..", "examples", "*.mc"))
+)
 
 
 @pytest.mark.parametrize("bench", ALL_BENCHMARKS, ids=lambda b: b.name)
@@ -48,7 +52,7 @@ def test_suite_profile_parity(bench):
     assert profile_parity_check(bench.source) == []
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=os.path.basename)
+@pytest.mark.parametrize("path", CORPUS + EXAMPLES, ids=os.path.basename)
 def test_corpus_profile_parity(path):
     with open(path) as fh:
         assert profile_parity_check(fh.read()) == []

@@ -233,7 +233,7 @@ def test_profile_entry_matches_golden_invocations(exec_backend, monkeypatch):
 
     def compare(self, state):
         seen.append((
-            {l for l in state.specs if l in state.profiler.max_trips},
+            {l for l in state.specs if l in state.profile.max_trips},
             {l for l in state.specs if state.report.results[l].invocations},
         ))
 

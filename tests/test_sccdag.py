@@ -8,7 +8,9 @@ schema-2 report serialization, the config-fingerprint gating, and the
 flag>env>default resolution of ``REPRO_TIERING``.
 """
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -30,10 +32,12 @@ from repro.analysis.sccdag import (
     stage_shapes,
     tier_display,
 )
+from repro.benchsuite import ALL_BENCHMARKS
 from repro.core.config import AnalysisConfig
 from repro.core.dca import DcaAnalyzer
 from repro.core.report import REPORT_SCHEMA_VERSION
 from repro.driver import compile_program
+from repro.interp.compiler import create_executor
 from repro.interp.interpreter import Interpreter
 from repro.parallel.machine import (
     MachineModel,
@@ -99,27 +103,69 @@ func void main() {
 
 
 def _loop_parts(source, label):
-    """(func, loop, deps, idioms, is_privatizable) for one loop."""
+    """(func, loop, profile summary entry, idioms) for one loop."""
     module = compile_program(source)
     profiler = DynamicDepProfiler(module)
-    Interpreter(module, observers=[profiler]).run("main", ())
-    deps = profiler.deps_for(label)
-    assert deps is not None
+    interp = Interpreter(module, observers=[profiler])
+    interp.run("main", ())
+    deps = profiler.summary(interp.steps).loop(label)
     for func in module.functions.values():
         forest = build_loop_forest(func)
         if label in forest.loops:
             loop = forest.loops[label]
-            return (
-                func,
-                loop,
-                deps,
-                classify_loop(func, loop),
-                lambda loc: profiler.is_privatizable(label, loc),
-            )
+            return func, loop, deps, classify_loop(func, loop)
     raise AssertionError(f"loop {label} not found")
 
 
 # -- SCC-DAG construction -----------------------------------------------------
+
+
+#: Per program and loop, a digest of the SCC-DAG and default stage plan
+#: built from the location-level profile (every edge's concrete
+#: location checked with ``is_privatizable``), for all 24 programs.
+SCCDAG_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "goldens", "sccdag_digests.json"
+)
+
+
+def _dag_digest(dag) -> str:
+    plan = partition_stages(dag, DEFAULT_MAX_PIPELINE_STAGES)
+    canonical = json.dumps(
+        {
+            "nodes": [
+                [[list(site) for site in node.sites], node.classification,
+                 node.weight, list(node.reasons)]
+                for node in dag.nodes
+            ],
+            "edges": sorted(dag.edges),
+            "carried": sorted(dag.carried_edges),
+            "plan": plan.to_dict(),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("bench", ALL_BENCHMARKS, ids=lambda b: b.name)
+def test_summary_sccdags_match_the_location_level_golden(bench):
+    """The summary folds each carried pair's locations into one flag;
+    every loop's SCCs, reasons and stages must not move."""
+    with open(SCCDAG_GOLDEN) as fh:
+        expected = json.load(fh)[bench.name]
+    module = compile_program(bench.source)
+    profiler = DynamicDepProfiler(module)
+    executor = create_executor(module, observers=[profiler])
+    executor.run(bench.entry, [])
+    summary = profiler.summary(executor.steps)
+    got = {}
+    for func in module.functions.values():
+        forest = build_loop_forest(func)
+        for label, loop in forest.loops.items():
+            dag = build_sccdag(
+                func, loop, summary.loop(label), classify_loop(func, loop)
+            )
+            got[label] = _dag_digest(dag)
+    assert got == expected
 
 
 def test_recurrence_forms_sequential_scc():
