@@ -24,13 +24,12 @@ def _fig5(dca_reports, detection_contexts):
         ctx = detection_contexts[bench.name]
         module = bench.compile(fresh=True)
         commutative = report.commutative_labels()
-        flows = ctx.profile.memory_flow_edges() if ctx.profile else {}
         fractions = {}
         for label in commutative:
             func = module.functions[report.loop(label).function]
             loop = build_loop_forest(func).loops[label]
             fractions[label] = separate(
-                func, loop, flows.get(label)
+                func, loop, ctx.profile.loop(label).memory_flow
             ).iterator_share
         sim = ParallelSimulator(module, model=MachineModel(cores=72))
         sp = sim.simulate(commutative, serial_fractions=fractions)

@@ -34,11 +34,12 @@ def main() -> None:
 
     print("== Iterator/payload separation of the top-down step ==")
     ctx = build_context(bench.compile(fresh=True))
-    flows = ctx.profile.memory_flow_edges()
     main = module.functions["main"]
     loop = build_loop_forest(main).loops[KERNEL]
     frac_static = separate(main, loop).iterator_share
-    frac_guided = separate(main, loop, flows.get(KERNEL)).iterator_share
+    frac_guided = separate(
+        main, loop, ctx.profile.loop(KERNEL).memory_flow
+    ).iterator_share
     print(f"  iterator share, register slice only : {frac_static:.0%}")
     print(f"  iterator share, profile-guided      : {frac_guided:.0%}")
     print("  (the difference is pop() joining the iterator through the")

@@ -28,12 +28,13 @@ def main() -> None:
     print(f"DCA found commutative: {', '.join(commutative)}")
 
     ctx = build_context(bench.compile(fresh=True))
-    flows = ctx.profile.memory_flow_edges()
     fractions = {}
     for label in commutative:
         func = module.functions[report.loop(label).function]
         loop = build_loop_forest(func).loops[label]
-        fractions[label] = separate(func, loop, flows.get(label)).iterator_share
+        fractions[label] = separate(
+            func, loop, ctx.profile.loop(label).memory_flow
+        ).iterator_share
     for label, frac in fractions.items():
         print(f"  {label}: {frac:.0%} of the body is the (serial) iterator")
 

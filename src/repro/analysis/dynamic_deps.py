@@ -14,38 +14,41 @@ data-flow the paper's infrastructure obtains from LLVM instrumentation:
   loops with helper calls (``push``/``pop``) still produce loop-level
   edges.
 
-Consumers:
+Consumers read the profile only through :meth:`DynamicDepProfiler.summary`
+(run by :func:`profile_program`): a :class:`ProfileSummary` with the
+concrete locations folded into one privatization flag per carried
+``(kind, writer, reader)``.
 
 * :mod:`repro.core.iterator_recognition` follows same-invocation flow
-  edges so that e.g. ``pop(frontier)`` feeding ``frontier->size`` joins
+  pairs so that e.g. ``pop(frontier)`` feeding ``frontier->size`` joins
   the iterator slice (the "profile-guided" part of generalized iterator
   recognition);
+* tiering (:mod:`repro.analysis.sccdag`) condenses every dependence pair
+  into SCCs, reading one flag per carried pair: the AND over its kinds;
 * the dependence-profiling and DiscoPoP-style baselines decide
-  parallelizability from the cross-iteration edges.
+  parallelizability from the carried pairs of each kind.
 
-The DCA analyzer reads the profile only through :meth:`DynamicDepProfiler.
-summary`: a :class:`ProfileSummary` with the concrete locations folded
-into one privatization flag per carried site pair.  It is small enough to
-memoize per workload in the persistent analysis cache
-(:meth:`ProfileSummary.to_payload`), so a warm analysis runs no profile.
+The summary is small enough to memoize per workload in the persistent
+analysis cache (:meth:`ProfileSummary.to_payload`), so a warm analysis
+runs no profile, and ``repro detect`` hands the baselines the summary
+DCA's profile stage produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.loops import build_loop_forest
 from repro.interp.events import Observer
 from repro.ir.function import Module
 
 __all__ = [
-    "DepEdge",
     "DynamicDepProfiler",
-    "LoopDeps",
     "LoopProfile",
     "ProfileSummary",
     "SiteRegistry",
+    "profile_program",
 ]
 
 #: (func_name, block_name, index)
@@ -56,19 +59,6 @@ LoopSnap = Tuple[str, int, int]
 
 #: (writer site, reader site) of a dependence.
 SitePair = Tuple[Site, Site]
-
-
-@dataclass(frozen=True)
-class DepEdge:
-    """A dynamic dependence between two static sites, scoped to a loop."""
-
-    kind: str  # "raw" | "war" | "waw"
-    writer: Site
-    reader: Site
-    same_iteration: bool
-    #: The concrete location (valid within the profiled run only); lets
-    #: baseline detectors consult privatization facts per edge.
-    loc: Tuple = ()
 
 
 class SiteRegistry:
@@ -97,46 +87,31 @@ class SiteRegistry:
         return sites
 
 
-@dataclass
-class LoopDeps:
-    """Aggregated dependence facts for one loop label."""
-
-    label: str
-    edges: Set[DepEdge] = field(default_factory=set)
-    #: Locations with a cross-iteration access of any kind.
-    shared_locations: int = 0
-
-    def cross_iteration_edges(self, kind: Optional[str] = None) -> List[DepEdge]:
-        """Cross-iteration edges in site order (not the hash order of
-        :attr:`edges`), so a detector's first reported edge is stable."""
-        return sorted(
-            (
-                e
-                for e in self.edges
-                if not e.same_iteration and (kind is None or e.kind == kind)
-            ),
-            key=lambda e: (e.kind, e.writer, e.reader),
-        )
-
-    def flow_edges_same_invocation(self) -> Set[Tuple[Site, Site]]:
-        """(writer, reader) flow pairs — iterator-recognition input."""
-        return {(e.writer, e.reader) for e in self.edges if e.kind == "raw"}
-
-
 @dataclass(frozen=True)
 class LoopProfile:
     """One loop's dependences between static sites, with the concrete
-    locations folded away: what iterator recognition and tiering read."""
+    locations folded away: what iterator recognition, tiering and the
+    profile-driven baselines read."""
 
     #: Same-invocation flow (RAW) pairs: iterator-recognition input.
     memory_flow: FrozenSet[SitePair] = frozenset()
     #: Every pair with a dependence of any kind.
     pairs: FrozenSet[SitePair] = frozenset()
-    #: Cross-iteration pair -> whether every location it was seen on is
-    #: privatizable (:meth:`DynamicDepProfiler.is_privatizable`).
-    carried: Mapping[SitePair, bool] = field(default_factory=dict)
-    #: Cross-iteration flow (RAW) pairs.
-    carried_raw: FrozenSet[SitePair] = frozenset()
+    #: Dependence kind ("raw" | "war" | "waw") -> cross-iteration pair of
+    #: that kind -> whether every location it was seen on with that kind
+    #: is privatizable (every iteration touching it wrote it first).
+    carried: Mapping[str, Mapping[SitePair, bool]] = field(
+        default_factory=dict
+    )
+
+    def carried_pairs(self) -> Dict[SitePair, bool]:
+        """Cross-iteration pair -> privatizable under every kind it was
+        seen with: the one flag per pair tiering reads."""
+        merged: Dict[SitePair, bool] = {}
+        for by_pair in self.carried.values():
+            for pair, private in by_pair.items():
+                merged[pair] = merged.get(pair, True) and private
+        return merged
 
 
 _NO_DEPS = LoopProfile()
@@ -144,7 +119,7 @@ _NO_DEPS = LoopProfile()
 
 @dataclass(frozen=True)
 class ProfileSummary:
-    """What the DCA analyzer keeps of one profile run."""
+    """What the DCA analyzer and the baselines keep of one profile run."""
 
     #: Instructions the profile run executed.
     steps: int
@@ -179,11 +154,14 @@ class ProfileSummary:
                 label: {
                     "memory_flow": flat(deps.memory_flow),
                     "pairs": flat(deps.pairs),
-                    "carried": flat(deps.carried),
-                    "privatizable": [
-                        deps.carried[pair] for pair in sorted(deps.carried)
-                    ],
-                    "carried_raw": flat(deps.carried_raw),
+                    "carried": {
+                        kind: flat(by_pair)
+                        for kind, by_pair in sorted(deps.carried.items())
+                    },
+                    "privatizable": {
+                        kind: [by_pair[pair] for pair in sorted(by_pair)]
+                        for kind, by_pair in sorted(deps.carried.items())
+                    },
                 }
                 for label, deps in sorted(self.loops.items())
             },
@@ -203,16 +181,43 @@ class ProfileSummary:
             loops[label] = LoopProfile(
                 memory_flow=frozenset(pairs(entry["memory_flow"])),
                 pairs=frozenset(pairs(entry["pairs"])),
-                carried=dict(
-                    zip(pairs(entry["carried"]), entry["privatizable"])
-                ),
-                carried_raw=frozenset(pairs(entry["carried_raw"])),
+                carried={
+                    kind: dict(zip(pairs(flat), entry["privatizable"][kind]))
+                    for kind, flat in entry["carried"].items()
+                },
             )
         return cls(
             steps=payload["steps"],
             max_trips=dict(payload["max_trips"]),
             loops=loops,
         )
+
+
+def profile_program(
+    module: Module,
+    entry: str = "main",
+    args: Sequence[object] = (),
+    max_steps: Optional[int] = None,
+    exec_backend: Optional[str] = None,
+) -> ProfileSummary:
+    """Run ``module`` once from ``entry`` under a
+    :class:`DynamicDepProfiler`; returns that run's summary.
+
+    ``exec_backend`` is resolved by
+    :func:`repro.interp.compiler.create_executor`: codegen runs its
+    profiled lowering, interp the interpreter."""
+    # Local: the executors import repro.analysis.
+    from repro.interp.compiler import create_executor
+
+    profiler = DynamicDepProfiler(module)
+    executor = create_executor(
+        module,
+        observers=[profiler],
+        max_steps=max_steps,
+        exec_backend=exec_backend,
+    )
+    executor.run(entry, list(args))
+    return profiler.summary(executor.steps)
 
 
 class DynamicDepProfiler(Observer):
@@ -223,10 +228,8 @@ class DynamicDepProfiler(Observer):
     ``(sites, loops)`` — the attribution chain's loop label -> site map
     and the loop-stack snapshot — and an edge is recorded only the first
     time its tuple key is seen on a location: the location is appended
-    under its ``(label, kind, writer, reader, same_iteration)`` key.
-    :attr:`loop_deps` builds the :class:`DepEdge` sets from those on
-    demand, and :meth:`summary` folds each key's locations without
-    building any.
+    under its ``(label, kind, writer, reader, same_iteration)`` key, and
+    :meth:`summary` folds each key's locations into one flag.
     """
 
     wants_memory = True
@@ -239,15 +242,10 @@ class DynamicDepProfiler(Observer):
         self.registry = registry or SiteRegistry(module)
         #: Edge key -> the concrete locations it was seen on.
         self._edge_locs: Dict[Tuple, List] = {}
-        #: The :attr:`loop_deps` built from ``_edge_locs``; None once a
-        #: new edge makes it stale.
-        self._loop_deps: Optional[Dict[str, LoopDeps]] = None
         #: loc -> [last write access or None, reads since that write,
         #: loop snapshot of the latest access, privatization states
         #: (see _update_priv), keys of the edges recorded on loc].
         self._locs: Dict[Tuple, list] = {}
-        #: Labels of loops that were entered at least once.
-        self.executed: set = set()
         #: Highest trip count observed per loop label (across invocations).
         self.max_trips: Dict[str, int] = {}
         self.interp = None  # set by attach()
@@ -264,7 +262,6 @@ class DynamicDepProfiler(Observer):
         self._snap_dups = False
 
     def on_loop_enter(self, label: str, invocation: int) -> None:
-        self.executed.add(label)
         self.max_trips.setdefault(label, 0)
         self._lstack.append((label, invocation, 0))
         self._loops_snap = tuple(self._lstack)
@@ -434,7 +431,6 @@ class DynamicDepProfiler(Observer):
             self._edge_locs[key] = [loc]
         else:
             locs.append(loc)
-        self._loop_deps = None
 
     @staticmethod
     def _update_priv(states: Dict[str, list], snap, is_write: bool) -> None:
@@ -452,51 +448,34 @@ class DynamicDepProfiler(Observer):
 
     # -- results ---------------------------------------------------------------
 
-    @property
-    def loop_deps(self) -> Dict[str, LoopDeps]:
-        """Label -> :class:`LoopDeps` of every loop with an edge."""
-        if self._loop_deps is None:
-            self._loop_deps = {}
-            for key, locs in self._edge_locs.items():
-                label, kind, w_site, r_site, same_iteration = key
-                deps = self._loop_deps.get(label)
-                if deps is None:
-                    deps = self._loop_deps[label] = LoopDeps(label)
-                deps.edges.update(
-                    DepEdge(kind, w_site, r_site, same_iteration, loc)
-                    for loc in locs
-                )
-        return self._loop_deps
-
     def summary(self, steps: int) -> ProfileSummary:
-        """The profile as the DCA analyzer reads it, for a run of
-        ``steps`` instructions."""
+        """The profile as its consumers read it, for a run of ``steps``
+        instructions: each carried ``(kind, writer, reader)`` key's
+        locations fold into whether every one is privatizable."""
         locs_state = self._locs
-        building: Dict[str, Tuple[set, set, dict, set]] = {}
+        building: Dict[str, Tuple[set, set, dict]] = {}
         for key, locs in self._edge_locs.items():
             label, kind, w_site, r_site, same_iteration = key
             parts = building.get(label)
             if parts is None:
-                parts = building[label] = (set(), set(), {}, set())
-            flow, pairs, carried, carried_raw = parts
+                parts = building[label] = (set(), set(), {})
+            flow, pairs, carried = parts
             pair = (w_site, r_site)
             pairs.add(pair)
             if kind == "raw":
                 flow.add(pair)
             if same_iteration:
                 continue
-            if kind == "raw":
-                carried_raw.add(pair)
-            if carried.get(pair, True):
-                # is_privatizable over every location, inlined: a
-                # location this loop never touched has no state.
-                private = True
-                for loc in locs:
-                    state = locs_state[loc][3].get(label)
-                    if state is not None and not state[2]:
-                        private = False
-                        break
-                carried[pair] = private
+            # Privatizable on every location: each iteration touching it
+            # wrote it first (a location the loop never touched has no
+            # state).
+            private = True
+            for loc in locs:
+                state = locs_state[loc][3].get(label)
+                if state is not None and not state[2]:
+                    private = False
+                    break
+            carried.setdefault(kind, {})[pair] = private
         return ProfileSummary(
             steps=steps,
             max_trips=dict(self.max_trips),
@@ -505,27 +484,7 @@ class DynamicDepProfiler(Observer):
                     memory_flow=frozenset(flow),
                     pairs=frozenset(pairs),
                     carried=carried,
-                    carried_raw=frozenset(carried_raw),
                 )
-                for label, (flow, pairs, carried, carried_raw)
-                in building.items()
+                for label, (flow, pairs, carried) in building.items()
             },
         )
-
-    def deps_for(self, label: str) -> LoopDeps:
-        return self.loop_deps.get(label, LoopDeps(label))
-
-    def is_privatizable(self, label: str, loc) -> bool:
-        """Every iteration of ``label`` touching ``loc`` wrote it first."""
-        entry = self._locs.get(loc)
-        state = entry[3].get(label) if entry is not None else None
-        if state is None:
-            return True
-        return state[2]
-
-    def memory_flow_edges(self) -> Dict[str, Set[Tuple[Site, Site]]]:
-        """Same-invocation flow edges per loop, for iterator recognition."""
-        return {
-            label: deps.flow_edges_same_invocation()
-            for label, deps in self.loop_deps.items()
-        }

@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple,
+    Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.analysis.dynamic_deps import LoopProfile
@@ -249,7 +249,8 @@ def build_sccdag(
 
     ``deps`` supplies the profiled memory dependences (all kinds, same-
     and cross-iteration) with the privatization flag of each carried
-    pair; ``idioms`` the carried-scalar classification.
+    pair, ANDed over its kinds; ``idioms`` the carried-scalar
+    classification.
     """
     sites = _loop_sites(func, loop)
     site_set = set(sites)
@@ -262,7 +263,7 @@ def build_sccdag(
     #: Cross-iteration (writer site, reader site) -> every location on
     #: it privatizable.
     carried_mem: Dict[Tuple[Site, Site], bool] = {
-        pair: private for pair, private in deps.carried.items()
+        pair: private for pair, private in deps.carried_pairs().items()
         if pair[0] in site_set and pair[1] in site_set
     }
 
@@ -305,7 +306,7 @@ def build_sccdag(
             scalar_class_at,
             histogram_sites,
             carried_mem,
-            deps.carried_raw,
+            deps.carried.get("raw", {}),
         )
         dag.nodes.append(
             SccNode(
@@ -335,7 +336,7 @@ def _classify_scc(
     scalar_class_at: Dict[Site, List[Tuple[str, str]]],
     histogram_sites: Set[Tuple[str, int]],
     carried_mem: Mapping[Tuple[Site, Site], bool],
-    carried_flow: FrozenSet[Tuple[Site, Site]],
+    carried_flow: Collection[Tuple[Site, Site]],
 ) -> Tuple[str, List[str]]:
     if not cyclic:
         return SCC_PARALLEL, ["acyclic"]

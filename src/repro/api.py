@@ -208,20 +208,18 @@ class AnalysisSession:
             PollyDetector,
             build_context,
         )
+        from repro.baselines.base import profile_cost
 
         module, source_text = self._prepare(program)
-        analyzer = self.analyzer(
+        state = self.analyzer(
             module, source_text=source_text, source_path=source_path
-        )
-        report = analyzer.analyze()
-        # DCA instruments clones, so the baselines profile the same
-        # pristine module, on the configured entry arguments.
-        ctx = build_context(
-            module,
-            entry=self.config.entry,
-            args=self.config.args,
-            max_steps=self.config.max_steps,
-            exec_backend=analyzer.config.exec_backend,
+        ).run()
+        report = state.report
+        # DCA's profile stage ran (or recalled) the pristine module on
+        # this workload: the profile-driven baselines read that summary.
+        ctx = build_context(module, profile=state.profile)
+        ctx.costs["profile"] = profile_cost(
+            state.profile, report.stage_times_ms["profile"]
         )
         detectors = [
             DependenceProfilingDetector(),

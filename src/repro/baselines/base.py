@@ -1,9 +1,10 @@
 """Common infrastructure for the five baseline parallelism detectors.
 
 Every detector consumes a shared :class:`DetectionContext` (static analyses
-plus, for the dynamic tools, one profiled execution) and returns a verdict
-per source loop.  This mirrors the paper's setup where all tools are
-configured for *maximum detection capability* (§V-A Configuration).
+plus, for the dynamic tools, the summary of one profiled execution) and
+returns a verdict per source loop.  This mirrors the paper's setup where
+all tools are configured for *maximum detection capability* (§V-A
+Configuration).
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.analysis.alias import PointsTo
-from repro.analysis.dynamic_deps import DynamicDepProfiler
+from repro.analysis.dynamic_deps import ProfileSummary, profile_program
 from repro.analysis.loops import Loop, LoopForest, build_loop_forest
 from repro.analysis.purity import EffectAnalysis
 from repro.analysis.reductions import LoopIdioms, classify_loop
-from repro.interp.compiler import create_executor
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Instr
 
@@ -43,9 +43,8 @@ class DetectionContext:
     idioms: Dict[str, LoopIdioms]
     #: label -> owning function name
     loop_functions: Dict[str, str]
-    #: Dynamic profile; None when the profiled run was skipped.
-    profile: Optional[DynamicDepProfiler] = None
-    profiled_steps: int = 0
+    #: Summary of the profiled run (the one DCA's profile stage reads).
+    profile: Optional[ProfileSummary] = None
     #: Per-component cost records ("profile" plus one entry per detector
     #: that ran), comparable with DCA's report metrics: loops classified,
     #: wall ms, and for dynamic components instructions/executions.
@@ -80,15 +79,17 @@ def build_context(
     module: Module,
     entry: str = "main",
     args: Optional[Sequence[object]] = None,
-    run_profile: bool = True,
     max_steps: Optional[int] = None,
     exec_backend: Optional[str] = None,
+    profile: Optional[ProfileSummary] = None,
 ) -> DetectionContext:
-    """Run the static analyses (and one profiled execution) for detection.
+    """Run the static analyses for detection, around a profile summary.
 
-    The profiled execution takes ``exec_backend`` (see
-    :func:`repro.interp.compiler.create_executor`): codegen runs it on
-    its profiled lowering, the other backends on the interpreter.
+    ``profile`` is the summary of a run of ``module`` on this workload
+    (``repro detect`` passes the one DCA's profile stage produced); the
+    caller books its cost.  Without one, this profiles one execution on
+    ``exec_backend`` (see :func:`~repro.analysis.dynamic_deps.
+    profile_program`) and books it as ``costs["profile"]``.
     """
     forests: Dict[str, LoopForest] = {}
     idioms: Dict[str, LoopIdioms] = {}
@@ -102,27 +103,19 @@ def build_context(
             loop_functions[label] = func.name
             idioms[label] = classify_loop(func, forest.loops[label])
 
-    profile = None
-    profiled_steps = 0
     costs: Dict[str, Dict[str, float]] = {}
-    if run_profile:
-        profile = DynamicDepProfiler(module)
+    if profile is None:
         with obs.current().span("baseline.profile", entry=entry) as span:
-            executor = create_executor(
+            profile = profile_program(
                 module,
-                observers=[profile],
+                entry,
+                args or (),
                 max_steps=max_steps,
                 exec_backend=exec_backend,
             )
-            executor.run(entry, list(args or []))
-        profiled_steps = executor.steps
-        costs["profile"] = {
-            "executions": 1,
-            "instructions": profiled_steps,
-            "wall_ms": span.dur_ms,
-        }
+        costs["profile"] = profile_cost(profile, span.dur_ms)
 
-    ctx = DetectionContext(
+    return DetectionContext(
         module=module,
         effects=EffectAnalysis(module),
         points_to=PointsTo(module),
@@ -130,10 +123,17 @@ def build_context(
         idioms=idioms,
         loop_functions=loop_functions,
         profile=profile,
-        profiled_steps=profiled_steps,
+        costs=costs,
     )
-    ctx.costs.update(costs)
-    return ctx
+
+
+def profile_cost(profile: ProfileSummary, wall_ms: float) -> Dict[str, float]:
+    """The ``costs["profile"]`` record of one profiled execution."""
+    return {
+        "executions": 1,
+        "instructions": profile.steps,
+        "wall_ms": wall_ms,
+    }
 
 
 class Detector:

@@ -35,27 +35,27 @@ class DependenceProfilingDetector(Detector):
     def classify_loop(self, ctx: DetectionContext, label: str) -> Tuple[bool, str]:
         if ctx.profile is None:
             return False, "no profile available"
-        if label not in ctx.profile.executed:
+        if label not in ctx.profile.max_trips:
             return False, "loop not exercised by the workload"
         from repro.core.instrument import loop_does_io
 
         if loop_does_io(ctx.function_of(label), ctx.loop(label).blocks, ctx.effects):
             return False, "I/O ordering constraint in the loop"
-        deps = ctx.profile.deps_for(label)
+        carried = ctx.profile.loop(label).carried
 
         idioms = ctx.idioms[label]
         for reg, klass in idioms.scalars.items():
             if klass not in self._OK_SCALARS:
                 return False, f"loop-carried scalar {reg} is {klass}"
 
-        for edge in deps.cross_iteration_edges("raw"):
+        if carried.get("raw"):
+            writer, reader = min(carried["raw"])
             return False, (
-                f"cross-iteration flow dependence {edge.writer} -> {edge.reader}"
+                f"cross-iteration flow dependence {writer} -> {reader}"
             )
         for kind in ("war", "waw"):
-            for edge in deps.cross_iteration_edges(kind):
-                if not ctx.profile.is_privatizable(label, edge.loc):
-                    return False, (
-                        f"cross-iteration {kind} on non-privatizable location"
-                    )
+            if not all(carried.get(kind, {}).values()):
+                return False, (
+                    f"cross-iteration {kind} on non-privatizable location"
+                )
         return True, "no blocking cross-iteration dependences observed"

@@ -34,13 +34,13 @@ class DiscoPopDetector(Detector):
     def classify_loop(self, ctx: DetectionContext, label: str) -> Tuple[bool, str]:
         if ctx.profile is None:
             return False, "no profile available"
-        if label not in ctx.profile.executed:
+        if label not in ctx.profile.max_trips:
             return False, "loop not exercised by the workload"
         from repro.core.instrument import loop_does_io
 
         if loop_does_io(ctx.function_of(label), ctx.loop(label).blocks, ctx.effects):
             return False, "I/O ordering constraint in the loop"
-        deps = ctx.profile.deps_for(label)
+        carried = ctx.profile.loop(label).carried
 
         func = ctx.function_of(label)
         for _name, _idx, instr in ctx.loop_instructions(label):
@@ -57,23 +57,23 @@ class DiscoPopDetector(Detector):
                 return False, f"loop-carried scalar {reg} is {klass}"
 
         reduction_sites: Set[Tuple[str, int]] = set(idioms.histogram_sites)
-        for edge in deps.cross_iteration_edges("raw"):
-            w = (edge.writer[1], edge.writer[2])
-            r = (edge.reader[1], edge.reader[2])
-            if edge.writer[0] == func.name and w in reduction_sites and (
-                edge.reader[0] == func.name and r in reduction_sites
+        for writer, reader in sorted(carried.get("raw", ())):
+            w = (writer[1], writer[2])
+            r = (reader[1], reader[2])
+            if writer[0] == func.name and w in reduction_sites and (
+                reader[0] == func.name and r in reduction_sites
             ):
                 continue  # dynamic reduction group
             return False, (
-                f"cross-iteration flow dependence {edge.writer} -> {edge.reader}"
+                f"cross-iteration flow dependence {writer} -> {reader}"
             )
         for kind in ("war", "waw"):
-            for edge in deps.cross_iteration_edges(kind):
-                w = (edge.writer[1], edge.writer[2])
-                r = (edge.reader[1], edge.reader[2])
+            for (writer, reader), private in carried.get(kind, {}).items():
+                w = (writer[1], writer[2])
+                r = (reader[1], reader[2])
                 if w in reduction_sites and r in reduction_sites:
                     continue
-                if not ctx.profile.is_privatizable(label, edge.loc):
+                if not private:
                     return False, (
                         f"cross-iteration {kind} on non-privatizable location"
                     )

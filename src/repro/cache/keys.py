@@ -72,7 +72,11 @@ SEMANTICS_VERSION = 3
 #: Version of the memoized profile-summary payload
 #: (:meth:`~repro.analysis.dynamic_deps.ProfileSummary.to_payload`); bump
 #: whenever that format or what the profiler records changes.
-PROFILE_FORMAT = 1
+#:
+#: v2: carried pairs keep their dependence kind, with one privatization
+#: flag per ``(kind, writer, reader)``, so the profile-driven baselines
+#: read the summary too; v1 rows folded the kinds into one flag.
+PROFILE_FORMAT = 2
 
 
 def _sha256(text: str) -> str:

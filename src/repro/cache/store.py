@@ -453,8 +453,11 @@ class AnalysisCache:
     ) -> Dict[str, int]:
         """Expire old entries and cap the store size (LRU beyond the cap).
 
-        A profile row expires by the same age rule, and with the last
-        loop entry of its module."""
+        A profile row expires by the same age rule only: a workload whose
+        loops all stay out of the loop table (every one decided
+        statically, say) keeps its profile.  ``max_entries`` caps loop
+        entries alone.  A module row lives while an entry or a profile
+        row references it (``cache verify`` re-profiles from it)."""
         removed_age = removed_lru = removed_profiles = 0
         with self._lock, self._conn:
             if max_age_days is not None:
@@ -477,14 +480,11 @@ class AnalysisCache:
                         "ASC, rowid ASC LIMIT ?)",
                         (overflow,),
                     ).rowcount
-            removed_profiles += self._conn.execute(
-                "DELETE FROM profiles WHERE module_digest NOT IN "
-                "(SELECT DISTINCT module_digest FROM entries)"
-            ).rowcount
-            # Drop provenance rows no cached entry references any more.
+            # Drop provenance rows no entry or profile references any more.
             self._conn.execute(
                 "DELETE FROM modules WHERE module_digest NOT IN "
-                "(SELECT DISTINCT module_digest FROM entries)"
+                "(SELECT module_digest FROM entries "
+                "UNION SELECT module_digest FROM profiles)"
             )
             self._conn.execute(
                 "DELETE FROM fingerprints WHERE fingerprint NOT IN "
@@ -623,11 +623,10 @@ class AnalysisCache:
         """Re-profile a sample of profile rows with registered source;
         appends to ``mismatches``/``unverifiable``, returns the counts."""
         from repro.analysis.dynamic_deps import (  # local: avoid cycle
-            DynamicDepProfiler,
             ProfileSummary,
+            profile_program,
         )
         from repro.driver import compile_program
-        from repro.interp.compiler import create_executor
 
         with self._lock:
             rows = self._conn.execute(
@@ -648,13 +647,12 @@ class AnalysisCache:
                 if profile_key(max_steps) != key:
                     raise ValueError("recorded profile key cannot be rebuilt")
                 cached = ProfileSummary.from_payload(json.loads(payload_json))
-                module = compile_program(source)
-                profiler = DynamicDepProfiler(module)
-                executor = create_executor(
-                    module, max_steps=max_steps, observers=[profiler]
+                fresh = profile_program(
+                    compile_program(source),
+                    entry,
+                    json.loads(args_json),
+                    max_steps=max_steps,
                 )
-                executor.run(entry, json.loads(args_json))
-                fresh = profiler.summary(executor.steps)
             except Exception as exc:
                 unverifiable.append(
                     {"module": digest, "profile": key, "error": repr(exc)}

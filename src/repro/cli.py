@@ -247,12 +247,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
         row += f"{report.results[label].verdict:>20s}"
         print(row)
     print(_hit_rate_line(report))
-    profile_cost = outcome.costs.get("profile", {})
+    profile_cost = outcome.costs["profile"]
     print(
         f"cost: DCA {report.executions} executions / "
-        f"{report.interp_instructions} instrs; profiled baselines "
-        f"{int(profile_cost.get('executions', 0))} execution / "
-        f"{int(profile_cost.get('instructions', 0))} instrs"
+        f"{report.interp_instructions} instrs; profiled baselines read "
+        f"its profile run ({int(profile_cost['instructions'])} instrs)"
     )
     if args.profile:
         for name in sorted(outcome.costs):
@@ -943,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cgc.add_argument("--max-age-days", type=float, default=None, metavar="D",
                        help="drop entries unused for more than D days")
     p_cgc.add_argument("--max-entries", type=int, default=None, metavar="N",
-                       help="keep at most N entries (LRU eviction)")
+                       help="keep at most N loop entries (LRU eviction)")
     p_cverify = cache_sub.add_parser(
         "verify",
         help="re-execute a sample of cached loops and cross-check digests",

@@ -73,7 +73,7 @@ from repro.analysis.commutativity import (
     StaticCommutativityAnalysis,
     StaticLoopVerdict,
 )
-from repro.analysis.dynamic_deps import DynamicDepProfiler, ProfileSummary
+from repro.analysis.dynamic_deps import ProfileSummary, profile_program
 from repro.analysis.loops import build_loop_forest, invalidate_loops
 from repro.analysis.purity import EffectAnalysis
 from repro.analysis.reductions import COMPLEX_REDUCTIONS, classify_loop
@@ -152,7 +152,8 @@ class _Analysis:
     #: static verdicts, its per-loop flow pairs feed iterator
     #: recognition (kept per loop: a pair discovered in an enclosing
     #: loop's scope must not leak into an inner loop's slice) and its
-    #: dependence pairs feed tiering.
+    #: dependence pairs feed tiering and, under ``detect``, the
+    #: profile-driven baselines.
     profile: Optional[ProfileSummary] = None
     #: label -> static pre-screen verdict.
     static_verdicts: Dict[str, StaticLoopVerdict] = field(default_factory=dict)
@@ -226,6 +227,12 @@ class DcaAnalyzer:
         self._obs = obs.current()
 
     def analyze(self) -> DcaReport:
+        return self.run().report
+
+    def run(self) -> _Analysis:
+        """Run every stage; returns their shared state, the report and
+        the profile summary (which ``repro detect`` hands the baselines)
+        included."""
         self._obs = obs.current()
         report = DcaReport(
             entry=self.config.entry,
@@ -252,7 +259,7 @@ class DcaAnalyzer:
         for func in self.module.functions.values():
             invalidate_loops(func)
         self._emit_verdict_events(report)
-        return report
+        return state
 
     # -- observability -------------------------------------------------------
 
@@ -312,20 +319,6 @@ class DcaAnalyzer:
                 results[label] = result
         return results
 
-    def _run_program(self, report: DcaReport, module: Module, **kwargs):
-        """Run ``module`` once from the entry, charged to the report as
-        one execution; returns ``(executor, return value)``."""
-        executor = create_executor(
-            module,
-            max_steps=self.config.max_steps,
-            exec_backend=self.config.exec_backend,
-            **kwargs,
-        )
-        value = executor.run(self.config.entry, list(self.config.args))
-        report.executions += 1
-        report.interp_instructions += executor.steps
-        return executor, value
-
     def _profile(self, state: _Analysis) -> None:
         """The profile summary of the pristine program: the cache's
         copy for this workload when it has one, else the summary of one
@@ -348,20 +341,22 @@ class DcaAnalyzer:
             payload = cache.lookup_profile(digest, key)
             if payload is not None:
                 state.profile = ProfileSummary.from_payload(payload)
-                report.executions += 1
-                report.interp_instructions += state.profile.steps
                 self._obs.count("dca.profile_cache_hits")
-                return
-        profiler = DynamicDepProfiler(self.module)
-        executor, _ = self._run_program(
-            report, self.module, observers=[profiler]
-        )
-        state.profile = profiler.summary(executor.steps)
-        if cache is not None:
-            cache.store_profile(
-                digest, key, state.profile.to_payload(),
+        if state.profile is None:
+            state.profile = profile_program(
+                self.module,
+                self.config.entry,
+                self.config.args,
                 max_steps=self.config.max_steps,
+                exec_backend=self.config.exec_backend,
             )
+            if cache is not None:
+                cache.store_profile(
+                    digest, key, state.profile.to_payload(),
+                    max_steps=self.config.max_steps,
+                )
+        report.executions += 1
+        report.interp_instructions += state.profile.steps
 
     # -- static and golden stages ---------------------------------------------
 
@@ -419,7 +414,15 @@ class DcaAnalyzer:
         runtime = DcaRuntime(
             state.specs, capture=state.pending if strict else ()
         )
-        executor, value = self._run_program(report, observe, runtime=runtime)
+        executor = create_executor(
+            observe,
+            runtime=runtime,
+            max_steps=self.config.max_steps,
+            exec_backend=self.config.exec_backend,
+        )
+        value = executor.run(self.config.entry, list(self.config.args))
+        report.executions += 1
+        report.interp_instructions += executor.steps
         add_counters(report, runtime)
         state.golden = runtime.snapshots
         state.golden_outcome = program_outcome(

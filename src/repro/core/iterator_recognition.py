@@ -59,8 +59,9 @@ def separate(func: Function, loop: Loop, memory_flow=None) -> IteratorSeparation
     """Split ``loop`` into iterator and payload sites.
 
     ``memory_flow`` is an optional set of same-invocation dynamic flow
-    edges ``((func, block, idx), (func, block, idx))`` from
-    :class:`repro.analysis.dynamic_deps.DynamicDepProfiler`.  With it, the
+    pairs ``((func, block, idx), (func, block, idx))``: a profile
+    summary's :attr:`~repro.analysis.dynamic_deps.LoopProfile.memory_flow`
+    for the loop.  With it, the
     slice also follows memory data-flow: when a slice instruction reads a
     location written by another loop instruction (possibly through a call,
     e.g. ``pop(frontier)`` updating ``frontier->size``), the writer joins

@@ -13,9 +13,8 @@ the synthesized pragma for inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from repro.analysis.dynamic_deps import DynamicDepProfiler
 from repro.analysis.loops import Loop
 from repro.analysis.reductions import (
     COMPLEX_REDUCTIONS,
@@ -59,7 +58,6 @@ def synthesize_clauses(
     func: Function,
     loop: Loop,
     idioms: LoopIdioms,
-    profile: Optional[DynamicDepProfiler] = None,
 ) -> ParallelClauses:
     """Derive the clause set for parallelizing ``loop``."""
     clauses = ParallelClauses(label=loop.label)
@@ -78,8 +76,7 @@ def synthesize_clauses(
             clauses.notes.append(f"{reg.name}: carried scalar left to verification")
 
     # Registers defined and used only within one iteration are private by
-    # construction in the outlined payload; heap locations proven
-    # written-before-read by the profile are noted as privatizable.
+    # construction in the outlined payload; histogram arrays take atomics.
     for update in idioms.histograms:
         clauses.atomics.append(update.array.name)
 

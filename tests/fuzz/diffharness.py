@@ -229,11 +229,11 @@ def profile_state(
     ``exec_backend``.
 
     Returns ``(executor, state)``: ``state`` is everything the
-    dependence profiler exposes — per-loop edges, max trips, executed
-    loops, privatization facts for every touched location, memory-flow
-    edges, and the summary the analyzer keeps — and the cost profiler's
-    total, per-loop and per-iteration costs of every loop, plus the run
-    outcome (fault message included) and its step count.
+    dependence profiler exposes — its summary: max trips, every loop's
+    dependence pairs and memory flow, and one privatization flag per
+    carried ``(kind, writer, reader)`` — and the cost profiler's total,
+    per-loop and per-iteration costs of every loop, plus the run outcome
+    (fault message included) and its step count.
     """
     module = compile_program(source)
     profiler = DynamicDepProfiler(module)
@@ -257,17 +257,6 @@ def profile_state(
     state = {
         "outcome": outcome,
         "steps": executor.steps,
-        "edges": {
-            label: deps.edges for label, deps in profiler.loop_deps.items()
-        },
-        "max_trips": profiler.max_trips,
-        "executed": profiler.executed,
-        "privatizable": {
-            (label, loc): profiler.is_privatizable(label, loc)
-            for loc in profiler._locs
-            for label in profiler.executed
-        },
-        "memory_flow": profiler.memory_flow_edges(),
         "summary": profiler.summary(executor.steps),
         "total_cost": cost.total_cost,
         "loop_cost": dict(cost.loop_cost),

@@ -1,5 +1,6 @@
 """Baseline detector envelope tests (the Table I/III discriminators)."""
 
+import glob
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from repro import compile_program
 from repro.baselines import (
+    ALL_DETECTORS,
     DependenceProfilingDetector,
     DiscoPopDetector,
     IccDetector,
@@ -242,3 +244,79 @@ def test_reasons_do_not_depend_on_string_hashing():
         return json.loads(result.stdout)
 
     assert reasons(1) == reasons(2)
+
+
+#: L0 reads a[i + 1] before iteration i + 1 overwrites it: a carried
+#: anti dependence on a location read first, so not privatizable.  L1's
+#: scratch slot carries anti and output dependences but is written first
+#: in every iteration.
+ANTI = """
+func void main() {
+  int[] a = new int[9];
+  int[] b = new int[8];
+  int[] tmp = new int[1];
+  for (int i = 0; i < 8; i = i + 1) { b[i] = a[i + 1]; a[i] = i; }
+  for (int i = 0; i < 8; i = i + 1) { tmp[0] = i * 2; b[i] = tmp[0] + 1; }
+  print(b[3]);
+}
+"""
+
+
+def test_profile_detectors_block_only_non_privatizable_anti_deps():
+    ctx = build_context(compile_program(ANTI))
+    for detector in (DependenceProfilingDetector(), DiscoPopDetector()):
+        results = detector.detect(ctx)
+        assert (results["main.L0"].parallel, results["main.L0"].reason) == (
+            False, "cross-iteration war on non-privatizable location"
+        )
+        assert results["main.L1"].parallel, results["main.L1"].reason
+
+
+# -- verdict golden ------------------------------------------------------------
+
+
+#: Every detector's ``[parallel, reason]`` per loop of the 24 suite
+#: programs, ``examples/*.mc`` and the fuzz corpus, frozen from detectors
+#: that read the profiler's location-level edges.  The summary keeps one
+#: privatization flag per carried ``(kind, writer, reader)``; no verdict
+#: or reason may move.
+BASELINE_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "goldens", "baseline_verdicts.json"
+)
+_ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _golden_programs():
+    """``(key, source, entry)`` of every program the golden covers."""
+    from repro.benchsuite import ALL_BENCHMARKS
+
+    for bench in ALL_BENCHMARKS:
+        yield f"bench/{bench.name}", bench.source, bench.entry
+    for pattern, prefix in (
+        ("examples/*.mc", "examples/"),
+        ("tests/fuzz/corpus/*.mc", "corpus/"),
+    ):
+        for path in sorted(glob.glob(os.path.join(_ROOT, pattern))):
+            with open(path) as fh:
+                yield prefix + os.path.basename(path), fh.read(), "main"
+
+
+@pytest.mark.parametrize("exec_backend", ["codegen", "interp"])
+def test_baseline_verdicts_match_the_golden(exec_backend):
+    with open(BASELINE_GOLDEN) as fh:
+        expected = json.load(fh)
+    got = {}
+    for key, source, entry in _golden_programs():
+        ctx = build_context(
+            compile_program(source), entry=entry, exec_backend=exec_backend
+        )
+        got[key] = {
+            detector.name: {
+                label: [res.parallel, res.reason]
+                for label, res in detector().detect(ctx).items()
+            }
+            for detector in ALL_DETECTORS
+        }
+    assert sorted(got) == sorted(expected)
+    for key in expected:
+        assert got[key] == expected[key], key

@@ -560,15 +560,15 @@ func int main() {
 
 
 def _profile(module, program=None):
-    """(result, steps, edges, max_trips) of one profiled run."""
+    """(result, profile summary) of one profiled run: the summary holds
+    the steps, max trips and every loop's dependence pairs by kind."""
     profiler = DynamicDepProfiler(module)
     if program is None:
         executor = Interpreter(module, observers=[profiler])
     else:
         executor = ProfiledCodegenExecutor(program, observers=[profiler])
     result = executor.run("main", [])
-    edges = {label: d.edges for label, d in profiler.loop_deps.items()}
-    return result, executor.steps, edges, profiler.max_trips
+    return result, profiler.summary(executor.steps)
 
 
 def _assert_profiled_recompile(cache_dir, src=PROF_SRC):

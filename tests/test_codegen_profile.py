@@ -1,8 +1,9 @@
 """Dependence profiling on codegen's profiled lowering.
 
 The profiled run must leave :class:`DynamicDepProfiler` in exactly the
-state the interpreter leaves it in — edges, trip counts, executed
-loops, privatization facts, step count and fault message — and must
+state the interpreter leaves it in — the profile summary (trip counts,
+dependence pairs by kind, each carried pair's privatization flag), step
+count and fault message — and must
 publish the interpreter's loop and memory event stream in the same
 order, including on early returns from nested loops, recursion and
 faults.  The profile summary the analyzer keeps must be equal too, on
@@ -250,10 +251,10 @@ def test_baseline_profile_detection_parity(bench):
     results = []
     for exec_backend in ("interp", "codegen"):
         ctx = build_context(bench.compile(fresh=True), exec_backend=exec_backend)
-        assert ctx.costs["profile"]["instructions"] == ctx.profiled_steps
+        assert ctx.costs["profile"]["instructions"] == ctx.profile.steps
         results.append(
             (
-                ctx.profiled_steps,
+                ctx.profile,
                 {
                     d.name: {
                         label: (r.parallel, r.reason)

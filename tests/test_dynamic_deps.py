@@ -1,62 +1,54 @@
-"""Dynamic memory-dependence profiler tests."""
+"""Dynamic memory-dependence profiler tests, read through the summary."""
 
 from repro import compile_program
-from repro.analysis.dynamic_deps import DynamicDepProfiler
-from repro.interp.interpreter import Interpreter
+from repro.analysis.dynamic_deps import profile_program
 
 
 def profile(source):
-    module = compile_program(source)
-    profiler = DynamicDepProfiler(module)
-    Interpreter(module, observers=[profiler]).run()
-    return profiler
+    return profile_program(compile_program(source), exec_backend="interp")
 
 
 def test_map_loop_has_no_cross_iteration_edges():
-    profiler = profile(
+    summary = profile(
         "func void main() { int[] a = new int[8];"
         " for (int i = 0; i < 8; i = i + 1) { a[i] = i; } print(a[0]); }"
     )
-    deps = profiler.deps_for("main.L0")
-    assert not deps.cross_iteration_edges()
-    assert "main.L0" in profiler.executed
+    assert not summary.loop("main.L0").carried
+    assert "main.L0" in summary.max_trips
 
 
 def test_recurrence_produces_cross_iteration_raw():
-    profiler = profile(
+    summary = profile(
         "func void main() { int[] a = new int[8]; a[0] = 1;"
         " for (int i = 1; i < 8; i = i + 1) { a[i] = a[i - 1] + 1; }"
         " print(a[7]); }"
     )
-    deps = profiler.deps_for("main.L0")
-    raw = deps.cross_iteration_edges("raw")
+    raw = summary.loop("main.L0").carried.get("raw")
     assert raw
     # Writer and reader both attribute to sites inside main.
-    assert all(e.writer[0] == "main" and e.reader[0] == "main" for e in raw)
+    assert all(w[0] == "main" and r[0] == "main" for w, r in raw)
 
 
 def test_same_iteration_rmw_not_cross():
-    profiler = profile(
+    summary = profile(
         "func void main() { int[] a = new int[8];"
         " for (int i = 0; i < 8; i = i + 1) { a[i] = a[i] + 1; }"
         " print(a[0]); }"
     )
-    deps = profiler.deps_for("main.L0")
-    assert not deps.cross_iteration_edges("raw")
+    assert "raw" not in summary.loop("main.L0").carried
 
 
 def test_histogram_has_cross_iteration_raw():
-    profiler = profile(
+    summary = profile(
         "func void main() { int[] h = new int[2];"
         " for (int i = 0; i < 8; i = i + 1) { h[i % 2] += 1; }"
         " print(h[0]); }"
     )
-    deps = profiler.deps_for("main.L0")
-    assert deps.cross_iteration_edges("raw")
+    assert summary.loop("main.L0").carried.get("raw")
 
 
 def test_callee_accesses_attributed_to_call_site():
-    profiler = profile(
+    summary = profile(
         """
         struct Cell { int v; }
         func void bump(Cell* c) { c->v = c->v + 1; }
@@ -67,43 +59,44 @@ def test_callee_accesses_attributed_to_call_site():
         }
         """
     )
-    deps = profiler.deps_for("main.L0")
-    raw = deps.cross_iteration_edges("raw")
+    raw = summary.loop("main.L0").carried.get("raw")
     assert raw
     # Attribution lifts the access out of bump() to the call inside main.
-    assert all(e.writer[0] == "main" for e in raw)
+    assert all(w[0] == "main" for w, _r in raw)
 
 
 def test_privatizable_location():
-    profiler = profile(
+    summary = profile(
         "func void main() { int[] tmp = new int[1]; int s = 0;"
         " for (int i = 0; i < 6; i = i + 1) { tmp[0] = i * 2; s = s + tmp[0]; }"
         " print(s); }"
     )
-    deps = profiler.deps_for("main.L0")
+    carried = summary.loop("main.L0").carried
     # tmp[0] causes cross-iteration WAW/WAR but is written-before-read in
     # every iteration: privatizable.
-    cross = deps.cross_iteration_edges("waw") + deps.cross_iteration_edges("war")
+    cross = [
+        private
+        for kind in ("waw", "war")
+        for private in carried.get(kind, {}).values()
+    ]
     assert cross
-    for edge in cross:
-        assert profiler.is_privatizable("main.L0", edge.loc)
+    assert all(cross)
 
 
 def test_read_before_write_is_not_privatizable():
-    profiler = profile(
+    summary = profile(
         "func void main() { int[] cell = new int[1]; cell[0] = 1; int s = 0;"
         " for (int i = 0; i < 6; i = i + 1) { s = s + cell[0]; cell[0] = i; }"
         " print(s); }"
     )
-    deps = profiler.deps_for("main.L0")
-    raw = deps.cross_iteration_edges("raw")
+    raw = summary.loop("main.L0").carried.get("raw")
     assert raw
-    assert not profiler.is_privatizable("main.L0", raw[0].loc)
+    assert not raw[min(raw)]
 
 
 def test_edges_scoped_to_invocation():
     # Writes from a previous invocation of the loop do not create edges.
-    profiler = profile(
+    summary = profile(
         """
         func void main() {
           int[] a = new int[4];
@@ -114,19 +107,17 @@ def test_edges_scoped_to_invocation():
         }
         """
     )
-    inner = profiler.deps_for("main.L1")
-    assert not inner.cross_iteration_edges("raw")
+    assert "raw" not in summary.loop("main.L1").carried
     # The outer loop *does* carry the dependence across its iterations.
-    outer = profiler.deps_for("main.L0")
-    assert outer.cross_iteration_edges("raw")
+    assert summary.loop("main.L0").carried.get("raw")
 
 
-def test_memory_flow_edges_exported_per_label():
-    profiler = profile(
+def test_memory_flow_pairs_kept_per_label():
+    summary = profile(
         "func void main() { int[] a = new int[4]; a[0] = 1;"
         " for (int i = 1; i < 4; i = i + 1) { a[i] = a[i - 1]; }"
         " print(a[3]); }"
     )
-    flows = profiler.memory_flow_edges()
-    assert "main.L0" in flows
-    assert all(len(edge) == 2 for edge in flows["main.L0"])
+    flows = summary.loop("main.L0").memory_flow
+    assert flows
+    assert all(len(pair) == 2 for pair in flows)

@@ -1,10 +1,9 @@
 """Iterator/payload separation tests (incl. profile-guided memory flow)."""
 
 from repro import compile_program
-from repro.analysis.dynamic_deps import DynamicDepProfiler
+from repro.analysis.dynamic_deps import profile_program
 from repro.analysis.loops import build_loop_forest
 from repro.core.iterator_recognition import separate
-from repro.interp.interpreter import Interpreter
 from repro.ir.instructions import Reg
 
 
@@ -12,9 +11,8 @@ def separation_for(source, label, profile=False):
     module = compile_program(source)
     flow = None
     if profile:
-        profiler = DynamicDepProfiler(module)
-        Interpreter(module, observers=[profiler]).run()
-        flow = profiler.memory_flow_edges().get(label)
+        summary = profile_program(module, exec_backend="interp")
+        flow = summary.loop(label).memory_flow
     func_name = label.rsplit(".L", 1)[0]
     func = module.functions[func_name]
     forest = build_loop_forest(func)

@@ -197,7 +197,13 @@ def test_baseline_wall_times_are_span_durations():
     with obs.enabled() as ctx, AnalysisSession(config) as session:
         outcome = session.detect(PROGRAM)
     costs = outcome.costs
-    assert costs["profile"]["wall_ms"] == _span_ms(ctx, "baseline.profile")
+    # The baselines read the summary of DCA's profile stage: its cost is
+    # that stage's span, and no second profile runs.
+    assert costs["profile"]["wall_ms"] == _span_ms(ctx, "dca.profile")
+    assert costs["profile"]["wall_ms"] == (
+        outcome.report.stage_times_ms["profile"]
+    )
+    assert all(s.name != "baseline.profile" for s in ctx.tracer.spans)
     for name in outcome.detector_names:
         assert costs[name]["wall_ms"] == _span_ms(
             ctx, "baseline.detect", detector=name

@@ -178,7 +178,9 @@ def test_detect_trace_and_profile_flags(program_file, tmp_path, capsys):
     assert "cost: DCA" in out
     events = _load_trace(trace_path)
     names = {e["name"] for e in events}
-    assert "baseline.profile" in names
+    # The baselines share DCA's profile stage instead of running their own.
+    assert "dca.profile" in names
+    assert "baseline.profile" not in names
     assert "baseline.detect" in names
 
 

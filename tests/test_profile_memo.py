@@ -16,13 +16,16 @@ import pytest
 
 import repro.core.dca as dca
 import repro.obs as obs
-from repro.analysis.dynamic_deps import DynamicDepProfiler, ProfileSummary
+from repro.analysis.dynamic_deps import (
+    DynamicDepProfiler,
+    ProfileSummary,
+    profile_program,
+)
 from repro.api import AnalysisConfig, AnalysisSession
 from repro.cache import AnalysisCache
 from repro.cache.keys import SEMANTICS_VERSION, profile_key
 from repro.cli import main
 from repro.driver import compile_program
-from repro.interp.interpreter import Interpreter
 
 #: One loop the static pre-screen decides (main.L0) and two pointer
 #: loops it leaves to the dynamic stage (main.L1, main.L2), so the cache
@@ -191,17 +194,89 @@ func void main() {
 """
 
 
-def test_summary_round_trips_through_the_payload():
-    module = compile_program(CARRIED)
-    profiler = DynamicDepProfiler(module)
-    interp = Interpreter(module, observers=[profiler])
-    interp.run("main", [])
-    summary = profiler.summary(interp.steps)
-    deps = summary.loop("main.L0")
-    assert set(deps.carried.values()) == {True, False}
-    assert deps.carried_raw and deps.memory_flow
+def _round_trip(source):
+    """The interpreter's profile summary of ``source``, after asserting
+    it survives its JSON payload."""
+    summary = profile_program(compile_program(source), exec_backend="interp")
     payload = json.loads(json.dumps(summary.to_payload()))
     assert ProfileSummary.from_payload(payload) == summary
+    return summary
+
+
+def test_summary_round_trips_through_the_payload():
+    deps = _round_trip(CARRIED).loop("main.L0")
+    assert set(deps.carried_pairs().values()) == {True, False}
+    assert deps.carried.get("raw") and deps.memory_flow
+
+
+#: Every access of ``step`` is attributed to its one call site: a[0],
+#: written in the first iteration only and read in every later one, is a
+#: carried flow that is not privatizable; a[1], written first in every
+#: iteration, carries privatizable anti and output dependences.
+MIXED_KINDS = """
+func int step(int[] a, int i) {
+  if (i == 0) { a[0] = 5; }
+  a[1] = i * 2;
+  return a[0] + a[1];
+}
+func void main() {
+  int[] a = new int[2];
+  int s = 0;
+  for (int i = 0; i < 6; i = i + 1) { s = s + step(a, i); }
+  print(s);
+}
+"""
+
+
+def test_summary_round_trips_one_pair_carried_by_two_kinds():
+    deps = _round_trip(MIXED_KINDS).loop("main.L0")
+    (pair,) = deps.carried["raw"]
+    assert pair[0] == pair[1]  # the call site, as writer and reader
+    assert deps.carried["raw"][pair] is False
+    assert deps.carried["waw"][pair] is True
+    assert deps.carried["war"][pair] is True
+    # Tiering reads the AND over the pair's kinds.
+    assert deps.carried_pairs() == {pair: False}
+
+
+# -- detect ---------------------------------------------------------------------
+
+
+def _detect_profiles(monkeypatch, **config):
+    """(outcome, profiled executions, dca.profile_cache_hits) of one
+    observed ``detect`` of PROGRAM."""
+    import repro.interp.compiler as compiler
+
+    profiled = []
+    original = compiler.create_executor
+
+    def counting(module, observers=(), **kwargs):
+        if any(isinstance(o, DynamicDepProfiler) for o in observers or ()):
+            profiled.append(module)
+        return original(module, observers=observers, **kwargs)
+
+    monkeypatch.setattr(compiler, "create_executor", counting)
+    config.setdefault("ledger_dir", "off")
+    with obs.enabled(clock=_zero) as ctx:
+        with AnalysisSession(AnalysisConfig(**config)) as session:
+            outcome = session.detect(PROGRAM)
+    hits = ctx.metrics.value("dca.profile_cache_hits")
+    return outcome, len(profiled), hits
+
+
+def test_detect_profiles_once_cold_and_never_warm(tmp_path, monkeypatch):
+    steps = profile_program(compile_program(PROGRAM)).steps
+    uncached = _detect_profiles(monkeypatch, cache_mode="off")
+    cold = _detect_profiles(monkeypatch, cache_dir=str(tmp_path))
+    warm = _detect_profiles(monkeypatch, cache_dir=str(tmp_path))
+    assert [run[1:] for run in (uncached, cold, warm)] == [
+        (1, 0), (1, 0), (0, 1)
+    ]
+    for outcome, _profiled, _hits in (uncached, cold, warm):
+        assert outcome.costs["profile"]["executions"] == 1
+        assert outcome.costs["profile"]["instructions"] == steps
+        assert outcome.baselines == uncached[0].baselines
+        assert outcome.report.to_json() == uncached[0].report.to_json()
 
 
 # -- cache modes ----------------------------------------------------------------
@@ -272,10 +347,12 @@ def test_verify_reprofiles_and_catches_a_tampered_row(tmp_path):
 
 
 def _orphans(path):
+    """Profile rows whose module row is gone: ``cache verify`` could not
+    re-profile them."""
     with sqlite3.connect(path) as conn:
         (count,) = conn.execute(
             "SELECT COUNT(*) FROM profiles WHERE module_digest NOT IN "
-            "(SELECT module_digest FROM entries)"
+            "(SELECT module_digest FROM modules)"
         ).fetchone()
     return count
 
@@ -286,14 +363,18 @@ def test_gc_and_clear_leave_no_orphan_profiles(tmp_path):
         _analyze(cache)
         _analyze(cache, source=STATIC_ONLY)
         assert cache.stats()["profiles"] == 2
-        # STATIC_ONLY has no loop entry: its row goes with the gc.
-        assert cache.gc()["removed_profiles"] == 1
+        # STATIC_ONLY has no loop entry, yet a plain gc keeps its row
+        # and the module row it re-profiles from.
+        assert cache.gc()["removed_profiles"] == 0
         assert _orphans(cache.path) == 0
-        assert cache.stats()["profiles"] == 1
-        # The age rule expires the entries and the profile row alike.
+        assert cache.stats()["profiles"] == 2
+        assert cache.verify(sample=10)["profiles"] == {"checked": 2, "ok": 2}
+        assert _profile_hits(cache, source=STATIC_ONLY)[1] == 1
+        # The age rule expires the entries and the profile rows alike.
         now[0] = 10 * 86400.0
         result = cache.gc(max_age_days=5)
-        assert result["removed_profiles"] == 1 and result["remaining"] == 0
+        assert result["removed_profiles"] == 2 and result["remaining"] == 0
+        assert _orphans(cache.path) == 0
         assert cache.stats()["profiles"] == 0
         _analyze(cache)
         assert cache.stats()["profiles"] == 1

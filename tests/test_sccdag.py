@@ -122,7 +122,7 @@ def _loop_parts(source, label):
 
 #: Per program and loop, a digest of the SCC-DAG and default stage plan
 #: built from the location-level profile (every edge's concrete
-#: location checked with ``is_privatizable``), for all 24 programs.
+#: location's privatization checked one by one), for all 24 programs.
 SCCDAG_GOLDEN = os.path.join(
     os.path.dirname(__file__), "goldens", "sccdag_digests.json"
 )
