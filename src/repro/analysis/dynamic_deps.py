@@ -14,10 +14,13 @@ data-flow the paper's infrastructure obtains from LLVM instrumentation:
   loops with helper calls (``push``/``pop``) still produce loop-level
   edges.
 
-Consumers read the profile only through :meth:`DynamicDepProfiler.summary`
-(run by :func:`profile_program`): a :class:`ProfileSummary` with the
-concrete locations folded into one privatization flag per carried
-``(kind, writer, reader)``.
+The profiler keeps one record per concrete location (its last write, at
+most six reads since, its privatization state per loop and the keys of
+the edges seen on it) and nothing per edge.  Consumers read the profile
+only through :meth:`DynamicDepProfiler.summary` (run by
+:func:`profile_program`): a :class:`ProfileSummary` in which a carried
+``(kind, writer, reader)`` is one privatization flag, true when every
+location it was seen on is privatizable.
 
 * :mod:`repro.core.iterator_recognition` follows same-invocation flow
   pairs so that e.g. ``pop(frontier)`` feeding ``frontier->size`` joins
@@ -47,7 +50,6 @@ __all__ = [
     "DynamicDepProfiler",
     "LoopProfile",
     "ProfileSummary",
-    "SiteRegistry",
     "profile_program",
 ]
 
@@ -59,32 +61,6 @@ LoopSnap = Tuple[str, int, int]
 
 #: (writer site, reader site) of a dependence.
 SitePair = Tuple[Site, Site]
-
-
-class SiteRegistry:
-    """Maps instruction identity to static location and loop membership."""
-
-    def __init__(self, module: Module):
-        self.module = module
-        self.site_of: Dict[int, Site] = {}
-        #: id(instr) -> loop labels containing the instruction.
-        self.loops_of: Dict[int, Tuple[str, ...]] = {}
-        for func in module.functions.values():
-            forest = build_loop_forest(func)
-            for block in func.ordered_blocks():
-                chain = tuple(l.label for l in forest.loop_chain(block.name))
-                for idx, instr in enumerate(block.instrs):
-                    self.site_of[id(instr)] = (func.name, block.name, idx)
-                    self.loops_of[id(instr)] = chain
-
-    def sites_by_loop(self, chain: Tuple[int, ...]) -> Dict[str, Site]:
-        """Loop label -> deepest element of an attribution chain lying
-        inside that loop (labels no element lies in are absent)."""
-        sites: Dict[str, Site] = {}
-        for instr_id in chain:
-            for label in self.loops_of.get(instr_id, ()):
-                sites[label] = self.site_of[instr_id]
-        return sites
 
 
 @dataclass(frozen=True)
@@ -223,25 +199,34 @@ def profile_program(
 class DynamicDepProfiler(Observer):
     """Observer recording the dependences of every loop executed.
 
-    The handlers run once per memory access of the profiled execution,
-    so their state is kept in plain tuples and lists: an access is
-    ``(sites, loops)`` — the attribution chain's loop label -> site map
-    and the loop-stack snapshot — and an edge is recorded only the first
-    time its tuple key is seen on a location: the location is appended
-    under its ``(label, kind, writer, reader, same_iteration)`` key, and
-    :meth:`summary` folds each key's locations into one flag.
+    Its only per-access state is one record per concrete location: the
+    last write, the reads since it, the loop snapshot of the latest
+    access, the location's privatization state per loop label, and the
+    ``(label, kind, writer, reader, same_iteration)`` keys of the edges
+    seen on it.  The handlers run once per memory access of the profiled
+    execution, so that state is kept in plain tuples and lists: an
+    access is ``(sites, loops)`` — the attribution chain's loop label ->
+    site map and the loop-stack snapshot.  :meth:`summary` walks the
+    records once, folding each carried key's locations into one flag.
     """
 
     wants_memory = True
     wants_loops = True
 
-    #: Cap on remembered reads per location between writes.
+    #: Cap on remembered reads per location between writes: past it, a
+    #: read overwrites the last slot, so the overwritten reads' WAR edges
+    #: are never recorded.
     _MAX_READS = 6
 
-    def __init__(self, module: Module, registry: Optional[SiteRegistry] = None):
-        self.registry = registry or SiteRegistry(module)
-        #: Edge key -> the concrete locations it was seen on.
-        self._edge_locs: Dict[Tuple, List] = {}
+    def __init__(self, module: Module):
+        #: id(instr) -> (static site, labels of the loops containing it).
+        self._instrs: Dict[int, Tuple[Site, Tuple[str, ...]]] = {}
+        for func in module.functions.values():
+            forest = build_loop_forest(func)
+            for block in func.ordered_blocks():
+                chain = tuple(l.label for l in forest.loop_chain(block.name))
+                for idx, instr in enumerate(block.instrs):
+                    self._instrs[id(instr)] = ((func.name, block.name, idx), chain)
         #: loc -> [last write access or None, reads since that write,
         #: loop snapshot of the latest access, privatization states
         #: (see _update_priv), keys of the edges recorded on loc].
@@ -286,13 +271,11 @@ class DynamicDepProfiler(Observer):
 
     # -- event handlers ---------------------------------------------------------
 
-    def _site_map(self, chain: Tuple[int, ...], key) -> Dict[str, Site]:
-        sites = self._site_maps[key] = self.registry.sites_by_loop(chain)
-        return sites
-
-    def on_read(self, loc, instr) -> None:
-        # The access is (loop label -> attributed site, loop snapshot);
-        # site maps are keyed by id(instr) outside calls, else by chain.
+    def _access(self, instr) -> Tuple[Dict[str, Site], Tuple[LoopSnap, ...]]:
+        """The access ``instr`` makes now: each loop label -> the deepest
+        element of the attribution chain (the active call sites, then
+        ``instr``) lying inside that loop, and the loop snapshot.  Site
+        maps are keyed by id(instr) outside calls, else by the chain."""
         interp = self.interp
         if interp.call_stack_version != self._chain_version:
             self._chain_base = tuple([id(c) for c in interp.call_stack])
@@ -301,18 +284,22 @@ class DynamicDepProfiler(Observer):
         key = base + (id(instr),) if base else id(instr)
         sites = self._site_maps.get(key)
         if sites is None:
-            sites = self._site_map(base + (id(instr),), key)
-        snap = self._loops_snap
-        access = (sites, snap)
+            sites = self._site_maps[key] = {}
+            for instr_id in base + (id(instr),):
+                site, labels = self._instrs.get(instr_id, (None, ()))
+                for label in labels:
+                    sites[label] = site
+        return sites, self._loops_snap
+
+    def on_read(self, loc, instr) -> None:
+        access = self._access(instr)
+        snap = access[1]
         entry = self._locs.get(loc)
         if entry is None:
-            self._locs[loc] = [None, [access], snap, {}, set()]
-            if snap:
-                self._update_priv(self._locs[loc][3], snap, False)
-            return
+            entry = self._locs[loc] = [None, [], None, {}, set()]
         write = entry[0]
         if write is not None and snap:
-            self._emit_edges("raw", entry, loc, write, access)
+            self._emit_edges("raw", entry[4], write, access)
         reads = entry[1]
         if len(reads) < self._MAX_READS:
             reads.append(access)
@@ -325,34 +312,23 @@ class DynamicDepProfiler(Observer):
             self._update_priv(entry[3], snap, False)
 
     def on_write(self, loc, instr) -> None:
-        interp = self.interp
-        if interp.call_stack_version != self._chain_version:
-            self._chain_base = tuple([id(c) for c in interp.call_stack])
-            self._chain_version = interp.call_stack_version
-        base = self._chain_base
-        key = base + (id(instr),) if base else id(instr)
-        sites = self._site_maps.get(key)
-        if sites is None:
-            sites = self._site_map(base + (id(instr),), key)
-        snap = self._loops_snap
-        access = (sites, snap)
+        access = self._access(instr)
+        snap = access[1]
         entry = self._locs.get(loc)
         if entry is None:
-            self._locs[loc] = [access, [], snap, {}, set()]
-            if snap:
-                self._update_priv(self._locs[loc][3], snap, True)
-            return
+            entry = self._locs[loc] = [None, [], None, {}, set()]
         reads = entry[1]
         if snap:
+            keys = entry[4]
             prev_write = entry[0]
             if prev_write is not None:
-                self._emit_edges("waw", entry, loc, prev_write, access)
+                self._emit_edges("waw", keys, prev_write, access)
             prev = None
             for read in reads:  # anti dependences
                 # A repeat of the previous read yields the same edges.
                 if prev is None or read[0] is not prev[0] \
                         or read[1] is not prev[1]:
-                    self._emit_edges("war", entry, loc, read, access)
+                    self._emit_edges("war", keys, read, access)
                 prev = read
         reads.clear()
         entry[0] = access
@@ -362,55 +338,46 @@ class DynamicDepProfiler(Observer):
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _emit_edges(self, kind: str, entry, loc, first, second) -> None:
-        """Record an edge for every loop containing both accesses.
+    def _emit_edges(self, kind: str, keys: set, first, second) -> None:
+        """Add to ``keys`` (a location's edge keys) the key of this edge
+        for every loop containing both accesses.
 
         ``second`` is always the access being handled, so its loops are
-        the current loop stack.  ``entry[4]`` holds the location's
-        recorded ``(label, kind, writer, reader, same_iteration)`` keys.
+        the current loop stack.
         """
         first_sites, first_loops = first
-        second_sites = second[0]
-        keys = entry[4]
-        if first_loops is second[1]:
+        second_sites, second_loops = second
+        if first_loops is second_loops:
             # Same loop-stack snapshot: same invocation and iteration of
             # every active loop.
             for label, _invocation, _iteration in first_loops:
                 w_site = first_sites.get(label)
                 r_site = second_sites.get(label)
                 if w_site is not None and r_site is not None:
-                    key = (label, kind, w_site, r_site, True)
-                    if key not in keys:
-                        keys.add(key)
-                        self._add_edge(key, loc)
+                    keys.add((label, kind, w_site, r_site, True))
             return
         if self._snap_dups:
-            self._emit_edges_by_label(kind, entry, loc, first, second)
+            self._emit_edges_by_label(kind, keys, first, second)
             return
         # Without repeated labels on the current stack, a loop instance
         # (label, invocation) active at both accesses sits at the same
         # depth in both snapshots, with the same instances below it: the
         # shared instances are exactly the common prefix.
-        for mine, other in zip(first_loops, second[1]):
+        for mine, other in zip(first_loops, second_loops):
             label = mine[0]
             if other[0] != label or other[1] != mine[1]:
                 break
             w_site = first_sites.get(label)
             r_site = second_sites.get(label)
-            if w_site is None or r_site is None:
-                continue
-            key = (label, kind, w_site, r_site, other[2] == mine[2])
-            if key not in keys:
-                keys.add(key)
-                self._add_edge(key, loc)
+            if w_site is not None and r_site is not None:
+                keys.add((label, kind, w_site, r_site, other[2] == mine[2]))
 
-    def _emit_edges_by_label(self, kind: str, entry, loc, first, second) -> None:
+    def _emit_edges_by_label(self, kind: str, keys: set, first, second) -> None:
         """:meth:`_emit_edges` when a label repeats on the current stack
         (a loop re-entered through recursion): each label of ``first``
         pairs with that label's innermost entry on the current stack."""
         first_sites, first_loops = first
         second_sites = second[0]
-        keys = entry[4]
         second_ctx = {s[0]: s for s in second[1]}
         for label, invocation, iteration in first_loops:
             other = second_ctx.get(label)
@@ -418,19 +385,8 @@ class DynamicDepProfiler(Observer):
                 continue  # different invocation (or loop not active)
             w_site = first_sites.get(label)
             r_site = second_sites.get(label)
-            if w_site is None or r_site is None:
-                continue
-            key = (label, kind, w_site, r_site, other[2] == iteration)
-            if key not in keys:
-                keys.add(key)
-                self._add_edge(key, loc)
-
-    def _add_edge(self, key: Tuple, loc) -> None:
-        locs = self._edge_locs.get(key)
-        if locs is None:
-            self._edge_locs[key] = [loc]
-        else:
-            locs.append(loc)
+            if w_site is not None and r_site is not None:
+                keys.add((label, kind, w_site, r_site, other[2] == iteration))
 
     @staticmethod
     def _update_priv(states: Dict[str, list], snap, is_write: bool) -> None:
@@ -450,32 +406,30 @@ class DynamicDepProfiler(Observer):
 
     def summary(self, steps: int) -> ProfileSummary:
         """The profile as its consumers read it, for a run of ``steps``
-        instructions: each carried ``(kind, writer, reader)`` key's
-        locations fold into whether every one is privatizable."""
-        locs_state = self._locs
+        instructions: a carried ``(kind, writer, reader)`` is privatizable
+        when every location it was seen on is."""
         building: Dict[str, Tuple[set, set, dict]] = {}
-        for key, locs in self._edge_locs.items():
-            label, kind, w_site, r_site, same_iteration = key
-            parts = building.get(label)
-            if parts is None:
-                parts = building[label] = (set(), set(), {})
-            flow, pairs, carried = parts
-            pair = (w_site, r_site)
-            pairs.add(pair)
-            if kind == "raw":
-                flow.add(pair)
-            if same_iteration:
-                continue
-            # Privatizable on every location: each iteration touching it
-            # wrote it first (a location the loop never touched has no
-            # state).
-            private = True
-            for loc in locs:
-                state = locs_state[loc][3].get(label)
-                if state is not None and not state[2]:
-                    private = False
-                    break
-            carried.setdefault(kind, {})[pair] = private
+        for entry in self._locs.values():
+            states = entry[3]
+            for label, kind, w_site, r_site, same_iteration in entry[4]:
+                parts = building.get(label)
+                if parts is None:
+                    parts = building[label] = (set(), set(), {})
+                flow, pairs, carried = parts
+                pair = (w_site, r_site)
+                pairs.add(pair)
+                if kind == "raw":
+                    flow.add(pair)
+                if same_iteration:
+                    continue
+                # Privatizable here: each iteration touching the location
+                # wrote it first (a location the loop never touched has
+                # no state).
+                state = states.get(label)
+                by_pair = carried.setdefault(kind, {})
+                by_pair[pair] = by_pair.get(pair, True) and (
+                    state is None or state[2]
+                )
         return ProfileSummary(
             steps=steps,
             max_trips=dict(self.max_trips),

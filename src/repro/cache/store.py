@@ -19,6 +19,12 @@ Profile rows are looked up before any loop entry and outside the
 access counters: ``lookups``/``hits``/``misses``/``stores`` and
 ``repro cache stats``' traffic line count loop entries only.
 
+A hit's usage accounting (the row's ``hits`` and ``last_used_at``) is
+kept in memory and written in the handle's next write transaction
+(every rw analysis registers its module), before ``stats``, ``gc``,
+``verify`` and ``clear`` read or drop rows, and on ``close``: a hit
+commits no transaction of its own.
+
 Properties the rest of the pipeline relies on:
 
 * **Byte-faithful payloads.**  ``payload`` is JSON whose floats
@@ -53,7 +59,7 @@ import random
 import sqlite3
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.cache.keys import SEMANTICS_VERSION, profile_key
@@ -146,6 +152,10 @@ class AnalysisCache:
         self._session_counts: Dict[str, int] = dict.fromkeys(
             _LIFETIME_COUNTERS, 0
         )
+        #: Hits not yet written: row key -> [hits, last used at], for
+        #: loop entries and profile rows.
+        self._entry_usage: Dict[Tuple[str, str, str], list] = {}
+        self._profile_usage: Dict[Tuple[str, str], list] = {}
         self._check_versions()
 
     # -- lifecycle ---------------------------------------------------------
@@ -181,17 +191,46 @@ class AnalysisCache:
         if ctx.enabled:
             ctx.count(f"cache.{name}", n)
 
+    def _note_hit(self, usage: Dict, key: Tuple[str, ...]) -> None:
+        """Keep one hit on a row in memory (the caller holds the lock);
+        :meth:`_write_usage` writes it with the handle's next write."""
+        pending = usage.setdefault(key, [0, 0.0])
+        pending[0] += 1
+        pending[1] = self._clock()
+
+    def _write_usage(self) -> None:
+        """Write the kept hits; the caller holds the lock and a
+        transaction.  ``last_used_at`` never moves back, so a later hit
+        another handle wrote first survives."""
+        for table, where, usage in (
+            ("entries", "module_digest=? AND loop_id=? AND fingerprint=?",
+             self._entry_usage),
+            ("profiles", "module_digest=? AND profile_key=?",
+             self._profile_usage),
+        ):
+            if usage:
+                self._conn.executemany(
+                    f"UPDATE {table} SET hits=hits+?, "
+                    f"last_used_at=MAX(last_used_at, ?) WHERE {where}",
+                    [(n, used, *key) for key, (n, used) in usage.items()],
+                )
+                usage.clear()
+
+    def _flush_usage(self) -> None:
+        """Write the kept hits in their own transaction."""
+        with self._lock, self._conn:
+            self._write_usage()
+
     def _flush_lifetime_counts(self) -> None:
-        """Fold the session's access counters into the persistent meta
-        table (skipped in read-only mode, which must not write)."""
+        """Fold the session's access counters and kept hits into the
+        store (skipped in read-only mode, which must not write)."""
         if self.mode == "ro":
             return
         with self._lock:
             pending = {k: v for k, v in self._session_counts.items() if v}
-            if not pending:
-                return
             try:
                 with self._conn:
+                    self._write_usage()
                     for name, n in pending.items():
                         self._conn.execute(
                             "INSERT INTO meta (key, value) VALUES (?, ?) "
@@ -224,8 +263,9 @@ class AnalysisCache:
         """The cached payload for one loop, or None on a miss.
 
         A hit bumps the entry's usage accounting (except in ``ro`` mode,
-        which must not write).  ``refresh`` mode always misses so the
-        caller recomputes and overwrites.
+        which must not write), kept in memory until the handle's next
+        write, maintenance call or close.  ``refresh`` mode always misses
+        so the caller recomputes and overwrites.
         """
         if self.mode == "refresh":
             return None
@@ -241,12 +281,9 @@ class AnalysisCache:
                 return None
             self._bump("hits")
             if self.mode != "ro":
-                with self._conn:
-                    self._conn.execute(
-                        "UPDATE entries SET hits=hits+1, last_used_at=? WHERE "
-                        "module_digest=? AND loop_id=? AND fingerprint=?",
-                        (self._clock(), module_digest, loop_id, fingerprint),
-                    )
+                self._note_hit(
+                    self._entry_usage, (module_digest, loop_id, fingerprint)
+                )
         return json.loads(row[0])
 
     def has_stale_sibling(
@@ -277,6 +314,7 @@ class AnalysisCache:
             return False
         now = self._clock()
         with self._lock, self._conn:
+            self._write_usage()
             self._conn.execute(
                 "INSERT INTO entries (module_digest, loop_id, fingerprint, "
                 "payload, created_at, last_used_at, hits) "
@@ -315,12 +353,7 @@ class AnalysisCache:
             if row is None:
                 return None
             if self.mode != "ro":
-                with self._conn:
-                    self._conn.execute(
-                        "UPDATE profiles SET hits=hits+1, last_used_at=? "
-                        "WHERE module_digest=? AND profile_key=?",
-                        (self._clock(), module_digest, key),
-                    )
+                self._note_hit(self._profile_usage, (module_digest, key))
         return json.loads(row[0])
 
     def store_profile(
@@ -336,6 +369,7 @@ class AnalysisCache:
             return False
         now = self._clock()
         with self._lock, self._conn:
+            self._write_usage()
             self._conn.execute(
                 "INSERT INTO profiles (module_digest, profile_key, "
                 "max_steps, payload, created_at, last_used_at, hits) "
@@ -362,6 +396,7 @@ class AnalysisCache:
         except TypeError:
             args_json = None  # non-JSON workload args: not verifiable
         with self._lock, self._conn:
+            self._write_usage()
             self._conn.execute(
                 "INSERT INTO modules (module_digest, source_path, "
                 "source_text, entry, args_json) VALUES (?, ?, ?, ?, ?) "
@@ -374,6 +409,7 @@ class AnalysisCache:
     # -- maintenance -------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
+        self._flush_usage()
         with self._lock:
             return self._stats_locked()
 
@@ -436,6 +472,7 @@ class AnalysisCache:
         number of verdicts removed."""
         with self._lock:
             with self._conn:
+                self._write_usage()
                 (count,) = self._conn.execute(
                     "SELECT COUNT(*) FROM entries"
                 ).fetchone()
@@ -460,6 +497,7 @@ class AnalysisCache:
         row references it (``cache verify`` re-profiles from it)."""
         removed_age = removed_lru = removed_profiles = 0
         with self._lock, self._conn:
+            self._write_usage()
             if max_age_days is not None:
                 cutoff = self._clock() - max_age_days * 86400.0
                 removed_age = self._conn.execute(
@@ -531,6 +569,7 @@ class AnalysisCache:
         from repro.core.dca import DcaAnalyzer
         from repro.driver import compile_program
 
+        self._flush_usage()
         with self._lock:
             rows = self._conn.execute(
                 "SELECT e.module_digest, e.loop_id, e.fingerprint, e.payload, "

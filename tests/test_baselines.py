@@ -286,7 +286,7 @@ BASELINE_GOLDEN = os.path.join(
 _ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-def _golden_programs():
+def golden_programs():
     """``(key, source, entry)`` of every program the golden covers."""
     from repro.benchsuite import ALL_BENCHMARKS
 
@@ -306,7 +306,7 @@ def test_baseline_verdicts_match_the_golden(exec_backend):
     with open(BASELINE_GOLDEN) as fh:
         expected = json.load(fh)
     got = {}
-    for key, source, entry in _golden_programs():
+    for key, source, entry in golden_programs():
         ctx = build_context(
             compile_program(source), entry=entry, exec_backend=exec_backend
         )

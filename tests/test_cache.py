@@ -83,6 +83,37 @@ def test_hit_accounting(cache):
     assert cache.stats()["total_hits"] == 2
 
 
+def test_warm_analysis_issues_no_per_hit_update(cache):
+    _analyze(cache)
+    statements = []
+    cache._conn.set_trace_callback(statements.append)
+    try:
+        warm = _analyze(cache)
+    finally:
+        cache._conn.set_trace_callback(None)
+    assert warm.cache.hits > 0
+    assert [s for s in statements if s.lstrip().upper().startswith("UPDATE")] \
+        == []
+    # The kept usage is written before stats read it.
+    assert cache.stats()["total_hits"] == warm.cache.hits
+
+
+def test_closed_handles_hits_reach_the_next_handles_gc(tmp_path):
+    now = [0.0]
+    with AnalysisCache(str(tmp_path), clock=lambda: now[0]) as first:
+        first.store("m1", "L0", "f1", PAYLOAD)
+        now[0] = 1.0
+        first.store("m1", "L1", "f1", PAYLOAD)
+        now[0] = 2.0
+        assert first.lookup("m1", "L0", "f1") == PAYLOAD
+    with AnalysisCache(str(tmp_path), clock=lambda: now[0]) as second:
+        # L0's hit is newer than L1's store: L1 is the LRU entry.
+        assert second.gc(max_entries=1)["removed_lru"] == 1
+        assert second.lookup("m1", "L0", "f1") == PAYLOAD
+        assert second.lookup("m1", "L1", "f1") is None
+        assert second.stats()["total_hits"] == 2
+
+
 def test_ro_mode_reads_but_never_writes(tmp_path):
     with AnalysisCache(str(tmp_path)) as rw:
         rw.store("m1", "L0", "f1", PAYLOAD)

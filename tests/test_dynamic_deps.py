@@ -1,7 +1,40 @@
 """Dynamic memory-dependence profiler tests, read through the summary."""
 
+import hashlib
+import json
+import os
+
+import pytest
+
 from repro import compile_program
 from repro.analysis.dynamic_deps import profile_program
+
+from test_baselines import golden_programs
+from test_codegen_profile import EARLY_RETURN, RECURSION
+
+#: sha256 of every program's canonical ``ProfileSummary.to_payload()``
+#: JSON, generated while the profiler still listed each edge key's
+#: locations: keeping only per-location key sets must not move a byte.
+SUMMARY_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "goldens", "profile_summary_digests.json"
+)
+
+#: ``walk.L0`` writes ``acc[0]`` only while an outer ``walk.L0`` is still
+#: active, so its carried edges are recorded on the by-label path alone.
+REENTRANT = """
+func int walk(int d, int[] acc) {
+    int s = 0;
+    for (int i = 0; i < 2; i = i + 1) {
+        if (d > 0) { acc[0] = acc[0] + i; }
+        if (d < 2) { s = s + walk(d + 1, acc); }
+    }
+    return s + acc[0];
+}
+func int main() {
+    int[] acc = new int[1];
+    return walk(0, acc);
+}
+"""
 
 
 def profile(source):
@@ -121,3 +154,39 @@ def test_memory_flow_pairs_kept_per_label():
     flows = summary.loop("main.L0").memory_flow
     assert flows
     assert all(len(pair) == 2 for pair in flows)
+
+
+@pytest.mark.parametrize("exec_backend", ["codegen", "interp"])
+def test_summaries_match_the_golden(exec_backend):
+    with open(SUMMARY_GOLDEN) as fh:
+        expected = json.load(fh)
+    programs = list(golden_programs()) + [
+        ("test/RECURSION", RECURSION, "main"),
+        ("test/EARLY_RETURN", EARLY_RETURN, "main"),
+        ("test/REENTRANT", REENTRANT, "main"),
+    ]
+    got = {}
+    for key, source, entry in programs:
+        payload = profile_program(
+            compile_program(source), entry, exec_backend=exec_backend
+        ).to_payload()
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        got[key] = hashlib.sha256(canonical.encode()).hexdigest()
+    assert got == expected
+
+
+def test_recursive_loops_pair_each_label_with_its_innermost_entry():
+    """A loop re-entered while active: each access pairs with the
+    innermost instance of its loop on the stack."""
+    write = ("walk", "for.body2", 2)
+    assert profile(RECURSION).loop("walk.L0").carried == {
+        "raw": {(write, ("walk", "for.body2", 0)): False},
+        "waw": {(write, write): False},
+    }
+    write = ("walk", "if.then5", 2)
+    assert profile(REENTRANT).loop("walk.L0").carried == {
+        "raw": {(write, ("walk", "if.then5", 0)): False},
+        "waw": {(write, write): False},
+        # The callee's read of acc[0], attributed to the call site.
+        "war": {(("walk", "if.then7", 1), write): False},
+    }
